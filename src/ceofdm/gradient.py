@@ -4,18 +4,21 @@ The cost J_p is a smooth function of the phase symbols through the chain
 
     phi -> phase samples -> s_bar -> F = fft(s_bar) -> r = ifft(|F|^2) -> J_p
 
-and every linear stage is a (2M-1)-point DFT, so the gradient is evaluated
-with four FFT applications and one M x L matrix product:
+and every linear stage is an N-point DFT, N >= 2M-1 (the FFT length and lag
+layout of ``metrics``), so the gradient is evaluated with four FFT
+applications and one M x L matrix product:
 
     grad = 8*pi*h * J_p * Dbar' * Im{ conj(s_bar) * ifft(F * P) }
     P    = Re{ fft(|r|^(p-2) * r * (w_sl / (w_sl'|r|^p) - w_ml / (w_ml'|r|^p))) }
 
+Dbar, the phase-sample Jacobian divided by 2*pi*h, is never materialized:
+its action is applied column by column through the cached harmonic bases.
 The vector inside the fft of P is conjugate symmetric whenever the weights
 are symmetric about zero delay (the ACF itself always is), so P is real up to
 rounding; asymmetric weights are rejected because that shortcut would then be
-invalid. The 2*pi*h factor is the Jacobian of the phase samples with respect
-to each symbol, on top of the 4*J_p factor from the quotient and modulus
-stages.
+invalid. The 2*pi*h factor is the Jacobian of the
+phase samples with respect to each symbol, on top of the 4*J_p factor from the
+quotient and modulus stages.
 """
 
 from __future__ import annotations
@@ -24,33 +27,17 @@ import math
 
 import numpy as np
 
-from .metrics import MAG_FLOOR, GislWeights, weights_are_symmetric, _validated_p
-from .waveform import (
-    BasisMatrices,
-    WaveformConfig,
-    as_phase_vector,
-    build_basis,
-    phase_from_basis,
+from .metrics import (
+    GislWeights,
+    weights_are_symmetric,
+    _fft_length,
+    _gisl_ratio,
+    _raw_index,
+    _validated_p,
 )
+from .waveform import WaveformConfig, as_phase_vector, build_basis, phase_from_basis
 
-__all__ = ["DENSE_DBAR_MAX_M", "GradientWorkspace", "build_dbar", "gisl_gradient"]
-
-# Above this sample count the Dbar matrix is never materialized; its action is
-# applied column-by-column through the cached harmonic bases instead.
-DENSE_DBAR_MAX_M = 4096
-
-
-def build_dbar(phi, basis: BasisMatrices) -> np.ndarray:
-    """Zero-padded Jacobian of the phase samples w.r.t. each symbol, scaled by 1/(2*pi*h).
-
-    Column l is -bc_l * sin(phi_l) + bs_l * cos(phi_l) in rows 0..M-1 and zero
-    in the padding rows M..2M-2.
-    """
-    m, L = basis.bc.shape
-    phi = as_phase_vector(phi, L)
-    dbar = np.zeros((2 * m - 1, L))
-    dbar[:m] = -basis.bc * np.sin(phi) + basis.bs * np.cos(phi)
-    return dbar
+__all__ = ["GradientWorkspace"]
 
 
 class GradientWorkspace:
@@ -59,20 +46,17 @@ class GradientWorkspace:
     One instance serves a fixed (config, weights, p) triple; the optimizer
     reuses it across every cost and gradient call of a run. Reuse never
     changes results. Instances are not safe for concurrent use; give each
-    thread its own.
+    thread its own. A p-sum that underflows to zero or a non-finite gradient
+    raises FloatingPointError.
     """
 
-    def __init__(
-        self,
-        cfg: WaveformConfig,
-        weights: GislWeights,
-        p,
-        dense_dbar_max_m: int = DENSE_DBAR_MAX_M,
-    ) -> None:
+    def __init__(self, cfg: WaveformConfig, weights: GislWeights, p) -> None:
         self.p = _validated_p(p)
-        if len(weights.w_sl) != 2 * cfg.M - 1:
+        self._n = _fft_length(cfg.M)
+        lags = _raw_index(cfg.M, self._n)
+        if len(weights.w_sl) != len(lags):
             raise ValueError(
-                f"weights length {len(weights.w_sl)} does not match 2M-1 = {2 * cfg.M - 1}"
+                f"weights length {len(weights.w_sl)} does not match the {len(lags)} lags of M={cfg.M}"
             )
         if not weights_are_symmetric(weights):
             raise ValueError("weights must be symmetric about zero delay")
@@ -83,10 +67,11 @@ class GradientWorkspace:
         self.cfg = cfg
         self.weights = weights
         self.basis = build_basis(cfg)
-        # raw (uncentered) FFT ordering used internally
-        self._w_sl = np.fft.ifftshift(weights.w_sl)
-        self._w_ml = np.fft.ifftshift(weights.w_ml)
-        self._dense = cfg.M <= dense_dbar_max_m
+        # weights at the circular lag positions of r
+        self._w_sl = np.zeros(self._n)
+        self._w_sl[lags] = weights.w_sl
+        self._w_ml = np.zeros(self._n)
+        self._w_ml[lags] = weights.w_ml
         self._cache: dict | None = None
         self.last_p_imag_ratio: float | None = None
 
@@ -94,20 +79,18 @@ class GradientWorkspace:
         phi = as_phase_vector(phi, self.cfg.L)
         if self._cache is not None and np.array_equal(self._cache["phi"], phi):
             return self._cache
-        m = self.cfg.M
         theta = phase_from_basis(phi, self.basis, self.cfg.h)
-        s_bar = np.zeros(2 * m - 1, dtype=complex)
-        s_bar[:m] = np.exp(1j * theta) / math.sqrt(m)
-        big_f = np.fft.fft(s_bar)
+        s = np.exp(1j * theta) / math.sqrt(self.cfg.M)
+        big_f = np.fft.fft(s, self._n)
         r = np.fft.ifft(big_f * np.conj(big_f))
-        mags = np.maximum(np.abs(r), MAG_FLOOR)
-        y = mags**self.p
-        num = float(self._w_sl @ y)
-        den = float(self._w_ml @ y)
-        cost = (num / den) ** (2.0 / self.p)
+        cost, num, den, mags = _gisl_ratio(r, self._w_sl, self._w_ml, self.p)
+        if num == 0.0:
+            raise FloatingPointError(
+                f"sidelobe |r|^{self.p} sum underflows to zero; lower p"
+            )
         self._cache = {
             "phi": phi.copy(),
-            "s_bar": s_bar,
+            "s": s,
             "F": big_f,
             "r": r,
             "mags": mags,
@@ -131,29 +114,17 @@ class GradientWorkspace:
         re_peak = float(np.max(np.abs(p_spec.real)))
         im_peak = float(np.max(np.abs(p_spec.imag)))
         self.last_p_imag_ratio = im_peak / re_peak if re_peak > 0 else 0.0
-        if __debug__ and self.last_p_imag_ratio > 1e-6:
-            raise AssertionError(
+        if self.last_p_imag_ratio > 1e-6:
+            raise FloatingPointError(
                 f"discarded imaginary part too large ({self.last_p_imag_ratio:.3g}); "
                 "weights are not effectively symmetric"
             )
-        g = np.fft.ifft(state["F"] * p_spec.real)
-        z = (np.conj(state["s_bar"]) * g).imag
+        g = np.fft.ifft(state["F"] * p_spec.real)[: self.cfg.M]
+        z = (np.conj(state["s"]) * g).imag
         scale = 8.0 * np.pi * self.cfg.h * state["cost"]
-        if self._dense:
-            grad = scale * (build_dbar(phi, self.basis).T @ z)
-        else:
-            zm = z[: self.cfg.M]
-            grad = scale * (
-                -np.sin(phi) * (self.basis.bc.T @ zm)
-                + np.cos(phi) * (self.basis.bs.T @ zm)
-            )
+        grad = scale * (
+            -np.sin(phi) * (self.basis.bc.T @ z) + np.cos(phi) * (self.basis.bs.T @ z)
+        )
+        if not np.all(np.isfinite(grad)):
+            raise FloatingPointError(f"GISL gradient is not finite at p={self.p}")
         return state["cost"], grad
-
-
-def gisl_gradient(phi, cfg: WaveformConfig, w: GislWeights, p) -> np.ndarray:
-    """Gradient of the GISL cost at ``phi`` for frozen weights.
-
-    Convenience wrapper around :class:`GradientWorkspace`; build a workspace
-    directly when evaluating repeatedly.
-    """
-    return GradientWorkspace(cfg, w, p).cost_and_gradient(phi)[1]

@@ -3,11 +3,18 @@
 All correlation vectors have length 2M-1 and are centered: index M-1 holds
 zero delay, index k holds delay (k - (M-1)) / fs. Sidelobe metrics operate on
 binary mainlobe/sidelobe selector vectors that partition the delay axis.
+
+This module owns the correlation layout. Every correlation, here and in the
+gradient, is an N-point circular FFT correlation with N the smallest
+2^a 3^b 5^c >= 2M-1; any N >= 2M-1 keeps it equal to the linear lag sum, and
+5-smooth lengths avoid the slow FFT route that prime lengths such as 1999
+take. Lag k sits at circular position k mod N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,20 +94,36 @@ class AmbiguitySurface:
     dopplers: np.ndarray
 
 
-def _crosscorr_padded(u_pad: np.ndarray, v_pad: np.ndarray) -> np.ndarray:
-    """Centered circular cross-correlation sum_m u[m+k] v*[m] of zero-padded inputs."""
-    spec = np.fft.fft(u_pad) * np.conj(np.fft.fft(v_pad))
-    return np.fft.fftshift(np.fft.ifft(spec))
+@lru_cache(maxsize=None)
+def _fft_length(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= 2m-1, the FFT length for correlating m samples."""
+    target = 2 * m - 1
+    k = np.arange(int(target).bit_length() + 1)
+    lengths = np.multiply.outer(np.multiply.outer(2.0**k, 3.0**k), 5.0**k)
+    return int(lengths[lengths >= target].min())
+
+
+def _raw_index(m: int, n: int) -> np.ndarray:
+    """Position k mod n of each centered lag k = -(m-1)..m-1 in an n-point correlation."""
+    return np.arange(1 - m, m) % n
+
+
+def _crosscorr(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Centered linear cross-correlation sum_m u[m+k] v*[m] of two length-M vectors."""
+    m = u.size
+    n = _fft_length(m)
+    spec = np.fft.fft(u, n) * np.conj(np.fft.fft(v, n))
+    return np.fft.ifft(spec)[_raw_index(m, n)]
 
 
 def compute_acf(s: SampledWaveform) -> CorrelationResult:
     """Discretized ACF over all 2M-1 delays.
 
     The power spectrum of the zero-padded samples is inverse transformed over
-    exactly 2M-1 points, which equals the direct lag sum sum_m s[m+k] s*[m].
+    N >= 2M-1 points, which equals the direct lag sum sum_m s[m+k] s*[m].
     For unit-energy input the zero-delay sample is exactly 1.
     """
-    return CorrelationResult(r=_crosscorr_padded(s.padded, s.padded), fs=s.fs)
+    return CorrelationResult(r=_crosscorr(s.samples, s.samples), fs=s.fs)
 
 
 def compute_af(s: SampledWaveform, doppler_grid) -> AmbiguitySurface:
@@ -113,16 +136,11 @@ def compute_af(s: SampledWaveform, doppler_grid) -> AmbiguitySurface:
     """
     nu = np.asarray(doppler_grid, dtype=float).ravel()
     m = s.samples.size
-    n = s.padded.size
-    values = np.empty((nu.size, n))
-    u_pad = np.zeros(n, dtype=complex)
-    v_pad = np.zeros(n, dtype=complex)
+    values = np.empty((nu.size, 2 * m - 1))
     for i, v in enumerate(nu):
         shift = np.exp(1j * np.pi * v * s.t)
-        u_pad[:m] = s.samples * shift
-        v_pad[:m] = s.samples * np.conj(shift)
-        values[i] = np.abs(_crosscorr_padded(u_pad, v_pad))
-    delays = (np.arange(n) - (m - 1)) / s.fs
+        values[i] = np.abs(_crosscorr(s.samples * shift, s.samples * np.conj(shift)))
+    delays = np.arange(1 - m, m) / s.fs
     return AmbiguitySurface(values=values, delays=delays, dopplers=nu)
 
 
@@ -196,8 +214,19 @@ def _validated_p(p) -> int:
     return int(p)
 
 
-def _floored_magnitude(r: np.ndarray) -> np.ndarray:
-    return np.maximum(np.abs(r), MAG_FLOOR)
+def _gisl_ratio(r: np.ndarray, w_sl: np.ndarray, w_ml: np.ndarray, p: int):
+    """(w_sl'y / w_ml'y)^(2/p) with y = max(|r|, MAG_FLOOR)^p, on any lag layout.
+
+    Returns the ratio, the sidelobe and mainlobe p-sums, and the floored
+    magnitudes. A mainlobe p-sum of zero raises FloatingPointError.
+    """
+    mags = np.maximum(np.abs(r), MAG_FLOOR)
+    y = mags**p
+    num = float(w_sl @ y)
+    den = float(w_ml @ y)
+    if den == 0.0:
+        raise FloatingPointError(f"mainlobe |r|^{p} sum underflows to zero")
+    return (num / den) ** (2.0 / p), num, den, mags
 
 
 def compute_gisl(r: CorrelationResult, w: GislWeights, p) -> float:
@@ -207,22 +236,14 @@ def compute_gisl(r: CorrelationResult, w: GislWeights, p) -> float:
     is the plain ISL energy ratio; as p grows it approaches the PSLR.
     """
     p = _validated_p(p)
-    y = _floored_magnitude(r.r) ** p
-    num = float(w.w_sl @ y)
-    den = float(w.w_ml @ y)
-    if den <= 0.0:
+    if not w.w_ml.any():
         raise ValueError("mainlobe weight support is empty")
-    return (num / den) ** (2.0 / p)
+    return _gisl_ratio(r.r, w.w_sl, w.w_ml, p)[0]
 
 
 def compute_isl(r: CorrelationResult, w: GislWeights) -> float:
     """Integrated sidelobe level: sidelobe energy over mainlobe energy (linear)."""
-    y = _floored_magnitude(r.r) ** 2
-    num = float(w.w_sl @ y)
-    den = float(w.w_ml @ y)
-    if den <= 0.0:
-        raise ValueError("mainlobe weight support is empty")
-    return num / den
+    return compute_gisl(r, w, 2)
 
 
 def compute_pslr(r: CorrelationResult, null_index: int, weights: GislWeights | None = None) -> float:

@@ -161,14 +161,9 @@ class BasisMatrices:
 
 @dataclass(frozen=True)
 class SampledWaveform:
-    """Unit-energy complex baseband samples plus the zero-padded copy.
-
-    ``samples`` has length M with constant modulus 1/sqrt(M); ``padded`` has
-    length 2M-1 with zeros in positions M..2M-2.
-    """
+    """Unit-energy complex baseband samples: length M, constant modulus 1/sqrt(M)."""
 
     samples: np.ndarray
-    padded: np.ndarray
     t: np.ndarray
     fs: float
 
@@ -226,9 +221,7 @@ def synthesize(phi, cfg: WaveformConfig) -> SampledWaveform:
     """
     theta = sample_phase(phi, cfg)
     samples = np.exp(1j * theta) / math.sqrt(cfg.M)
-    padded = np.zeros(2 * cfg.M - 1, dtype=complex)
-    padded[: cfg.M] = samples
-    return SampledWaveform(samples=samples, padded=padded, t=cfg.t, fs=cfg.fs)
+    return SampledWaveform(samples=samples, t=cfg.t, fs=cfg.fs)
 
 
 def random_psk(L: int, mpsk, seed: int) -> np.ndarray:

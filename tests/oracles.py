@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ceofdm import WaveformConfig, synthesize
+from ceofdm import BasisMatrices, WaveformConfig, synthesize
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +78,19 @@ def central_difference_gradient(cost, phi: np.ndarray, eps: float = 1e-5) -> np.
     return grad
 
 
+def build_dbar(phi, basis: BasisMatrices) -> np.ndarray:
+    """Zero-padded Jacobian of the phase samples w.r.t. each symbol, scaled by 1/(2*pi*h).
+
+    Column l is -bc_l * sin(phi_l) + bs_l * cos(phi_l) in rows 0..M-1 and zero
+    in the padding rows M..2M-2.
+    """
+    m, L = basis.bc.shape
+    phi = np.asarray(phi, float)
+    dbar = np.zeros((2 * m - 1, L))
+    dbar[:m] = -basis.bc * np.sin(phi) + basis.bs * np.cos(phi)
+    return dbar
+
+
 def dense_dft_gisl_gradient(phi, cfg, weights, p: int) -> np.ndarray:
     """GISL gradient evaluated with explicit DFT matrices and dense products.
 
@@ -106,6 +119,5 @@ def dense_dft_gisl_gradient(phi, cfg, weights, p: int) -> np.ndarray:
     u = w_sl / num - w_ml / den
     p_vec = np.real(dft @ (mags ** (p - 2) * r * u))
     inner = np.conj(dft).T @ ((f_vec) * p_vec) / n
-    dbar = np.zeros((n, cfg.L))
-    dbar[:m] = -bc * np.sin(phi) + bs * np.cos(phi)
+    dbar = build_dbar(phi, BasisMatrices(bc=bc, bs=bs))
     return 8.0 * np.pi * cfg.h * cost * (dbar.T @ np.imag(np.conj(s_bar) * inner))

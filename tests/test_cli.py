@@ -311,6 +311,14 @@ class TestExitCodes:
         ])
         assert code == 3
 
+    def test_sidelobe_underflow_is_numerical_failure(self, tmp_path):
+        # every sidelobe |r|^400 underflows to zero: no -inf/nan summary with exit 0
+        code = main([
+            "optimize", "--out", str(tmp_path / "x"), "--seed", "1",
+            "--set", "optimizer.p=400",
+        ])
+        assert code == 3
+
     def test_io_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

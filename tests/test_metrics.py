@@ -20,6 +20,7 @@ from ceofdm import (
     synthesize,
     weights_are_symmetric,
 )
+from ceofdm.metrics import _fft_length
 from oracles import brute_force_acf
 
 # frozen regression: first null of the reference waveform (seed 1, Mpsk=32);
@@ -41,6 +42,25 @@ def synthetic_corr(values, zero_value=1.0):
         r[m - 1 + k] = v
         r[m - 1 - k] = np.conj(v)
     return CorrelationResult(r=r, fs=float(m))
+
+
+def is_5_smooth(n):
+    for f in (2, 3, 5):
+        while n % f == 0:
+            n //= f
+    return n == 1
+
+
+class TestFftLength:
+    def test_smallest_5_smooth_at_or_above_2m_minus_1(self):
+        smooth = [n for n in range(1, 4100) if is_5_smooth(n)]
+        for m in range(2, 2001):
+            n = _fft_length(m)
+            assert n == min(k for k in smooth if k >= 2 * m - 1), m
+
+    @pytest.mark.parametrize("m,n", [(1000, 2000), (1040, 2160), (70, 144)])
+    def test_spot_values(self, m, n):
+        assert _fft_length(m) == n
 
 
 class TestComputeAcf:

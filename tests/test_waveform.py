@@ -177,13 +177,6 @@ class TestSynthesize:
             s = synthesize(phi, small_cfg)
             assert np.max(np.abs(np.abs(s.samples) ** 2 * small_cfg.M - 1.0)) < 1e-12
 
-    def test_padding(self, small_cfg, rng):
-        s = synthesize(TWO_PI * rng.random(small_cfg.L), small_cfg)
-        m = small_cfg.M
-        assert len(s.padded) == 2 * m - 1
-        assert np.array_equal(s.padded[:m], s.samples)
-        assert np.all(s.padded[m:] == 0)
-
     def test_spectral_concentration(self, reference_cfg):
         # frozen seed; measured 97.1% of energy within +-0.75 * df
         phi = random_psk(reference_cfg.L, math.inf, seed=1)
