@@ -41,7 +41,7 @@ from .metrics import (
     detect_mainlobe_null,
 )
 from .optimizer import run_gd_gisl
-from .quantize import degradation_sweep, quantize_psk
+from .quantize import degradation_sweep
 from .waveform import random_psk, synthesize
 
 __all__ = ["main", "entry", "cmd_synth", "cmd_optimize", "cmd_quantize", "cmd_sweep"]
@@ -66,6 +66,14 @@ def cmd_synth(config: ExperimentConfig) -> None:
     """Write the waveform, its spectrum/spectrogram, and its ACF/AF surfaces."""
     out = Path(config.run.out)
     cfg, phi0, s0, r0, null, weights = _prepare(config)
+    # evaluated first: a GISL that underflows fails before any file is written
+    summary = {
+        "null_index": null,
+        "gisl_db": db(compute_gisl(r0, weights, config.optimizer.p)),
+        "pslr_db": compute_pslr(r0, null, weights=weights),
+        "M": cfg.M,
+        "fs": cfg.fs,
+    }
     config.write_manifest(out / "manifest.ini")
     write_phi_csv(out / "phi.csv", phi0)
     write_waveform_csv(out / "waveform.csv", s0)
@@ -76,16 +84,7 @@ def cmd_synth(config: ExperimentConfig) -> None:
     write_acf_csv(out / "acf.csv", r0, cfg.T)
     if config.run.write_af:
         write_af_csv(out / "af.csv", compute_af(s0, _default_doppler_grid(cfg)), cfg.T)
-    write_summary(
-        out / "summary.txt",
-        {
-            "null_index": null,
-            "gisl_db": db(compute_gisl(r0, weights, config.optimizer.p)),
-            "pslr_db": compute_pslr(r0, null, weights=weights),
-            "M": cfg.M,
-            "fs": cfg.fs,
-        },
-    )
+    write_summary(out / "summary.txt", summary)
 
 
 def _optimize_core(config: ExperimentConfig):
@@ -155,10 +154,9 @@ def cmd_quantize(config: ExperimentConfig, input_dir: str | None = None) -> None
     report = degradation_sweep(phi_final, cfg, weights, p, config.alphabets)
     config.write_manifest(out / "manifest.ini")
     write_quantization_csv(out / "report.csv", report)
-    for mpsk in config.alphabets:
-        label = "inf" if mpsk == math.inf else str(int(mpsk))
-        r_q = compute_acf(synthesize(quantize_psk(phi_final, mpsk), cfg))
-        write_acf_csv(out / f"acf_mpsk_{label}.csv", r_q, cfg.T)
+    for row in report.rows:
+        label = "inf" if row.mpsk == math.inf else str(int(row.mpsk))
+        write_acf_csv(out / f"acf_mpsk_{label}.csv", row.acf, cfg.T)
 
 
 def _sweep_worker(payload) -> dict:

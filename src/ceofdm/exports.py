@@ -8,6 +8,7 @@ exact -inf (zero magnitude or empty region) is encoded as -999.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +39,11 @@ DB_FLOOR = -200.0
 DB_NEG_INF = -999.0
 
 
-def encode_db(x: float) -> float:
-    if x == float("-inf"):
-        return DB_NEG_INF
-    return max(float(x), DB_FLOOR)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
+def encode_db(x):
+    """Export encoding of dB values, elementwise: -inf -> -999, else floored at -200."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x == -np.inf, DB_NEG_INF, np.maximum(x, DB_FLOOR))
+    return float(out) if out.ndim == 0 else out
 
 
 def _fmt_full(x: float) -> str:
@@ -55,7 +53,23 @@ def _fmt_full(x: float) -> str:
 
 
 def _write_lines(path, lines) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        out.writelines(f"{line}\n" for line in lines)
+
+
+def _write_table(path, header: str, table: np.ndarray, index=None) -> None:
+    """Stream ``header`` and each row of a 2-D float table as %.12e fields.
+
+    One ``%`` template serves every row, and rows become Python floats one at
+    a time, so a large table is never held as text. With ``index``, each row
+    starts with its integer from ``index``.
+    """
+    template = ",".join(["%.12e"] * table.shape[1])
+    if index is None:
+        rows = (template % tuple(row.tolist()) for row in table)
+    else:
+        rows = (f"%d,{template}" % (i, *row.tolist()) for i, row in zip(index, table))
+    _write_lines(path, chain([header], rows))
 
 
 def write_phi_csv(path, phi) -> None:
@@ -74,21 +88,15 @@ def read_phi_csv(path) -> np.ndarray:
 
 
 def write_waveform_csv(path, s: SampledWaveform) -> None:
-    lines = ["sample_index,t_over_T,real,imag"]
     t_norm = s.t * s.fs / len(s.samples)
-    for i in range(len(s.samples)):
-        lines.append(
-            f"{i},{_fmt(t_norm[i])},{_fmt(s.samples[i].real)},{_fmt(s.samples[i].imag)}"
-        )
-    _write_lines(path, lines)
+    table = np.column_stack([t_norm, s.samples.real, s.samples.imag])
+    _write_table(path, "sample_index,t_over_T,real,imag", table, range(len(table)))
 
 
 def write_inst_freq_csv(path, phi, cfg: WaveformConfig) -> None:
     freq = sample_frequency(phi, cfg)
-    lines = ["sample_index,t_over_T,freq_times_T"]
-    for i in range(cfg.M):
-        lines.append(f"{i},{_fmt(i / cfg.M)},{_fmt(freq[i] * cfg.T)}")
-    _write_lines(path, lines)
+    table = np.column_stack([np.arange(cfg.M) / cfg.M, freq * cfg.T])
+    _write_table(path, "sample_index,t_over_T,freq_times_T", table, range(cfg.M))
 
 
 def write_spectrum_csv(path, s: SampledWaveform, cfg: WaveformConfig, pad_factor: int = 4) -> None:
@@ -98,13 +106,9 @@ def write_spectrum_csv(path, s: SampledWaveform, cfg: WaveformConfig, pad_factor
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / cfg.fs))
     power = np.abs(spec) ** 2
     power_db = db(power / power.max())
-    lines = ["freq_times_T,freq_over_df,magnitude_db"]
-    for i in range(nfft):
-        over_df = freqs[i] / cfg.df if cfg.df > 0 else 0.0
-        lines.append(
-            f"{_fmt(freqs[i] * cfg.T)},{_fmt(over_df)},{_fmt(encode_db(power_db[i]))}"
-        )
-    _write_lines(path, lines)
+    over_df = freqs / cfg.df if cfg.df > 0 else np.zeros(nfft)
+    table = np.column_stack([freqs * cfg.T, over_df, encode_db(power_db)])
+    _write_table(path, "freq_times_T,freq_over_df,magnitude_db", table)
 
 
 def _stft(samples: np.ndarray, nperseg: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,38 +127,24 @@ def write_spectrogram_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None
     freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / cfg.fs))
     power = np.abs(frames) ** 2
     power_db = db(power / power.max())
-    header = "freq_times_T," + ",".join(_fmt(c / cfg.M) for c in centers)
-    lines = [header]
-    for i in range(nperseg):
-        row = ",".join(_fmt(encode_db(v)) for v in power_db[i])
-        lines.append(f"{_fmt(freqs[i] * cfg.T)},{row}")
-    _write_lines(path, lines)
+    header = "freq_times_T," + ",".join(map("{:.12e}".format, (centers / cfg.M).tolist()))
+    table = np.column_stack([freqs * cfg.T, encode_db(power_db)])
+    _write_table(path, header, table)
 
 
 def write_acf_csv(path, r: CorrelationResult, T: float) -> None:
     """Columns: delay_samples, delay_over_T, magnitude_db."""
     mag = r.magnitude()
-    mag_db = db(mag * mag)
-    lines = ["delay_samples,delay_over_T,magnitude_db"]
-    zero = r.zero_index
-    for k in range(len(mag)):
-        u = k - zero
-        lines.append(
-            f"{u},{_fmt(u / (r.fs * T))},{_fmt(encode_db(mag_db[k]))}"
-        )
-    _write_lines(path, lines)
+    u = np.arange(len(mag)) - r.zero_index
+    table = np.column_stack([u / (r.fs * T), encode_db(db(mag * mag))])
+    _write_table(path, "delay_samples,delay_over_T,magnitude_db", table, u.tolist())
 
 
 def write_af_csv(path, af: AmbiguitySurface, T: float) -> None:
     """First column Doppler (times T); remaining columns |chi|^2 in dB per delay."""
-    header = "doppler_times_T," + ",".join(_fmt(d / T) for d in af.delays)
-    lines = [header]
-    with np.errstate(divide="ignore"):
-        values_db = 10.0 * np.log10(af.values**2)
-    for i in range(len(af.dopplers)):
-        row = ",".join(_fmt(encode_db(v)) for v in values_db[i])
-        lines.append(f"{_fmt(af.dopplers[i] * T)},{row}")
-    _write_lines(path, lines)
+    header = "doppler_times_T," + ",".join(map("{:.12e}".format, (af.delays / T).tolist()))
+    table = np.column_stack([af.dopplers * T, encode_db(db(af.values**2))])
+    _write_table(path, header, table)
 
 
 def write_trace_csv(path, trace: OptimizationTrace) -> None:

@@ -84,10 +84,6 @@ class GradientWorkspace:
         big_f = np.fft.fft(s, self._n)
         r = np.fft.ifft(big_f * np.conj(big_f))
         cost, num, den, mags = _gisl_ratio(r, self._w_sl, self._w_ml, self.p)
-        if num == 0.0:
-            raise FloatingPointError(
-                f"sidelobe |r|^{self.p} sum underflows to zero; lower p"
-            )
         self._cache = {
             "phi": phi.copy(),
             "s": s,

@@ -109,11 +109,20 @@ def _raw_index(m: int, n: int) -> np.ndarray:
 
 
 def _crosscorr(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Centered linear cross-correlation sum_m u[m+k] v*[m] of two length-M vectors."""
-    m = u.size
+    """Centered linear cross-correlation sum_m u[m+k] v*[m] along the last axis.
+
+    u and v hold M samples per row; a 2-D pair is correlated row by row in
+    one batch of FFTs.
+    """
+    m = u.shape[-1]
     n = _fft_length(m)
-    spec = np.fft.fft(u, n) * np.conj(np.fft.fft(v, n))
-    return np.fft.ifft(spec)[_raw_index(m, n)]
+    # in place where numpy >= 1.24 allows (fft's out= needs numpy 2): a Doppler
+    # batch holds several (rows, n) arrays
+    spec = np.fft.fft(u, n)
+    other = np.fft.fft(v, n)
+    spec *= np.conj(other, out=other)
+    del other
+    return np.fft.ifft(spec)[..., _raw_index(m, n)]
 
 
 def compute_acf(s: SampledWaveform) -> CorrelationResult:
@@ -127,19 +136,20 @@ def compute_acf(s: SampledWaveform) -> CorrelationResult:
 
 
 def compute_af(s: SampledWaveform, doppler_grid) -> AmbiguitySurface:
-    """Ambiguity surface row by row over a grid of Doppler shifts (Hz).
+    """Ambiguity surface over a grid of Doppler shifts (Hz), one row per shift.
 
     Each Doppler shift is split symmetrically between the two copies of the
     waveform before correlating, so the zero-Doppler row reproduces
     compute_acf exactly and the zero-delay cut is the Dirichlet-kernel sum
-    |sum_m |s[m]|^2 e^{j 2 pi nu t_m}|.
+    |sum_m |s[m]|^2 e^{j 2 pi nu t_m}|. All rows are correlated in one batch.
     """
     nu = np.asarray(doppler_grid, dtype=float).ravel()
     m = s.samples.size
-    values = np.empty((nu.size, 2 * m - 1))
-    for i, v in enumerate(nu):
-        shift = np.exp(1j * np.pi * v * s.t)
-        values[i] = np.abs(_crosscorr(s.samples * shift, s.samples * np.conj(shift)))
+    shift = np.exp((1j * np.pi * nu)[:, None] * s.t)
+    u = s.samples * shift
+    v = s.samples * np.conj(shift, out=shift)
+    del shift  # frees one (rows, M) array before the FFT batch
+    values = np.abs(_crosscorr(u, v))
     delays = np.arange(1 - m, m) / s.fs
     return AmbiguitySurface(values=values, delays=delays, dopplers=nu)
 
@@ -218,7 +228,8 @@ def _gisl_ratio(r: np.ndarray, w_sl: np.ndarray, w_ml: np.ndarray, p: int):
     """(w_sl'y / w_ml'y)^(2/p) with y = max(|r|, MAG_FLOOR)^p, on any lag layout.
 
     Returns the ratio, the sidelobe and mainlobe p-sums, and the floored
-    magnitudes. A mainlobe p-sum of zero raises FloatingPointError.
+    magnitudes. A p-sum that underflows to zero over a nonempty support
+    raises FloatingPointError; an empty sidelobe support gives a ratio of 0.
     """
     mags = np.maximum(np.abs(r), MAG_FLOOR)
     y = mags**p
@@ -226,6 +237,8 @@ def _gisl_ratio(r: np.ndarray, w_sl: np.ndarray, w_ml: np.ndarray, p: int):
     den = float(w_ml @ y)
     if den == 0.0:
         raise FloatingPointError(f"mainlobe |r|^{p} sum underflows to zero")
+    if num == 0.0 and w_sl.any():
+        raise FloatingPointError(f"sidelobe |r|^{p} sum underflows to zero; lower p")
     return (num / den) ** (2.0 / p), num, den, mags
 
 

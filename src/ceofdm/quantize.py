@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import GislWeights, compute_acf, compute_gisl, compute_pslr, db
+from .metrics import CorrelationResult, GislWeights, compute_acf, compute_gisl, compute_pslr, db
 from .waveform import TWO_PI, WaveformConfig, synthesize
 
 __all__ = [
@@ -45,12 +45,15 @@ def quantize_psk(phi, mpsk) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantizationRow:
+    """Damage of one alphabet; ``acf`` is the ACF of the quantized waveform."""
+
     mpsk: float
     max_perturbation: float
     gisl_before_db: float
     gisl_after_db: float
     pslr_before_db: float
     pslr_after_db: float
+    acf: CorrelationResult = field(repr=False, compare=False)
 
     @property
     def gisl_degradation_db(self) -> float:
@@ -90,6 +93,7 @@ def degradation_sweep(
                 gisl_after_db=db(compute_gisl(r_q, w, p)),
                 pslr_before_db=pslr0,
                 pslr_after_db=compute_pslr(r_q, w.null_index, weights=w),
+                acf=r_q,
             )
         )
     return QuantizationReport(rows=tuple(rows))

@@ -121,3 +121,52 @@ def dense_dft_gisl_gradient(phi, cfg, weights, p: int) -> np.ndarray:
     inner = np.conj(dft).T @ ((f_vec) * p_vec) / n
     dbar = build_dbar(phi, BasisMatrices(bc=bc, bs=bs))
     return 8.0 * np.pi * cfg.h * cost * (dbar.T @ np.imag(np.conj(s_bar) * inner))
+
+
+def smallest_5_smooth(target: int) -> int:
+    """Smallest n >= target with no prime factor above 5, by trial division."""
+    n = target
+    while True:
+        k = n
+        for prime in (2, 3, 5):
+            while k % prime == 0:
+                k //= prime
+        if k == 1:
+            return n
+        n += 1
+
+
+def per_row_af(samples: np.ndarray, t: np.ndarray, nu) -> np.ndarray:
+    """|chi| one Doppler row at a time, each row its own 1-D FFT correlation.
+
+    The symmetric Doppler split and the FFT length (the smallest 5-smooth
+    n >= 2M-1) are those of the library, so the batched surface must match
+    this loop bit for bit.
+    """
+    m = len(samples)
+    n = smallest_5_smooth(2 * m - 1)
+    lags = np.arange(1 - m, m) % n
+    nu = np.asarray(nu, float)
+    out = np.empty((nu.size, 2 * m - 1))
+    for i, v in enumerate(nu):
+        shift = np.exp(1j * np.pi * v * t)
+        spec = np.fft.fft(samples * shift, n) * np.conj(np.fft.fft(samples * np.conj(shift), n))
+        out[i] = np.abs(np.fft.ifft(spec)[lags])
+    return out
+
+
+def fmt_e(x) -> str:
+    """One exported value, formatted on its own."""
+    return f"{x:.12e}"
+
+
+def fmt_db(x) -> str:
+    """One exported dB value: -inf -> -999, below -200 -> -200, then fmt_e."""
+    x = -999.0 if x == float("-inf") else max(float(x), -200.0)
+    return fmt_e(x)
+
+
+def csv_bytes(header: str, rows) -> bytes:
+    """File contents for a header and rows of already formatted fields."""
+    lines = [header] + [",".join(fields) for fields in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -319,6 +319,14 @@ class TestExitCodes:
         ])
         assert code == 3
 
+    def test_synth_sidelobe_underflow_is_numerical_failure(self, tmp_path, capsys):
+        # synth reports the GISL too: at p = 400 it must not write gisl_db = -inf
+        out = tmp_path / "x"
+        code = main(["synth", "--out", str(out), "--seed", "1", "--set", "optimizer.p=400"])
+        assert code == 3
+        assert "underflows" in capsys.readouterr().err
+        assert not (out / "summary.txt").exists()
+
     def test_io_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -1,0 +1,179 @@
+"""Byte-for-byte checks of the table writers against per-value formatting.
+
+Each expected file is built the slow way: one value at a time through the
+reference formatters in ``oracles``, with the same arithmetic per value as a
+scalar loop would do. The writers format whole arrays, so any drift in the
+dB encoding, the number format, the column order or the line endings shows
+up as a byte difference.
+"""
+
+import numpy as np
+import pytest
+
+from ceofdm import (
+    AmbiguitySurface,
+    CorrelationResult,
+    WaveformConfig,
+    compute_acf,
+    compute_af,
+    db,
+    random_psk,
+    sample_frequency,
+    synthesize,
+)
+from ceofdm.exports import (
+    encode_db,
+    write_acf_csv,
+    write_af_csv,
+    write_inst_freq_csv,
+    write_spectrogram_csv,
+    write_spectrum_csv,
+    write_waveform_csv,
+)
+from oracles import csv_bytes, fmt_db, fmt_e, per_row_af
+
+CONFIGS = {
+    # ordinary pulse; M = 200
+    "psk": WaveformConfig(L=8, tbp=40.0),
+    # h = 0 over 24 subcarriers: df = 0, so the spectrum's over_df column is 0
+    "h0": WaveformConfig(L=24, h=0.0, samples=300),
+    # rectangular pulse: exact spectral zeros (-inf -> -999) and a floored AF
+    "rect": WaveformConfig(L=1, h=0.0, samples=128),
+}
+
+
+@pytest.fixture(params=sorted(CONFIGS))
+def pulse(request):
+    cfg = CONFIGS[request.param]
+    phi = random_psk(cfg.L, 2, seed=5)
+    return cfg, phi, synthesize(phi, cfg)
+
+
+def test_encode_db_scalar_and_array():
+    x = np.array([-np.inf, -1e4, -200.0, -199.5, -0.0, 3.0, np.inf])
+    expected = [-999.0, -200.0, -200.0, -199.5, -0.0, 3.0, np.inf]
+    assert type(encode_db(-np.inf)) is float
+    assert encode_db(-np.inf) == -999.0
+    assert [encode_db(v) for v in x] == expected
+    assert encode_db(x).tolist() == expected
+
+
+def test_waveform_csv(tmp_path, pulse):
+    cfg, _, s = pulse
+    t_norm = s.t * s.fs / len(s.samples)
+    rows = [
+        [str(i), fmt_e(t_norm[i]), fmt_e(s.samples[i].real), fmt_e(s.samples[i].imag)]
+        for i in range(cfg.M)
+    ]
+    write_waveform_csv(tmp_path / "w.csv", s)
+    assert (tmp_path / "w.csv").read_bytes() == csv_bytes("sample_index,t_over_T,real,imag", rows)
+
+
+def test_inst_freq_csv(tmp_path, pulse):
+    cfg, phi, _ = pulse
+    freq = sample_frequency(phi, cfg)
+    rows = [[str(i), fmt_e(i / cfg.M), fmt_e(freq[i] * cfg.T)] for i in range(cfg.M)]
+    write_inst_freq_csv(tmp_path / "f.csv", phi, cfg)
+    assert (tmp_path / "f.csv").read_bytes() == csv_bytes("sample_index,t_over_T,freq_times_T", rows)
+
+
+def test_spectrum_csv(tmp_path, pulse):
+    cfg, _, s = pulse
+    nfft = 4 * cfg.M
+    power = np.abs(np.fft.fftshift(np.fft.fft(s.samples, nfft))) ** 2
+    power_db = db(power / power.max())
+    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / cfg.fs))
+    rows = [
+        [fmt_e(freqs[i] * cfg.T), fmt_e(freqs[i] / cfg.df if cfg.df > 0 else 0.0), fmt_db(power_db[i])]
+        for i in range(nfft)
+    ]
+    write_spectrum_csv(tmp_path / "s.csv", s, cfg)
+    assert (tmp_path / "s.csv").read_bytes() == csv_bytes("freq_times_T,freq_over_df,magnitude_db", rows)
+
+
+def test_spectrogram_csv(tmp_path, pulse):
+    cfg, _, s = pulse
+    nperseg = min(128, max(8, cfg.M // 8))
+    hop = max(1, nperseg // 4)
+    window = np.hanning(nperseg)
+    starts = list(range(0, cfg.M - nperseg + 1, hop))
+    frames = np.array(
+        [np.fft.fftshift(np.fft.fft(s.samples[k : k + nperseg] * window)) for k in starts]
+    ).T
+    power = np.abs(frames) ** 2
+    power_db = db(power / power.max())
+    freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / cfg.fs))
+    header = "freq_times_T," + ",".join(fmt_e((k + nperseg / 2.0) / cfg.M) for k in starts)
+    rows = [[fmt_e(freqs[i] * cfg.T)] + [fmt_db(v) for v in power_db[i]] for i in range(nperseg)]
+    write_spectrogram_csv(tmp_path / "g.csv", s, cfg)
+    assert (tmp_path / "g.csv").read_bytes() == csv_bytes(header, rows)
+
+
+def expected_acf(r: CorrelationResult, T: float) -> bytes:
+    mag_db = db(r.magnitude() ** 2)
+    rows = []
+    for k in range(len(r.r)):
+        u = k - r.zero_index
+        rows.append([str(u), fmt_e(u / (r.fs * T)), fmt_db(mag_db[k])])
+    return csv_bytes("delay_samples,delay_over_T,magnitude_db", rows)
+
+
+def expected_af(af: AmbiguitySurface, T: float) -> bytes:
+    with np.errstate(divide="ignore"):
+        values_db = 10.0 * np.log10(af.values**2)
+    header = "doppler_times_T," + ",".join(fmt_e(d / T) for d in af.delays)
+    rows = [
+        [fmt_e(af.dopplers[i] * T)] + [fmt_db(v) for v in values_db[i]]
+        for i in range(len(af.dopplers))
+    ]
+    return csv_bytes(header, rows)
+
+
+def test_acf_csv(tmp_path, pulse):
+    cfg, _, s = pulse
+    r = compute_acf(s)
+    write_acf_csv(tmp_path / "a.csv", r, cfg.T)
+    assert (tmp_path / "a.csv").read_bytes() == expected_acf(r, cfg.T)
+
+
+def test_af_csv(tmp_path, pulse):
+    cfg, _, s = pulse
+    af = compute_af(s, np.linspace(-cfg.L / cfg.T, cfg.L / cfg.T, 9))
+    write_af_csv(tmp_path / "af.csv", af, cfg.T)
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(af, cfg.T)
+
+
+def test_rectangular_af_reaches_floor(tmp_path):
+    cfg = CONFIGS["rect"]
+    s = synthesize(np.zeros(1), cfg)
+    af = compute_af(s, np.linspace(-3.0, 3.0, 13))
+    write_af_csv(tmp_path / "af.csv", af, cfg.T)
+    text = (tmp_path / "af.csv").read_text()
+    assert "-2.000000000000e+02" in text
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(af, cfg.T)
+
+
+def test_exact_zeros_and_tiny_values(tmp_path):
+    # |r| = 0 is -inf dB (written -999); |r| = 1e-120 is -2400 dB (written -200)
+    r = CorrelationResult(r=np.array([0.0, 1e-120, 0.5j, 1.0, -0.5, 1e-120, 0.0]), fs=4.0)
+    write_acf_csv(tmp_path / "a.csv", r, 1.0)
+    text = (tmp_path / "a.csv").read_text()
+    assert text.count("-9.990000000000e+02") == 2
+    assert text.count("-2.000000000000e+02") == 2
+    assert (tmp_path / "a.csv").read_bytes() == expected_acf(r, 1.0)
+
+    values = np.array([[0.0, 1e-120, 1.0], [0.25, 0.0, 1e-150]])
+    af = AmbiguitySurface(values=values, delays=np.array([-0.25, 0.0, 0.25]), dopplers=np.array([-1.0, 0.0]))
+    write_af_csv(tmp_path / "af.csv", af, 2.0)
+    text = (tmp_path / "af.csv").read_text()
+    assert text.count("-9.990000000000e+02") == 2
+    assert text.count("-2.000000000000e+02") == 2
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(af, 2.0)
+
+
+@pytest.mark.parametrize("cfg", [WaveformConfig(L=8, h=0.15, samples=70), WaveformConfig(L=24, tbp=208.0)])
+def test_batched_af_matches_per_row_loop(cfg):
+    assert cfg.M in (70, 1040)
+    s = synthesize(random_psk(cfg.L, 32, seed=2), cfg)
+    nu = np.linspace(-cfg.L / cfg.T, cfg.L / cfg.T, 97)
+    assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, s.t, nu))

@@ -100,3 +100,11 @@ class TestDegradationSweep:
         assert report.rows[0].max_perturbation <= np.pi / 16 + 1e-12
         assert report.rows[1].max_perturbation <= np.pi / 64 + 1e-12
         assert report.rows[0].mpsk == 16.0
+
+    def test_rows_carry_the_quantized_acf(self, optimized_subregion):
+        cfg, w, phi_opt = optimized_subregion
+        report = degradation_sweep(phi_opt, cfg, w, 20, [8, math.inf])
+        for row, mpsk in zip(report.rows, [8, math.inf]):
+            expected = compute_acf(synthesize(quantize_psk(phi_opt, mpsk), cfg))
+            assert np.array_equal(row.acf.r, expected.r)
+            assert row.acf.fs == expected.fs
