@@ -13,6 +13,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,8 @@ from .exports import (
     write_waveform_csv,
 )
 from .metrics import (
+    CorrelationResult,
+    GislWeights,
     build_weights,
     compute_acf,
     compute_af,
@@ -40,17 +43,18 @@ from .metrics import (
     db,
     detect_mainlobe_null,
 )
-from .optimizer import run_gd_gisl
+from .optimizer import OptimizationTrace, run_gd_gisl
 from .quantize import degradation_sweep
-from .waveform import random_psk, synthesize
+from .waveform import SampledWaveform, WaveformConfig, random_psk, synthesize
 
 __all__ = ["main", "entry", "cmd_synth", "cmd_optimize", "cmd_quantize", "cmd_sweep"]
 
 
-def _prepare(config: ExperimentConfig):
-    """Initial waveform, its ACF, the detected null, and the frozen weights."""
+def _prepare(config: ExperimentConfig, phi0=None):
+    """Initial waveform (seeded PSK unless given), its ACF, the detected null, the weights."""
     cfg = config.to_waveform_config()
-    phi0 = random_psk(cfg.L, config.waveform.mpsk, config.run.seed)
+    if phi0 is None:
+        phi0 = random_psk(cfg.L, config.waveform.mpsk, config.run.seed)
     s0 = synthesize(phi0, cfg)
     r0 = compute_acf(s0)
     null = detect_mainlobe_null(r0)
@@ -87,49 +91,71 @@ def cmd_synth(config: ExperimentConfig) -> None:
     write_summary(out / "summary.txt", summary)
 
 
-def _optimize_core(config: ExperimentConfig):
+@dataclass(frozen=True)
+class RunResult:
+    """One optimization run: the initial pulse, the frozen weights, the result."""
+
+    cfg: WaveformConfig
+    weights: GislWeights
+    p: int
+    phi0: np.ndarray
+    s0: SampledWaveform
+    r0: CorrelationResult
+    null: int
+    phi_final: np.ndarray
+    s_final: SampledWaveform
+    r_final: CorrelationResult
+    trace: OptimizationTrace
+
+    def summary(self) -> dict:
+        """GISL and PSLR before and after, null indexes, iterations and status."""
+        gisl_initial = db(compute_gisl(self.r0, self.weights, self.p))
+        gisl_final = db(compute_gisl(self.r_final, self.weights, self.p))
+        return {
+            "gisl_initial_db": gisl_initial,
+            "gisl_final_db": gisl_final,
+            "gisl_improvement_db": gisl_initial - gisl_final,
+            "pslr_initial_db": compute_pslr(self.r0, self.null, weights=self.weights),
+            "pslr_final_db": compute_pslr(self.r_final, self.null, weights=self.weights),
+            "null_index_initial": self.null,
+            "null_index_final": detect_mainlobe_null(self.r_final),
+            "iterations": len(self.trace.rows),
+            "status": self.trace.status,
+            "p": self.p,
+        }
+
+
+def _optimize_core(config: ExperimentConfig) -> RunResult:
     cfg, phi0, s0, r0, null, weights = _prepare(config)
     phi_final, trace = run_gd_gisl(phi0, cfg, weights, config.optimizer)
     s_final = synthesize(phi_final, cfg)
-    r_final = compute_acf(s_final)
-    return cfg, weights, phi0, s0, r0, null, phi_final, s_final, r_final, trace
+    return RunResult(
+        cfg, weights, config.optimizer.p, phi0, s0, r0, null,
+        phi_final, s_final, compute_acf(s_final), trace,
+    )
 
 
 def cmd_optimize(config: ExperimentConfig) -> None:
     """Run the descent loop and export initial/final waveform data plus the trace."""
     out = Path(config.run.out)
     started = time.perf_counter()
-    (cfg, weights, phi0, s0, r0, null, phi_final, s_final, r_final, trace) = _optimize_core(config)
+    res = _optimize_core(config)
     runtime = time.perf_counter() - started
-    p = config.optimizer.p
-    gisl_initial = db(compute_gisl(r0, weights, p))
-    gisl_final = db(compute_gisl(r_final, weights, p))
-    null_final = detect_mainlobe_null(r_final)
+    summary = res.summary()
     config.write_manifest(out / "manifest.ini")
-    write_phi_csv(out / "phi_initial.csv", phi0)
-    write_phi_csv(out / "phi_final.csv", phi_final)
-    write_acf_csv(out / "acf_initial.csv", r0, cfg.T)
-    write_acf_csv(out / "acf_final.csv", r_final, cfg.T)
-    write_spectrum_csv(out / "spectrum_initial.csv", s0, cfg)
-    write_spectrum_csv(out / "spectrum_final.csv", s_final, cfg)
-    write_trace_csv(out / "trace.csv", trace)
-    write_summary(
-        out / "summary.txt",
-        {
-            "gisl_initial_db": gisl_initial,
-            "gisl_final_db": gisl_final,
-            "gisl_improvement_db": gisl_initial - gisl_final,
-            "pslr_initial_db": compute_pslr(r0, null, weights=weights),
-            "pslr_final_db": compute_pslr(r_final, null, weights=weights),
-            "null_index_initial": null,
-            "null_index_final": null_final,
-            "iterations": len(trace.rows),
-            "status": trace.status,
-            "p": p,
-        },
-    )
+    write_phi_csv(out / "phi_initial.csv", res.phi0)
+    write_phi_csv(out / "phi_final.csv", res.phi_final)
+    write_acf_csv(out / "acf_initial.csv", res.r0, res.cfg.T)
+    write_acf_csv(out / "acf_final.csv", res.r_final, res.cfg.T)
+    write_spectrum_csv(out / "spectrum_initial.csv", res.s0, res.cfg)
+    write_spectrum_csv(out / "spectrum_final.csv", res.s_final, res.cfg)
+    write_trace_csv(out / "trace.csv", res.trace)
+    write_summary(out / "summary.txt", summary)
     # runtime stays off the data files so reruns are byte-identical
-    print(f"optimize: GISL {gisl_initial:.2f} dB -> {gisl_final:.2f} dB in {runtime:.2f} s")
+    print(
+        f"optimize: GISL {summary['gisl_initial_db']:.2f} dB -> "
+        f"{summary['gisl_final_db']:.2f} dB in {runtime:.2f} s"
+    )
 
 
 def cmd_quantize(config: ExperimentConfig, input_dir: str | None = None) -> None:
@@ -140,17 +166,14 @@ def cmd_quantize(config: ExperimentConfig, input_dir: str | None = None) -> None
     """
     out = Path(config.run.out)
     if input_dir is not None:
-        base = ExperimentConfig.from_file(Path(input_dir) / "manifest.ini")
-        cfg = base.to_waveform_config()
+        base = ExperimentConfig.from_sources(Path(input_dir) / "manifest.ini")
         phi0 = read_phi_csv(Path(input_dir) / "phi_initial.csv")
+        cfg, _, _, _, _, weights = _prepare(base, phi0)
         phi_final = read_phi_csv(Path(input_dir) / "phi_final.csv")
-        r0 = compute_acf(synthesize(phi0, cfg))
-        null = detect_mainlobe_null(r0)
-        weights = build_weights(null, base.region_descriptor(null, cfg.M), cfg.M)
         p = base.optimizer.p
     else:
-        cfg, weights, _, _, _, _, phi_final, _, _, _ = _optimize_core(config)
-        p = config.optimizer.p
+        res = _optimize_core(config)
+        cfg, weights, phi_final, p = res.cfg, res.weights, res.phi_final, res.p
     report = degradation_sweep(phi_final, cfg, weights, p, config.alphabets)
     config.write_manifest(out / "manifest.ini")
     write_quantization_csv(out / "report.csv", report)
@@ -159,36 +182,32 @@ def cmd_quantize(config: ExperimentConfig, input_dir: str | None = None) -> None
         write_acf_csv(out / f"acf_mpsk_{label}.csv", row.acf, cfg.T)
 
 
-def _sweep_worker(payload) -> dict:
+# seeds.csv columns between seed,status and detail, each with its summary key;
+# the *_db columns are also aggregated
+_SEED_COLUMNS = {
+    "null_initial": "null_index_initial",
+    "null_final": "null_index_final",
+    "gisl_initial_db": "gisl_initial_db",
+    "gisl_final_db": "gisl_final_db",
+    "improvement_db": "gisl_improvement_db",
+    "pslr_initial_db": "pslr_initial_db",
+    "pslr_final_db": "pslr_final_db",
+    "iterations": "iterations",
+}
+
+
+def _sweep_worker(payload) -> tuple[int, dict | None, str]:
+    """(seed, run summary or None if the run failed, status or error text)."""
     config, seed = payload
-    row = {"seed": seed, "status": "ok", "detail": ""}
     try:
-        run_config = config.with_seed(seed)
-        (cfg, weights, _, _, r0, null, _, _, r_final, trace) = _optimize_core(run_config)
-        p = config.optimizer.p
-        gisl_initial = db(compute_gisl(r0, weights, p))
-        gisl_final = db(compute_gisl(r_final, weights, p))
-        row.update(
-            null_initial=null,
-            null_final=detect_mainlobe_null(r_final),
-            gisl_initial_db=gisl_initial,
-            gisl_final_db=gisl_final,
-            improvement_db=gisl_initial - gisl_final,
-            pslr_initial_db=compute_pslr(r0, null, weights=weights),
-            pslr_final_db=compute_pslr(r_final, null, weights=weights),
-            iterations=len(trace.rows),
-            detail=trace.status,
-        )
+        summary = _optimize_core(config.with_seed(seed)).summary()
     except Exception as exc:  # per-seed failures become rows, not aborts
-        row["status"] = "failed"
-        row["detail"] = str(exc).replace(",", ";").replace("\n", " ")
-    return row
+        return seed, None, str(exc).replace(",", ";").replace("\n", " ")
+    return seed, summary, summary["status"]
 
 
-_SWEEP_COLUMNS = (
-    "seed,status,null_initial,null_final,gisl_initial_db,gisl_final_db,"
-    "improvement_db,pslr_initial_db,pslr_final_db,iterations,detail"
-)
+def _cell(value) -> str:
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def cmd_sweep(config: ExperimentConfig) -> None:
@@ -197,41 +216,30 @@ def cmd_sweep(config: ExperimentConfig) -> None:
     seeds = [config.run.seed + i for i in range(config.run.seed_count)]
     payloads = [(config, seed) for seed in seeds]
     if config.run.threads > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=config.run.threads) as pool:
+        # a forked pool starts all its workers at once: no more than there are seeds
+        with ProcessPoolExecutor(max_workers=min(config.run.threads, len(seeds))) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
     else:
         rows = [_sweep_worker(p) for p in payloads]
 
     config.write_manifest(out / "manifest.ini")
-    lines = [_SWEEP_COLUMNS]
-    for row in rows:
-        if row["status"] == "ok":
-            lines.append(
-                f"{row['seed']},ok,{row['null_initial']},{row['null_final']},"
-                f"{row['gisl_initial_db']:.17g},{row['gisl_final_db']:.17g},"
-                f"{row['improvement_db']:.17g},{row['pslr_initial_db']:.17g},"
-                f"{row['pslr_final_db']:.17g},{row['iterations']},{row['detail']}"
-            )
-        else:
-            lines.append(f"{row['seed']},failed,,,,,,,,,{row['detail']}")
+    lines = [",".join(["seed", "status", *_SEED_COLUMNS, "detail"])]
+    for seed, summary, detail in rows:
+        cells = [_cell(summary[key]) if summary else "" for key in _SEED_COLUMNS.values()]
+        lines.append(",".join([str(seed), "ok" if summary else "failed", *cells, detail]))
     (out / "seeds.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    good = [row for row in rows if row["status"] == "ok"]
+    good = [summary for _, summary, _ in rows if summary]
     if not good:
         raise ValueError("all sweep runs failed; see seeds.csv")
     entries: dict = {"seed_count": len(seeds), "succeeded": len(good)}
-    for key in (
-        "gisl_initial_db",
-        "gisl_final_db",
-        "improvement_db",
-        "pslr_initial_db",
-        "pslr_final_db",
-    ):
-        values = np.array([row[key] for row in good])
-        entries[f"median_{key}"] = float(np.median(values))
-        entries[f"iqr_{key}"] = float(
-            np.percentile(values, 75) - np.percentile(values, 25)
-        )
+    for column, key in _SEED_COLUMNS.items():
+        if column.endswith("_db"):
+            values = np.array([summary[key] for summary in good])
+            entries[f"median_{column}"] = float(np.median(values))
+            entries[f"iqr_{column}"] = float(
+                np.percentile(values, 75) - np.percentile(values, 25)
+            )
     write_summary(out / "aggregate.txt", entries)
 
 

@@ -1,7 +1,9 @@
 """Experiment configuration: INI parsing, validation, overrides, manifest echo.
 
 Config files are INI key-value text with the sections [waveform], [region],
-[optimizer], [quantization], and [run]. Unknown sections or keys are
+[optimizer], [quantization], and [run]. The fields of each section's
+dataclass are its keys, in manifest order, with their types and defaults;
+each dataclass validates its own values. Unknown sections or keys are
 rejected. Every run writes back a fully resolved manifest that parses to the
 identical configuration.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .optimizer import OptimizerConfig
@@ -20,6 +22,7 @@ __all__ = [
     "ConfigError",
     "WaveformSpec",
     "RegionSpec",
+    "QuantizationSpec",
     "RunSpec",
     "ExperimentConfig",
 ]
@@ -38,9 +41,12 @@ def _parse_int(text: str, key: str) -> int:
 
 def _parse_float(text: str, key: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+        value = math.nan
+    if math.isnan(value):  # nan passes every range check, so it is never accepted
+        raise ConfigError(f"{key}: expected a number, got {text!r}")
+    return value
 
 
 def _parse_bool(text: str, key: str) -> bool:
@@ -61,9 +67,26 @@ def _parse_mpsk(text: str, key: str) -> float:
     return float(value)
 
 
+def _parse_alphabets(text: str, key: str) -> tuple[float, ...]:
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    if not tokens:
+        raise ConfigError(f"{key} must list at least one size")
+    return tuple(_parse_mpsk(t, key) for t in tokens)
+
+
+def _parse_lo(text: str, key: str) -> float | None:
+    return None if text.strip().lower() == "null" else _parse_float(text, key)
+
+
+# parser per annotated type, with "| None" dropped; field metadata overrides it
+_PARSERS = {
+    "int": _parse_int, "float": _parse_float, "bool": _parse_bool, "str": lambda text, key: text,
+}
+
+
 def _format_value(value) -> str:
-    if value is None:
-        return ""
+    if isinstance(value, tuple):
+        return ", ".join(_format_value(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -78,18 +101,47 @@ def _format_value(value) -> str:
 @dataclass(frozen=True)
 class WaveformSpec:
     L: int = 24
-    tbp: float | None = 200.0
+    tbp: float | None = None  # 200 when h is not given either
     h: float | None = None
     oversample: float = 5.0
-    mpsk: float = 32.0
+    mpsk: float = field(default=32.0, metadata={"parse": _parse_mpsk})
     samples: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.tbp is None and self.h is None:
+            object.__setattr__(self, "tbp", 200.0)
 
 
 @dataclass(frozen=True)
 class RegionSpec:
     mode: str = "full"
-    lo: float | None = None  # None means the detected first null
+    # None means the detected first null, written as "null"
+    lo: float | None = field(default=None, metadata={"parse": _parse_lo})
     hi: float | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", self.mode.lower())
+        if self.mode not in ("full", "interval"):
+            raise ValueError(f"mode must be 'full' or 'interval', got {self.mode!r}")
+        if self.mode == "full":
+            if self.lo is not None or self.hi is not None:
+                raise ValueError("lo/hi are only valid with mode = interval")
+            return
+        if self.hi is None:
+            raise ValueError("hi is required with mode = interval")
+        if self.lo is not None and not 0.0 <= self.lo <= 1.0:
+            raise ValueError(f"lo must be in [0, 1], got {self.lo}")
+        if not 0.0 < self.hi <= 1.0:
+            raise ValueError(f"hi must be in (0, 1], got {self.hi}")
+        if self.lo is not None and self.lo >= self.hi:
+            raise ValueError(f"lo ({self.lo}) must be below hi ({self.hi})")
+
+
+@dataclass(frozen=True)
+class QuantizationSpec:
+    alphabets: tuple[float, ...] = field(
+        default=(64.0, 32.0, 16.0, 8.0), metadata={"parse": _parse_alphabets}
+    )
 
 
 @dataclass(frozen=True)
@@ -101,14 +153,45 @@ class RunSpec:
     write_af: bool = True
     write_spectrogram: bool = True
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.seed_count < 1:
+            raise ValueError("seed_count must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+
+
+def _parse_section(name: str, spec: type, block: dict[str, str]):
+    """Build the dataclass ``spec`` of section ``name`` from its raw key-value text."""
+    known = {f.name: f for f in fields(spec)}
+    unknown = set(block) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in [{name}]: {sorted(unknown)}")
+    kwargs = {}
+    for key, text in block.items():
+        f = known[key]
+        parse = f.metadata.get("parse") or _PARSERS[f.type.split(" | ")[0]]
+        kwargs[key] = parse(text, f"{name}.{key}")
+    try:
+        return spec(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One field per INI section, in manifest order."""
+
     waveform: WaveformSpec = field(default_factory=WaveformSpec)
     region: RegionSpec = field(default_factory=RegionSpec)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    alphabets: tuple[float, ...] = (64.0, 32.0, 16.0, 8.0)
+    quantization: QuantizationSpec = field(default_factory=QuantizationSpec)
     run: RunSpec = field(default_factory=RunSpec)
+
+    @property
+    def alphabets(self) -> tuple[float, ...]:
+        return self.quantization.alphabets
 
     @classmethod
     def from_sources(
@@ -128,13 +211,11 @@ class ExperimentConfig:
         if path is not None:
             parser = configparser.ConfigParser(interpolation=None)
             parser.optionxform = str  # keys are case-sensitive (waveform.L)
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
+                try:
                     parser.read_file(fh)
-            except OSError:
-                raise
-            except configparser.Error as exc:
-                raise ConfigError(f"cannot parse {path}: {exc}") from None
+                except configparser.Error as exc:
+                    raise ConfigError(f"cannot parse {path}: {exc}") from None
             for section in parser.sections():
                 raw[section] = dict(parser.items(section))
         for item in overrides:
@@ -145,38 +226,21 @@ class ExperimentConfig:
             target, value = item.split("=", 1)
             section, key = target.split(".", 1)
             raw.setdefault(section.strip(), {})[key.strip()] = value.strip()
-        if seed is not None:
-            raw.setdefault("run", {})["seed"] = str(seed)
-        if out is not None:
-            raw.setdefault("run", {})["out"] = str(out)
-        if threads is not None:
-            raw.setdefault("run", {})["threads"] = str(threads)
-        return cls.from_raw(raw)
+        for key, value in (("seed", seed), ("out", out), ("threads", threads)):
+            if value is not None:
+                raw.setdefault("run", {})[key] = str(value)
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_sources(path=path)
-
-    @classmethod
-    def from_raw(cls, raw: dict[str, dict[str, str]]) -> "ExperimentConfig":
-        known = {"waveform", "region", "optimizer", "quantization", "run"}
-        unknown = set(raw) - known
+        # each section's dataclass is its field's default factory
+        specs = {f.name: f.default_factory for f in fields(cls)}
+        unknown = set(raw) - set(specs)
         if unknown:
             raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
-
-        wf = dict(raw.get("waveform", {}))
-        spec_wf = _parse_waveform(wf)
-        spec_region = _parse_region(dict(raw.get("region", {})))
-        spec_opt = _parse_optimizer(dict(raw.get("optimizer", {})))
-        alphabets = _parse_quantization(dict(raw.get("quantization", {})))
-        spec_run = _parse_run(dict(raw.get("run", {})))
-        return cls(
-            waveform=spec_wf,
-            region=spec_region,
-            optimizer=spec_opt,
-            alphabets=alphabets,
-            run=spec_run,
-        )
+        config = cls(**{
+            name: _parse_section(name, spec, raw.get(name, {}))
+            for name, spec in specs.items()
+        })
+        config.to_waveform_config()  # the pulse parameters must also fit together
+        return config
 
     def to_waveform_config(self) -> WaveformConfig:
         try:
@@ -188,7 +252,7 @@ class ExperimentConfig:
                 samples=self.waveform.samples,
             )
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"waveform: {exc}") from None
 
     def region_descriptor(self, null_index: int, M: int):
         """Resolve the region block to a build_weights descriptor."""
@@ -200,151 +264,23 @@ class ExperimentConfig:
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, run=replace(self.run, seed=seed))
 
-    def resolved_raw(self) -> dict[str, dict[str, str]]:
-        """Fully resolved key-value image of this config (defaults filled in)."""
-        cfg = self.to_waveform_config()
-        wf = {
-            "L": _format_value(cfg.L),
-            "tbp": _format_value(cfg.tbp),
-            "h": _format_value(cfg.h),
-            "oversample": _format_value(cfg.oversample),
-            "mpsk": _format_value(self.waveform.mpsk),
-        }
-        if self.waveform.samples is not None:
-            wf["samples"] = _format_value(self.waveform.samples)
-        region = {"mode": self.region.mode}
-        if self.region.mode == "interval":
-            region["lo"] = "null" if self.region.lo is None else _format_value(self.region.lo)
-            region["hi"] = _format_value(self.region.hi)
-        opt = self.optimizer
-        optimizer = {
-            "p": _format_value(opt.p),
-            "beta": _format_value(opt.beta),
-            "mu0": _format_value(opt.mu0),
-            "rho_down": _format_value(opt.rho_down),
-            "rho_up": _format_value(opt.rho_up),
-            "c": _format_value(opt.c),
-            "max_iters": _format_value(opt.max_iters),
-            "g_min": _format_value(opt.g_min),
-            "max_backtracks": _format_value(opt.max_backtracks),
-            "mu_cap": _format_value(opt.mu_cap),
-        }
-        quant = {"alphabets": ", ".join(_format_value(a) for a in self.alphabets)}
-        run = {
-            "seed": _format_value(self.run.seed),
-            "seed_count": _format_value(self.run.seed_count),
-            "out": self.run.out,
-            "threads": _format_value(self.run.threads),
-            "write_af": _format_value(self.run.write_af),
-            "write_spectrogram": _format_value(self.run.write_spectrogram),
-        }
-        return {
-            "waveform": wf,
-            "region": region,
-            "optimizer": optimizer,
-            "quantization": quant,
-            "run": run,
-        }
-
     def write_manifest(self, path: str | Path) -> None:
-        sections = self.resolved_raw()
+        """Write every key, with the derived one of tbp and h filled in.
+
+        A key whose value is None is left out, apart from an interval's
+        ``lo``, which is written as ``null``.
+        """
+        cfg = self.to_waveform_config()
+        resolved = replace(self, waveform=replace(self.waveform, tbp=cfg.tbp, h=cfg.h))
         lines = []
-        for name in ("waveform", "region", "optimizer", "quantization", "run"):
-            lines.append(f"[{name}]")
-            for key, value in sections[name].items():
-                lines.append(f"{key} = {value}")
+        for section in fields(resolved):
+            spec = getattr(resolved, section.name)
+            lines.append(f"[{section.name}]")
+            for f in fields(spec):
+                value = getattr(spec, f.name)
+                if value is not None:
+                    lines.append(f"{f.name} = {_format_value(value)}")
+                elif f.name == "lo" and spec.mode == "interval":
+                    lines.append("lo = null")
             lines.append("")
         Path(path).write_text("\n".join(lines), encoding="utf-8")
-
-
-def _take(block: dict[str, str], section: str, allowed: set[str]) -> None:
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in [{section}]: {sorted(unknown)}")
-
-
-def _parse_waveform(block: dict[str, str]) -> WaveformSpec:
-    _take(block, "waveform", {"L", "tbp", "h", "oversample", "mpsk", "samples"})
-    has_bw = "tbp" in block or "h" in block
-    spec = WaveformSpec(
-        L=_parse_int(block["L"], "waveform.L") if "L" in block else 24,
-        # the built-in tbp default applies only when neither tbp nor h is given
-        tbp=_parse_float(block["tbp"], "waveform.tbp") if "tbp" in block else (None if has_bw else 200.0),
-        h=_parse_float(block["h"], "waveform.h") if "h" in block else None,
-        oversample=_parse_float(block["oversample"], "waveform.oversample") if "oversample" in block else 5.0,
-        mpsk=_parse_mpsk(block["mpsk"], "waveform.mpsk") if "mpsk" in block else 32.0,
-        samples=_parse_int(block["samples"], "waveform.samples") if "samples" in block else None,
-    )
-    if spec.tbp is None and spec.h is None:
-        raise ConfigError("waveform: either tbp or h is required")
-    return spec
-
-
-def _parse_region(block: dict[str, str]) -> RegionSpec:
-    _take(block, "region", {"mode", "lo", "hi"})
-    mode = block.get("mode", "full").strip().lower()
-    if mode not in ("full", "interval"):
-        raise ConfigError(f"region.mode must be 'full' or 'interval', got {mode!r}")
-    if mode == "full":
-        if "lo" in block or "hi" in block:
-            raise ConfigError("region: lo/hi are only valid with mode = interval")
-        return RegionSpec(mode="full")
-    lo_text = block.get("lo", "null").strip().lower()
-    lo = None if lo_text == "null" else _parse_float(lo_text, "region.lo")
-    if "hi" not in block:
-        raise ConfigError("region: hi is required with mode = interval")
-    hi = _parse_float(block["hi"], "region.hi")
-    if lo is not None and not 0.0 <= lo <= 1.0:
-        raise ConfigError(f"region.lo must be in [0, 1], got {lo}")
-    if not 0.0 < hi <= 1.0:
-        raise ConfigError(f"region.hi must be in (0, 1], got {hi}")
-    if lo is not None and lo >= hi:
-        raise ConfigError(f"region: lo ({lo}) must be below hi ({hi})")
-    return RegionSpec(mode="interval", lo=lo, hi=hi)
-
-
-def _parse_optimizer(block: dict[str, str]) -> OptimizerConfig:
-    allowed = {
-        "p", "beta", "mu0", "rho_down", "rho_up", "c",
-        "max_iters", "g_min", "max_backtracks", "mu_cap",
-    }
-    _take(block, "optimizer", allowed)
-    kwargs = {}
-    for key in ("p", "max_iters", "max_backtracks"):
-        if key in block:
-            kwargs[key] = _parse_int(block[key], f"optimizer.{key}")
-    for key in ("beta", "mu0", "rho_down", "rho_up", "c", "g_min", "mu_cap"):
-        if key in block:
-            kwargs[key] = _parse_float(block[key], f"optimizer.{key}")
-    try:
-        return OptimizerConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"optimizer: {exc}") from None
-
-
-def _parse_quantization(block: dict[str, str]) -> tuple[float, ...]:
-    _take(block, "quantization", {"alphabets"})
-    if "alphabets" not in block:
-        return (64.0, 32.0, 16.0, 8.0)
-    tokens = [t.strip() for t in block["alphabets"].split(",") if t.strip()]
-    if not tokens:
-        raise ConfigError("quantization.alphabets must list at least one size")
-    return tuple(_parse_mpsk(t, "quantization.alphabets") for t in tokens)
-
-
-def _parse_run(block: dict[str, str]) -> RunSpec:
-    allowed = {"seed", "seed_count", "out", "threads", "write_af", "write_spectrogram"}
-    _take(block, "run", allowed)
-    spec = RunSpec(
-        seed=_parse_int(block["seed"], "run.seed") if "seed" in block else 1,
-        seed_count=_parse_int(block["seed_count"], "run.seed_count") if "seed_count" in block else 1,
-        out=block.get("out", "out"),
-        threads=_parse_int(block["threads"], "run.threads") if "threads" in block else 1,
-        write_af=_parse_bool(block["write_af"], "run.write_af") if "write_af" in block else True,
-        write_spectrogram=_parse_bool(block["write_spectrogram"], "run.write_spectrogram") if "write_spectrogram" in block else True,
-    )
-    if spec.seed_count < 1:
-        raise ConfigError("run.seed_count must be >= 1")
-    if spec.threads < 1:
-        raise ConfigError("run.threads must be >= 1")
-    return spec

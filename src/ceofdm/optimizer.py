@@ -10,13 +10,14 @@ threshold, or when the line search stalls at machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .gradient import GradientWorkspace
-from .metrics import GislWeights, db
+from .metrics import GislWeights, _validated_p, db
 from .waveform import WaveformConfig, as_phase_vector
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "OptimizationTrace",
     "LineSearchStall",
     "ArmijoResult",
-    "heavy_ball_direction",
     "armijo_backtrack",
     "run_gd_gisl",
 ]
@@ -52,12 +52,11 @@ class OptimizerConfig:
     mu_cap: float = 1e3
 
     def __post_init__(self) -> None:
-        if int(self.p) != self.p or int(self.p) < 2 or int(self.p) % 2:
-            raise ValueError("p must be an even integer >= 2")
+        _validated_p(self.p)
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
-        if self.mu0 <= 0.0:
-            raise ValueError("mu0 must be positive")
+        if not 0.0 < self.mu0 < math.inf:
+            raise ValueError("mu0 must be positive and finite")
         if not 0.0 < self.rho_down < 1.0:
             raise ValueError("rho_down must be in (0, 1)")
         if self.rho_up < 1.0:
@@ -112,15 +111,11 @@ class ArmijoResult(NamedTuple):
 
 
 def _direction(grad: np.ndarray, q_prev: np.ndarray, beta: float) -> tuple[np.ndarray, bool]:
+    """Momentum direction -grad + beta * q_prev, reset to -grad (flag True) if it would ascend."""
     q = -grad + beta * q_prev
     if float(q @ grad) > 0.0:
         return -grad, True
     return q, False
-
-
-def heavy_ball_direction(grad: np.ndarray, q_prev: np.ndarray, beta: float) -> np.ndarray:
-    """Momentum direction -grad + beta * q_prev, reset to -grad if it would ascend."""
-    return _direction(np.asarray(grad, float), np.asarray(q_prev, float), beta)[0]
 
 
 def armijo_backtrack(

@@ -103,6 +103,10 @@ class WaveformConfig:
         object.__setattr__(self, "L", int(self.L))
         if self.T <= 0:
             raise ValueError("T must be positive")
+        for name in ("h", "tbp", "oversample"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.oversample <= 0:
             raise ValueError("oversample must be positive")
         h, tbp = self.h, self.tbp

@@ -79,6 +79,14 @@ class TestExperimentConfig:
         ("[optimizer]\np = 7\n", "even integer"),
         ("[run]\nseed_count = 0\n", "seed_count"),
         ("[waveform]\nL = many\n", "expected an integer"),
+        ("[optimizer]\nmu0 = nan\n", "expected a number"),
+        ("[optimizer]\nrho_up = nan\n", "expected a number"),
+        ("[optimizer]\nmu0 = inf\n", "finite"),
+        ("[region]\nmode = interval\nhi = nan\n", "expected a number"),
+        ("[waveform]\ntbp = inf\n", "finite"),
+        ("[waveform]\nh = inf\n", "finite"),
+        ("[waveform]\noversample = inf\n", "finite"),
+        ("[run]\nseed = -1\n", "seed must be >= 0"),
     ])
     def test_rejects_malformed(self, tmp_path, body, match):
         ini = tmp_path / "exp.ini"
@@ -103,7 +111,7 @@ class TestExperimentConfig:
         )
         manifest = tmp_path / "manifest.ini"
         config.write_manifest(manifest)
-        again = ExperimentConfig.from_file(manifest)
+        again = ExperimentConfig.from_sources(manifest)
         assert again.waveform.mpsk == math.inf
         assert again.region == config.region
         assert again.optimizer == config.optimizer
@@ -288,6 +296,31 @@ class TestSweepCommand:
         assert a["seeds.csv"] == b["seeds.csv"]
         assert a["aggregate.txt"] == b["aggregate.txt"]
 
+    def test_pool_is_capped_at_seed_count(self, tmp_path, monkeypatch):
+        # a forked pool starts every worker up front; record the size, run serially
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("ceofdm.cli.ProcessPoolExecutor", SerialPool)
+        code = main([
+            "sweep", "--out", str(tmp_path / "s"), "--seed", "0", "--threads", "64",
+            "--set", "run.seed_count=2", "--set", "optimizer.max_iters=2",
+        ])
+        assert code == 0
+        assert sizes == [2]
+
 
 class TestExitCodes:
     def test_config_error(self, tmp_path):
@@ -301,6 +334,14 @@ class TestExitCodes:
             "--set", "quantization.alphabets=1",
         ])
         assert code == 2
+
+    def test_nan_setting_is_config_error(self, tmp_path, capsys):
+        # a nan step passed every range check and ran 0 iterations with exit 0
+        out = tmp_path / "x"
+        code = main(["optimize", "--out", str(out), "--set", "optimizer.mu0=nan"])
+        assert code == 2
+        assert "optimizer.mu0: expected a number" in capsys.readouterr().err
+        assert not (out / "summary.txt").exists()
 
     def test_numerical_failure(self, tmp_path):
         # interval selects no whole sample: empty sidelobe support

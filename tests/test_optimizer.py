@@ -11,11 +11,11 @@ from ceofdm import (
     build_weights,
     compute_acf,
     detect_mainlobe_null,
-    heavy_ball_direction,
     random_psk,
     run_gd_gisl,
     synthesize,
 )
+from ceofdm.optimizer import _direction
 
 
 def small_problem(seed=0, L=8, samples=64):
@@ -45,6 +45,7 @@ class TestOptimizerConfig:
         dict(mu0=0.0), dict(rho_down=1.0), dict(rho_down=0.0),
         dict(rho_up=0.5), dict(c=0.0), dict(c=1.0),
         dict(max_iters=-1), dict(g_min=-1.0), dict(max_backtracks=0),
+        dict(mu0=math.inf),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -54,22 +55,22 @@ class TestOptimizerConfig:
 class TestHeavyBallDirection:
     def test_no_momentum(self):
         grad = np.array([1.0, -2.0])
-        q = heavy_ball_direction(grad, np.array([5.0, 5.0]), beta=0.0)
+        q = _direction(grad, np.array([5.0, 5.0]), beta=0.0)[0]
         assert np.array_equal(q, -grad)
 
     def test_first_iteration(self):
         grad = np.array([1.0, -2.0])
-        q = heavy_ball_direction(grad, np.zeros(2), beta=0.7)
+        q = _direction(grad, np.zeros(2), beta=0.7)[0]
         assert np.array_equal(q, -grad)
 
     def test_momentum_kept_when_descending(self):
         grad = np.array([1.0, 0.0])
-        q = heavy_ball_direction(grad, np.array([-3.0, 0.0]), beta=1.0)
+        q = _direction(grad, np.array([-3.0, 0.0]), beta=1.0)[0]
         assert np.array_equal(q, np.array([-4.0, 0.0]))
 
     def test_reset_on_ascent(self):
         grad = np.array([1.0, 0.0])
-        q = heavy_ball_direction(grad, np.array([3.0, 0.0]), beta=1.0)
+        q = _direction(grad, np.array([3.0, 0.0]), beta=1.0)[0]
         # raw direction (2, 0) projects positively onto the gradient
         assert np.array_equal(q, np.array([-1.0, 0.0]))
 

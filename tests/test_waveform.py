@@ -96,6 +96,10 @@ class TestWaveformConfig:
         dict(L=8, tbp=-5.0),
         dict(L=8, h=0.1, T=0.0),
         dict(L=8, h=0.1, oversample=0.0),
+        dict(L=8, h=math.inf),
+        dict(L=8, h=math.nan),
+        dict(L=8, tbp=math.inf),
+        dict(L=8, h=0.1, oversample=math.inf),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
