@@ -70,7 +70,6 @@ def cmd_synth(config: ExperimentConfig) -> None:
     """Write the waveform, its spectrum/spectrogram, and its ACF/AF surfaces."""
     out = Path(config.run.out)
     cfg, phi0, s0, r0, null, weights = _prepare(config)
-    # evaluated first: a GISL that underflows fails before any file is written
     summary = {
         "null_index": null,
         "gisl_db": db(compute_gisl(r0, weights, config.optimizer.p)),
@@ -151,10 +150,13 @@ def cmd_optimize(config: ExperimentConfig) -> None:
     write_spectrum_csv(out / "spectrum_final.csv", res.s_final, res.cfg)
     write_trace_csv(out / "trace.csv", res.trace)
     write_summary(out / "summary.txt", summary)
-    # runtime stays off the data files so reruns are byte-identical
+    # runtime and evaluation counts stay off the data files so reruns are byte-identical
+    counts = res.trace.counts
     print(
         f"optimize: GISL {summary['gisl_initial_db']:.2f} dB -> "
-        f"{summary['gisl_final_db']:.2f} dB in {runtime:.2f} s"
+        f"{summary['gisl_final_db']:.2f} dB in {runtime:.2f} s; "
+        f"{counts['forward_passes']} forward passes, "
+        f"{counts['gradient_passes']} gradient passes, {counts['cache_hits']} cache hits"
     )
 
 

@@ -2,28 +2,38 @@
 
 The cost J_p is a smooth function of the phase symbols through the chain
 
-    phi -> phase samples -> s_bar -> F = fft(s_bar) -> r = ifft(|F|^2) -> J_p
+    phi -> phase samples -> s -> F = fft(s) -> r = ifft(|F|^2) -> J_p
 
 and every linear stage is an N-point DFT, N >= 2M-1 (the FFT length and lag
-layout of ``metrics``), so the gradient is evaluated with four FFT
-applications and one M x L matrix product:
+layout of ``metrics``).
 
-    grad = 8*pi*h * J_p * Dbar' * Im{ conj(s_bar) * ifft(F * P) }
-    P    = Re{ fft(|r|^(p-2) * r * (w_sl / (w_sl'|r|^p) - w_ml / (w_ml'|r|^p))) }
+Forward pass. J_p does not change when the pulse is scaled, so the samples
+are s = exp(j theta) without the 1/sqrt(M), and the ACF is never divided by
+N. |F|^2 is real, so r is conjugate symmetric and its half spectrum
+rfft(|F|^2) = N M conj(r[0..N/2]) holds all of it: bin k stands for the
+lags +k and -k (it counts once at lag 0 and at the Nyquist bin N/2 of an
+even N). The p-sums of ``metrics._gisl_ratio`` run over the bins of the
+weight supports only, each weight times that fold count, and each sum is
+divided by its support's peak before powering, so no p-sum underflows or
+overflows at any even p.
 
+Gradient. Two more FFTs and one M x L matrix product:
+
+    grad = 8*pi*h * J_p * Dbar' * Im{ conj(s) * ifft(F * P) }
+    P    = fft(v),  v = |r|^(p-2) * r * (w_sl / (w_sl'|r|^p) - w_ml / (w_ml'|r|^p))
+
+v is nonzero on the supports only and is built there in peak-normalised
+form. Weights symmetric about zero delay, checked once at construction, make
+v conjugate symmetric, so P = hfft(v[0..N/2], N) is real by construction.
+With the unnormalised forward pass, v comes out divided by N M and conj(s),
+F multiplied by sqrt(M) each, so the gradient's scale carries one factor N.
 Dbar, the phase-sample Jacobian divided by 2*pi*h, is never materialized:
 its action is applied column by column through the cached harmonic bases.
-The vector inside the fft of P is conjugate symmetric whenever the weights
-are symmetric about zero delay (the ACF itself always is), so P is real up to
-rounding; asymmetric weights are rejected because that shortcut would then be
-invalid. The 2*pi*h factor is the Jacobian of the
-phase samples with respect to each symbol, on top of the 4*J_p factor from the
-quotient and modulus stages.
+The 2*pi*h factor is the Jacobian of the phase samples with respect to each
+symbol, on top of the 4*J_p factor from the quotient and modulus stages.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -32,7 +42,6 @@ from .metrics import (
     weights_are_symmetric,
     _fft_length,
     _gisl_ratio,
-    _raw_index,
     _validated_p,
 )
 from .waveform import WaveformConfig, as_phase_vector, build_basis, phase_from_basis
@@ -41,22 +50,23 @@ __all__ = ["GradientWorkspace"]
 
 
 class GradientWorkspace:
-    """Cached bases, weight vectors, and intermediates for repeated GISL evaluation.
+    """Cached bases, weight supports, and intermediates for repeated GISL evaluation.
 
     One instance serves a fixed (config, weights, p) triple; the optimizer
     reuses it across every cost and gradient call of a run. Reuse never
     changes results. Instances are not safe for concurrent use; give each
-    thread its own. A p-sum that underflows to zero or a non-finite gradient
-    raises FloatingPointError.
+    thread its own. A non-finite gradient raises FloatingPointError.
+
+    ``counts`` tallies the forward passes, the gradient passes and the calls
+    served from the cache of the last forward pass.
     """
 
     def __init__(self, cfg: WaveformConfig, weights: GislWeights, p) -> None:
         self.p = _validated_p(p)
         self._n = _fft_length(cfg.M)
-        lags = _raw_index(cfg.M, self._n)
-        if len(weights.w_sl) != len(lags):
+        if len(weights.w_sl) != 2 * cfg.M - 1:
             raise ValueError(
-                f"weights length {len(weights.w_sl)} does not match the {len(lags)} lags of M={cfg.M}"
+                f"weights length {len(weights.w_sl)} does not match the {2 * cfg.M - 1} lags of M={cfg.M}"
             )
         if not weights_are_symmetric(weights):
             raise ValueError("weights must be symmetric about zero delay")
@@ -67,57 +77,65 @@ class GradientWorkspace:
         self.cfg = cfg
         self.weights = weights
         self.basis = build_basis(cfg)
-        # weights at the circular lag positions of r
-        self._w_sl = np.zeros(self._n)
-        self._w_sl[lags] = weights.w_sl
-        self._w_ml = np.zeros(self._n)
-        self._w_ml[lags] = weights.w_ml
+        # lag k >= 0 sits at bin k of the half spectrum and also stands for lag -k
+        k = np.arange(cfg.M)
+        fold = np.where((k == 0) | (2 * k == self._n), 1.0, 2.0)
+
+        def support(w):
+            """The support's bins, their weights, and the weights times the fold count."""
+            idx = np.flatnonzero(w)
+            return idx, w[idx], fold[idx] * w[idx]
+
+        self._sl = support(weights.w_sl[cfg.M - 1 :])
+        self._ml = support(weights.w_ml[cfg.M - 1 :])
         self._cache: dict | None = None
-        self.last_p_imag_ratio: float | None = None
+        self.counts = {"forward_passes": 0, "gradient_passes": 0, "cache_hits": 0}
 
     def _forward(self, phi: np.ndarray) -> dict:
-        phi = as_phase_vector(phi, self.cfg.L)
-        if self._cache is not None and np.array_equal(self._cache["phi"], phi):
+        key = phi.tobytes()
+        if self._cache is not None and self._cache["key"] == key:
+            self.counts["cache_hits"] += 1
             return self._cache
+        self.counts["forward_passes"] += 1
         theta = phase_from_basis(phi, self.basis, self.cfg.h)
-        s = np.exp(1j * theta) / math.sqrt(self.cfg.M)
+        s = np.exp(1j * theta)
         big_f = np.fft.fft(s, self._n)
-        r = np.fft.ifft(big_f * np.conj(big_f))
-        cost, num, den, mags = _gisl_ratio(r, self._w_sl, self._w_ml, self.p)
+        # N M conj(r) on lags 0..N/2
+        r_half = np.fft.rfft(big_f.real**2 + big_f.imag**2)
+        (sl_idx, _, sl_coef), (ml_idx, _, ml_coef) = self._sl, self._ml
+        r_sl, r_ml = r_half[sl_idx], r_half[ml_idx]
+        cost, sl, ml = _gisl_ratio(np.abs(r_sl), sl_coef, np.abs(r_ml), ml_coef, self.p)
         self._cache = {
-            "phi": phi.copy(),
+            "key": key,
             "s": s,
             "F": big_f,
-            "r": r,
-            "mags": mags,
-            "num": num,
-            "den": den,
+            "r": (r_sl, r_ml),
+            "psums": (sl, ml),
             "cost": cost,
         }
         return self._cache
 
     def cost(self, phi) -> float:
         """GISL value at ``phi`` (linear, not dB)."""
-        return self._forward(phi)["cost"]
+        return self._forward(as_phase_vector(phi, self.cfg.L))["cost"]
 
     def cost_and_gradient(self, phi) -> tuple[float, np.ndarray]:
         """GISL value and its exact gradient with respect to the phase symbols."""
+        phi = as_phase_vector(phi, self.cfg.L)
         state = self._forward(phi)
-        phi = state["phi"]
-        u = self._w_sl / state["num"] - self._w_ml / state["den"]
-        v = state["mags"] ** (self.p - 2) * state["r"] * u
-        p_spec = np.fft.fft(v)
-        re_peak = float(np.max(np.abs(p_spec.real)))
-        im_peak = float(np.max(np.abs(p_spec.imag)))
-        self.last_p_imag_ratio = im_peak / re_peak if re_peak > 0 else 0.0
-        if self.last_p_imag_ratio > 1e-6:
-            raise FloatingPointError(
-                f"discarded imaginary part too large ({self.last_p_imag_ratio:.3g}); "
-                "weights are not effectively symmetric"
-            )
-        g = np.fft.ifft(state["F"] * p_spec.real)[: self.cfg.M]
+        self.counts["gradient_passes"] += 1
+        (sl_idx, sl_w, _), (ml_idx, ml_w, _) = self._sl, self._ml
+        (a, sl_sum, sl_pow), (b, ml_sum, ml_pow) = state["psums"]
+        r_sl, r_ml = state["r"]
+        # w |r|^(p-2) r / (w'|r|^p) on each support in peak-normalised form;
+        # conj undoes the conj that rfft put on r
+        v = np.zeros(self._n // 2 + 1, dtype=complex)
+        v[sl_idx] = (sl_w * sl_pow / (a * a * sl_sum)) * np.conj(r_sl)
+        v[ml_idx] = -(ml_w * ml_pow / (b * b * ml_sum)) * np.conj(r_ml)
+        p_spec = np.fft.hfft(v, self._n)
+        g = np.fft.ifft(state["F"] * p_spec)[: self.cfg.M]
         z = (np.conj(state["s"]) * g).imag
-        scale = 8.0 * np.pi * self.cfg.h * state["cost"]
+        scale = 8.0 * np.pi * self.cfg.h * state["cost"] * self._n
         grad = scale * (
             -np.sin(phi) * (self.basis.bc.T @ z) + np.cos(phi) * (self.basis.bs.T @ z)
         )

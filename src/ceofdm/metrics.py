@@ -21,7 +21,6 @@ import numpy as np
 from .waveform import SampledWaveform
 
 __all__ = [
-    "MAG_FLOOR",
     "CorrelationResult",
     "GislWeights",
     "AmbiguitySurface",
@@ -35,11 +34,6 @@ __all__ = [
     "compute_isl",
     "compute_pslr",
 ]
-
-# |r| values below this are clamped before raising to the p-th power, keeping
-# large-p evaluations clear of denormals without touching reported levels.
-MAG_FLOOR = 1e-9
-
 
 def db(x):
     """Power ratio in decibels; an exact zero maps to -inf."""
@@ -224,34 +218,57 @@ def _validated_p(p) -> int:
     return int(p)
 
 
-def _gisl_ratio(r: np.ndarray, w_sl: np.ndarray, w_ml: np.ndarray, p: int):
-    """(w_sl'y / w_ml'y)^(2/p) with y = max(|r|, MAG_FLOOR)^p, on any lag layout.
+def _psum(mags: np.ndarray, coef: np.ndarray, p: int):
+    """Peak-normalised p-sum over one support: (a, coef'(mags/a)^p, (mags/a)^(p-2)).
 
-    Returns the ratio, the sidelobe and mainlobe p-sums, and the floored
-    magnitudes. A p-sum that underflows to zero over a nonempty support
-    raises FloatingPointError; an empty sidelobe support gives a ratio of 0.
+    ``mags`` and ``coef`` hold the support's entries only, and a is their
+    peak. Each term lies between 0 and its coefficient and the peak's term
+    equals its coefficient, so the sum neither underflows nor overflows at
+    any p. An empty or all-zero support gives a = 0 and a zero sum.
     """
-    mags = np.maximum(np.abs(r), MAG_FLOOR)
-    y = mags**p
-    num = float(w_sl @ y)
-    den = float(w_ml @ y)
-    if den == 0.0:
-        raise FloatingPointError(f"mainlobe |r|^{p} sum underflows to zero")
-    if num == 0.0 and w_sl.any():
-        raise FloatingPointError(f"sidelobe |r|^{p} sum underflows to zero; lower p")
-    return (num / den) ** (2.0 / p), num, den, mags
+    peak = float(mags.max(initial=0.0))
+    if peak == 0.0:
+        return 0.0, 0.0, mags
+    x = mags / peak
+    pow_p2 = x ** (p - 2)
+    return peak, float(coef @ (pow_p2 * x * x)), pow_p2
+
+
+def _gisl_ratio(sl_mags, sl_coef, ml_mags, ml_coef, p: int):
+    """GISL from the |r| values and weights on its sidelobe and mainlobe supports.
+
+    With a, b the supports' peaks and S, B their peak-normalised p-sums
+    (``_psum``),
+
+        (sum_sl w |r|^p / sum_ml w |r|^p)^(2/p) = (a/b)^2 (S/B)^(2/p),
+
+    and no power of an unnormalised |r| is ever formed, so the value stays
+    finite at any even p and does not change when r is scaled. Works on any
+    lag layout: the centered ACF, or the gradient's half spectrum with each
+    weight multiplied by its fold count. Returns the ratio and the two
+    ``_psum`` triples; an empty or all-zero sidelobe support gives 0.
+    """
+    sl = _psum(sl_mags, sl_coef, p)
+    ml = _psum(ml_mags, ml_coef, p)
+    if sl[0] == 0.0:
+        return 0.0, sl, ml
+    return (sl[0] / ml[0]) ** 2 * (sl[1] / ml[1]) ** (2.0 / p), sl, ml
 
 
 def compute_gisl(r: CorrelationResult, w: GislWeights, p) -> float:
     """Generalized integrated sidelobe level (w_sl' |r|^p / w_ml' |r|^p)^(2/p).
 
     Linear (power-ratio) value; convert with ``db`` for decibels. At p=2 this
-    is the plain ISL energy ratio; as p grows it approaches the PSLR.
+    is the plain ISL energy ratio; as p grows it approaches the PSLR. Each
+    p-sum is normalised by its support's peak before powering, so the value
+    is finite at any even p.
     """
     p = _validated_p(p)
     if not w.w_ml.any():
         raise ValueError("mainlobe weight support is empty")
-    return _gisl_ratio(r.r, w.w_sl, w.w_ml, p)[0]
+    mags = np.abs(r.r)
+    sl, ml = w.w_sl != 0, w.w_ml != 0
+    return _gisl_ratio(mags[sl], w.w_sl[sl], mags[ml], w.w_ml[ml], p)[0]
 
 
 def compute_isl(r: CorrelationResult, w: GislWeights) -> float:

@@ -88,10 +88,13 @@ class TraceRow:
 
 @dataclass
 class OptimizationTrace:
+    """Accepted iterations, why the loop stopped, and the workspace's evaluation counts."""
+
     rows: list[TraceRow] = field(default_factory=list)
     status: str = "iteration_cap"
     initial_j: float = float("nan")
     initial_grad_norm: float = float("nan")
+    counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def final_j(self) -> float:
@@ -210,4 +213,5 @@ def run_gd_gisl(
                 reset=reset,
             )
         )
+    trace.counts = ws.counts
     return phi, trace

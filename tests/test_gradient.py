@@ -92,13 +92,46 @@ class TestGradientAccuracy:
         assert errs[0] / errs[1] > 30.0  # exact O(eps^2) would give 100
 
     def test_matches_dense_dft_oracle(self):
-        # FFT lengths 64 and 144 against the oracle's 2M-1 = 63 and 139
-        for samples in (32, 70):
+        # FFT lengths 64 and 144 against the oracle's 2M-1 = 63 and 139; the
+        # odd lengths 25 and 27 (M = 13, 14) have no Nyquist bin
+        for samples in (32, 70, 13, 14):
             for p in (2, 6, 20):
                 cfg, phi, w, ws = make_problem(4, samples, p, seed=3)
                 _, grad = ws.cost_and_gradient(phi)
                 dense = dense_dft_gisl_gradient(phi, cfg, w, p)
                 assert np.max(np.abs(grad - dense)) < 1e-9 * np.abs(dense).max()
+
+    def test_subregion_matches_dense_dft_oracle(self):
+        # interval supports on the half spectrum, down to a single lag pair +-k
+        for samples in (64, 13):
+            cfg, phi, w, ws = make_problem(4, samples, 6, seed=3, region="sub")
+            lag = w.null_index + 2
+            narrow = build_weights(w.null_index, [(lag / cfg.M, lag / cfg.M)], cfg.M)
+            assert np.count_nonzero(narrow.w_sl) == 2
+            for weights in (w, narrow):
+                _, grad = GradientWorkspace(cfg, weights, 6).cost_and_gradient(phi)
+                dense = dense_dft_gisl_gradient(phi, cfg, weights, 6)
+                assert np.max(np.abs(grad - dense)) < 1e-9 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("p", [200, 1000])
+    def test_large_p_matches_finite_differences(self, p):
+        # at p = 1000 every raw sidelobe |r|^p underflows a double; the
+        # peak-normalised sums do not
+        for region in ("full", "sub"):
+            cfg, phi, w, ws = make_problem(8, 64, p, seed=1, region=region)
+            _, grad = ws.cost_and_gradient(phi)
+            fd = central_difference_gradient(ws.cost, phi)
+            rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-10 * np.abs(fd).max())
+            assert np.all(np.isfinite(grad))
+            assert rel.max() < 1e-5
+
+    def test_zero_modulation_index_gives_zero_gradient(self):
+        # h = 0 is the rectangular pulse, whose phase no symbol can move
+        cfg = WaveformConfig(L=4, h=0.0, samples=32)
+        w = build_weights(3, "full", cfg.M)
+        cost, grad = GradientWorkspace(cfg, w, 20).cost_and_gradient(random_psk(4, 8, seed=0))
+        assert 0.0 < cost < 1.0
+        assert np.all(grad == 0.0)
 
     def test_p2_matches_isl_ratio_gradient(self):
         # independent route: finite differences of compute_isl on compute_acf
@@ -119,12 +152,6 @@ class TestGradientStructure:
         _, grad = ws.cost_and_gradient(phi)
         assert grad.dtype == np.float64
         assert grad.shape == (8,)
-
-    def test_imaginary_residue_is_negligible(self):
-        for seed in range(20):
-            cfg, phi, w, ws = make_problem(8, 64, 20, seed=seed)
-            ws.cost_and_gradient(phi)
-            assert ws.last_p_imag_ratio < 1e-9
 
     def test_periodicity(self):
         cfg, phi, w, ws = make_problem(8, 64, 6, seed=9)
@@ -166,23 +193,20 @@ class TestGradientValidation:
         with pytest.raises(ValueError, match="length"):
             GradientWorkspace(other, w, 6)
 
-    def test_asymmetric_weights_raise_in_gradient(self):
-        cfg, phi, w, ws = make_problem(8, 64, 6, seed=0)
-        ws._w_sl[np.flatnonzero(ws._w_sl)[0]] = 0.0
-        with pytest.raises(FloatingPointError, match="imaginary part"):
-            ws.cost_and_gradient(phi)
-
     def test_asymmetric_weights_raise_under_optimize_flag(self):
         # the check must not be an assert, which python -O strips
         script = textwrap.dedent("""
             import numpy as np
+            from ceofdm import GislWeights, GradientWorkspace
             from test_gradient import make_problem
-            cfg, phi, w, ws = make_problem(8, 64, 6, seed=0)
-            ws._w_sl[np.flatnonzero(ws._w_sl)[0]] = 0.0
+            cfg, phi, w, _ = make_problem(8, 64, 6, seed=0)
+            w_bad = np.array(w.w_sl)
+            w_bad[0] = 0.0
+            bad = GislWeights(w_sl=w_bad, w_ml=w.w_ml, null_index=w.null_index, region=w.region)
             try:
-                ws.cost_and_gradient(phi)
-            except FloatingPointError:
-                print("raised, debug", __debug__)
+                GradientWorkspace(cfg, bad, 6)
+            except ValueError as exc:
+                print("raised, debug", __debug__, "symmetric" in str(exc))
         """)
         paths = [Path(ceofdm.__file__).resolve().parents[1], Path(__file__).resolve().parent]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
@@ -191,4 +215,4 @@ class TestGradientValidation:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "raised, debug False"
+        assert done.stdout.strip() == "raised, debug False True"

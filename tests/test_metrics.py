@@ -258,6 +258,7 @@ class TestComputeGisl:
         w = single_sample_weights(3, 1)
         silent = GislWeights(w_sl=np.zeros_like(w.w_sl), w_ml=w.w_ml, null_index=1, region="x")
         assert compute_gisl(r, silent, 2) == 0.0
+        assert compute_gisl(r, silent, 10000) == 0.0
         assert db(compute_gisl(r, silent, 2)) == float("-inf")
         assert compute_isl(r, silent) == 0.0
 
@@ -293,5 +294,7 @@ class TestGislApproachesPslr:
             null = detect_mainlobe_null(r)
             w = build_weights(null, "full", reference_cfg.M)
             pslr = compute_pslr(r, null)
-            gaps = [abs(db(compute_gisl(r, w, p)) - pslr) for p in (2, 6, 10, 20)]
+            ps = (2, 6, 10, 20, 100, 400, 1000, 10000)
+            gaps = [abs(db(compute_gisl(r, w, p)) - pslr) for p in ps]
             assert all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
+            assert gaps[-1] < 0.01
