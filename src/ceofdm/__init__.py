@@ -2,10 +2,8 @@
 
 from .waveform import (
     TWO_PI,
-    BasisMatrices,
     SampledWaveform,
     WaveformConfig,
-    build_basis,
     compute_modulation_index,
     lfm_equivalent_tbp,
     random_psk,
@@ -29,16 +27,13 @@ from .metrics import (
 )
 from .gradient import GradientWorkspace
 from .optimizer import (
-    ArmijoResult,
     LineSearchStall,
     OptimizationTrace,
     OptimizerConfig,
-    TraceRow,
     armijo_backtrack,
     run_gd_gisl,
 )
 from .quantize import (
-    QuantizationReport,
     QuantizationRow,
     degradation_sweep,
     quantize_psk,
@@ -50,22 +45,17 @@ __version__ = "0.1.0"
 __all__ = [
     "TWO_PI",
     "WaveformConfig",
-    "BasisMatrices",
     "SampledWaveform",
     "CorrelationResult",
     "GislWeights",
     "AmbiguitySurface",
     "OptimizerConfig",
     "OptimizationTrace",
-    "TraceRow",
-    "ArmijoResult",
     "LineSearchStall",
     "GradientWorkspace",
-    "QuantizationReport",
     "QuantizationRow",
     "compute_modulation_index",
     "lfm_equivalent_tbp",
-    "build_basis",
     "sample_phase",
     "sample_frequency",
     "synthesize",

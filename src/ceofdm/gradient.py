@@ -4,12 +4,14 @@ The cost J_p is a smooth function of the phase symbols through the chain
 
     phi -> phase samples -> s -> F = fft(s) -> r = ifft(|F|^2) -> J_p
 
-and every linear stage is an N-point DFT, N >= 2M-1 (the FFT length and lag
-layout of ``metrics``).
+and every linear stage is a DFT: M points from the symbols to the phase
+samples, N >= 2M-1 points after that (the FFT length and lag layout of
+``metrics``).
 
-Forward pass. J_p does not change when the pulse is scaled, so the samples
-are s = exp(j theta) without the 1/sqrt(M), and the ACF is never divided by
-N. |F|^2 is real, so r is conjugate symmetric and its half spectrum
+Forward pass. The phase samples are the harmonic synthesis of ``waveform``,
+one M-point irfft. J_p does not change when the pulse is scaled, so the
+samples are s = exp(j theta) without the 1/sqrt(M), and the ACF is never
+divided by N. |F|^2 is real, so r is conjugate symmetric and its half spectrum
 rfft(|F|^2) = N M conj(r[0..N/2]) holds all of it: bin k stands for the
 lags +k and -k (it counts once at lag 0 and at the Nyquist bin N/2 of an
 even N). The p-sums of ``metrics._gisl_ratio`` run over the bins of the
@@ -17,9 +19,9 @@ weight supports only, each weight times that fold count, and each sum is
 divided by its support's peak before powering, so no p-sum underflows or
 overflows at any even p.
 
-Gradient. Two more FFTs and one M x L matrix product:
+Gradient. Three more FFTs:
 
-    grad = 8*pi*h * J_p * Dbar' * Im{ conj(s) * ifft(F * P) }
+    grad = 8*pi*h * J_p * Dbar' * z,  z = Im{ conj(s) * ifft(F * P) }
     P    = fft(v),  v = |r|^(p-2) * r * (w_sl / (w_sl'|r|^p) - w_ml / (w_ml'|r|^p))
 
 v is nonzero on the supports only and is built there in peak-normalised
@@ -27,10 +29,12 @@ form. Weights symmetric about zero delay, checked once at construction, make
 v conjugate symmetric, so P = hfft(v[0..N/2], N) is real by construction.
 With the unnormalised forward pass, v comes out divided by N M and conj(s),
 F multiplied by sqrt(M) each, so the gradient's scale carries one factor N.
-Dbar, the phase-sample Jacobian divided by 2*pi*h, is never materialized:
-its action is applied column by column through the cached harmonic bases.
-The 2*pi*h factor is the Jacobian of the phase samples with respect to each
-symbol, on top of the 4*J_p factor from the quotient and modulus stages.
+Dbar, the phase-sample Jacobian divided by 2*pi*h, is never materialized.
+Its column l is the harmonic sin(2*pi*l*t/T - phi_l), and on the grid
+t = m T / M harmonic l is DFT bin l, so Dbar' z = -Im{exp(j phi) * rfft(z)}
+on bins 1..L. The 2*pi*h factor is the Jacobian of the phase samples with
+respect to each symbol, on top of the 4*J_p factor from the quotient and
+modulus stages.
 """
 
 from __future__ import annotations
@@ -44,13 +48,13 @@ from .metrics import (
     _gisl_ratio,
     _validated_p,
 )
-from .waveform import WaveformConfig, as_phase_vector, build_basis, phase_from_basis
+from .waveform import TWO_PI, WaveformConfig, _harmonic_sum, as_phase_vector
 
 __all__ = ["GradientWorkspace"]
 
 
 class GradientWorkspace:
-    """Cached bases, weight supports, and intermediates for repeated GISL evaluation.
+    """Cached weight supports and intermediates for repeated GISL evaluation.
 
     One instance serves a fixed (config, weights, p) triple; the optimizer
     reuses it across every cost and gradient call of a run. Reuse never
@@ -76,7 +80,6 @@ class GradientWorkspace:
             raise ValueError("sidelobe weight support is empty; gradient undefined")
         self.cfg = cfg
         self.weights = weights
-        self.basis = build_basis(cfg)
         # lag k >= 0 sits at bin k of the half spectrum and also stands for lag -k
         k = np.arange(cfg.M)
         fold = np.where((k == 0) | (2 * k == self._n), 1.0, 2.0)
@@ -97,7 +100,7 @@ class GradientWorkspace:
             self.counts["cache_hits"] += 1
             return self._cache
         self.counts["forward_passes"] += 1
-        theta = phase_from_basis(phi, self.basis, self.cfg.h)
+        theta = TWO_PI * self.cfg.h * _harmonic_sum(np.exp(-1j * phi), self.cfg.M)
         s = np.exp(1j * theta)
         big_f = np.fft.fft(s, self._n)
         # N M conj(r) on lags 0..N/2
@@ -136,9 +139,7 @@ class GradientWorkspace:
         g = np.fft.ifft(state["F"] * p_spec)[: self.cfg.M]
         z = (np.conj(state["s"]) * g).imag
         scale = 8.0 * np.pi * self.cfg.h * state["cost"] * self._n
-        grad = scale * (
-            -np.sin(phi) * (self.basis.bc.T @ z) + np.cos(phi) * (self.basis.bs.T @ z)
-        )
+        grad = -scale * (np.exp(1j * phi) * np.fft.rfft(z)[1 : self.cfg.L + 1]).imag
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"GISL gradient is not finite at p={self.p}")
         return state["cost"], grad

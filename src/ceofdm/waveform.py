@@ -20,13 +20,10 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "TWO_PI",
     "WaveformConfig",
-    "BasisMatrices",
     "SampledWaveform",
     "compute_modulation_index",
     "lfm_equivalent_tbp",
     "as_phase_vector",
-    "build_basis",
-    "phase_from_basis",
     "sample_phase",
     "sample_frequency",
     "synthesize",
@@ -81,11 +78,12 @@ class WaveformConfig:
     """Pulse parameters plus the derived sampling grid.
 
     Provide ``h`` or ``tbp`` (or both, if mutually consistent); the missing
-    one is derived from the equal-RMS-bandwidth relation. The sampling rate
-    is ``oversample`` times the equivalent LFM bandwidth ``tbp / T`` and the
-    sample count is M = round(fs * T). Pass ``samples`` to pin M directly,
-    which is required for h = 0 pulses that have no bandwidth to derive a
-    rate from; in that case fs = samples / T.
+    one is derived from the equal-RMS-bandwidth relation. The sample count is
+    M = round(oversample * tbp), ``oversample`` times the equivalent LFM
+    bandwidth ``tbp / T`` over one pulse. Pass ``samples`` to pin M
+    directly, which is required for h = 0 pulses that have no bandwidth to
+    derive a count from. Either way the grid is t = m T / M and fs = M / T,
+    so harmonic l of 1/T sits exactly on DFT bin l of the pulse.
     """
 
     L: int
@@ -95,7 +93,6 @@ class WaveformConfig:
     oversample: float = 5.0
     samples: int | None = None
     M: int = field(init=False)
-    fs: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.L < 1 or int(self.L) != self.L:
@@ -132,17 +129,19 @@ class WaveformConfig:
             if self.samples < 1 or int(self.samples) != self.samples:
                 raise ValueError("samples must be a positive integer")
             m = int(self.samples)
-            fs = m / self.T
         else:
-            fs = self.oversample * tbp / self.T
-            m = int(round(fs * self.T))
+            m = int(round(self.oversample * tbp))
         if m < 2 * self.L + 1:
             raise ValueError(
                 f"M={m} samples cannot resolve L={self.L} phase harmonics "
                 f"(need M >= {2 * self.L + 1}); raise tbp/oversample or set samples"
             )
         object.__setattr__(self, "M", m)
-        object.__setattr__(self, "fs", float(fs))
+
+    @property
+    def fs(self) -> float:
+        """Sampling rate M / T."""
+        return self.M / self.T
 
     @property
     def df(self) -> float:
@@ -153,14 +152,6 @@ class WaveformConfig:
     def t(self) -> np.ndarray:
         """Sample instants m / fs, left-aligned on [0, T)."""
         return np.arange(self.M) / self.fs
-
-
-@dataclass(frozen=True)
-class BasisMatrices:
-    """Sampled harmonic bases, shape (M, L); column l-1 is the l-th harmonic of 1/T."""
-
-    bc: np.ndarray
-    bs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -180,41 +171,37 @@ def as_phase_vector(phi, L: int) -> np.ndarray:
     return phi
 
 
-def build_basis(cfg: WaveformConfig) -> BasisMatrices:
-    args = np.outer(cfg.t, np.arange(1, cfg.L + 1)) * (TWO_PI / cfg.T)
-    return BasisMatrices(bc=np.cos(args), bs=np.sin(args))
+def _harmonic_sum(c: np.ndarray, m: int) -> np.ndarray:
+    """Samples sum_l Re(c_l exp(j 2 pi l k / m)), k = 0..m-1, of coefficients c_1..c_L.
 
-
-def phase_from_basis(phi: np.ndarray, basis: BasisMatrices, h: float) -> np.ndarray:
-    """Phase samples 2*pi*h * (Bc cos(phi) + Bs sin(phi)) from a prebuilt basis."""
-    return TWO_PI * h * (basis.bc @ np.cos(phi) + basis.bs @ np.sin(phi))
+    On the grid t = k T / m harmonic l of 1/T is DFT bin l, and m >= 2L + 1
+    keeps bin L below Nyquist, so the sum is one inverse real FFT.
+    """
+    spec = np.zeros(m // 2 + 1, dtype=complex)
+    spec[1 : len(c) + 1] = c
+    return (m / 2) * np.fft.irfft(spec, m)
 
 
 def sample_phase(phi, cfg: WaveformConfig) -> np.ndarray:
     """Instantaneous phase of the subcarrier sum at the sample instants.
 
-    Evaluated in the real Fourier form
-
-        2*pi*h * sum_l [cos(phi_l) cos(2*pi*l*t/T) + sin(phi_l) sin(2*pi*l*t/T)]
-
-    which equals the amplitude/phase form 2*pi*h * sum_l cos(2*pi*l*t/T - phi_l).
+    Evaluates 2*pi*h * sum_l cos(2*pi*l*t/T - phi_l) as the real part of the
+    harmonic series with coefficients exp(-j phi_l).
     """
     phi = as_phase_vector(phi, cfg.L)
-    return phase_from_basis(phi, build_basis(cfg), cfg.h)
+    return TWO_PI * cfg.h * _harmonic_sum(np.exp(-1j * phi), cfg.M)
 
 
 def sample_frequency(phi, cfg: WaveformConfig) -> np.ndarray:
     """Instantaneous frequency, the phase derivative divided by 2*pi.
 
-    Equals -(2*pi*h/T) * sum_l l * sin(2*pi*l*t/T - phi_l); zero mean over a
+    Equals -(2*pi*h/T) * sum_l l * sin(2*pi*l*t/T - phi_l), the real part of
+    the harmonic series with coefficients j l exp(-j phi_l); zero mean over a
     full pulse for any symbol vector.
     """
     phi = as_phase_vector(phi, cfg.L)
-    basis = build_basis(cfg)
-    ell = np.arange(1, cfg.L + 1, dtype=float)
-    return (-TWO_PI * cfg.h / cfg.T) * (
-        (basis.bs * ell) @ np.cos(phi) - (basis.bc * ell) @ np.sin(phi)
-    )
+    ell = np.arange(1, cfg.L + 1)
+    return (TWO_PI * cfg.h / cfg.T) * _harmonic_sum(1j * ell * np.exp(-1j * phi), cfg.M)
 
 
 def synthesize(phi, cfg: WaveformConfig) -> SampledWaveform:

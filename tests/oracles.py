@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ceofdm import BasisMatrices, WaveformConfig, synthesize
+from ceofdm import WaveformConfig, synthesize
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,16 +78,22 @@ def central_difference_gradient(cost, phi: np.ndarray, eps: float = 1e-5) -> np.
     return grad
 
 
-def build_dbar(phi, basis: BasisMatrices) -> np.ndarray:
+def harmonic_basis(cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (M, L) bases cos and sin(2*pi*l*t/T) on the config's sample instants."""
+    args = TWO_PI * np.outer(cfg.t, np.arange(1, cfg.L + 1)) / cfg.T
+    return np.cos(args), np.sin(args)
+
+
+def build_dbar(phi, bc: np.ndarray, bs: np.ndarray) -> np.ndarray:
     """Zero-padded Jacobian of the phase samples w.r.t. each symbol, scaled by 1/(2*pi*h).
 
     Column l is -bc_l * sin(phi_l) + bs_l * cos(phi_l) in rows 0..M-1 and zero
     in the padding rows M..2M-2.
     """
-    m, L = basis.bc.shape
+    m, L = bc.shape
     phi = np.asarray(phi, float)
     dbar = np.zeros((2 * m - 1, L))
-    dbar[:m] = -basis.bc * np.sin(phi) + basis.bs * np.cos(phi)
+    dbar[:m] = -bc * np.sin(phi) + bs * np.cos(phi)
     return dbar
 
 
@@ -100,10 +106,7 @@ def dense_dft_gisl_gradient(phi, cfg, weights, p: int) -> np.ndarray:
     m = cfg.M
     n = 2 * m - 1
     dft = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    t = cfg.t
-    ell = np.arange(1, cfg.L + 1)
-    bc = np.cos(TWO_PI * np.outer(t, ell) / cfg.T)
-    bs = np.sin(TWO_PI * np.outer(t, ell) / cfg.T)
+    bc, bs = harmonic_basis(cfg)
     phi = np.asarray(phi, float)
     theta = TWO_PI * cfg.h * (bc @ np.cos(phi) + bs @ np.sin(phi))
     s_bar = np.zeros(n, dtype=complex)
@@ -119,7 +122,7 @@ def dense_dft_gisl_gradient(phi, cfg, weights, p: int) -> np.ndarray:
     u = w_sl / num - w_ml / den
     p_vec = np.real(dft @ (mags ** (p - 2) * r * u))
     inner = np.conj(dft).T @ ((f_vec) * p_vec) / n
-    dbar = build_dbar(phi, BasisMatrices(bc=bc, bs=bs))
+    dbar = build_dbar(phi, bc, bs)
     return 8.0 * np.pi * cfg.h * cost * (dbar.T @ np.imag(np.conj(s_bar) * inner))
 
 

@@ -14,7 +14,6 @@ from ceofdm import (
     GislWeights,
     GradientWorkspace,
     WaveformConfig,
-    build_basis,
     build_weights,
     compute_acf,
     compute_isl,
@@ -23,7 +22,12 @@ from ceofdm import (
     sample_phase,
     synthesize,
 )
-from oracles import build_dbar, central_difference_gradient, dense_dft_gisl_gradient
+from oracles import (
+    build_dbar,
+    central_difference_gradient,
+    dense_dft_gisl_gradient,
+    harmonic_basis,
+)
 
 
 def make_problem(L, samples, p, seed, h=0.2, region="full"):
@@ -39,22 +43,21 @@ def make_problem(L, samples, p, seed, h=0.2, region="full"):
 
 class TestBuildDbar:
     def test_zero_phase_selects_sine_basis(self, small_cfg):
-        basis = build_basis(small_cfg)
-        dbar = build_dbar(np.zeros(small_cfg.L), basis)
+        bc, bs = harmonic_basis(small_cfg)
+        dbar = build_dbar(np.zeros(small_cfg.L), bc, bs)
         m = small_cfg.M
-        assert np.array_equal(dbar[:m], basis.bs)
+        assert np.array_equal(dbar[:m], bs)
         assert np.all(dbar[m:] == 0)
 
     def test_quarter_turn_selects_negative_cosine(self, small_cfg):
-        basis = build_basis(small_cfg)
-        dbar = build_dbar(np.full(small_cfg.L, np.pi / 2), basis)
+        bc, bs = harmonic_basis(small_cfg)
+        dbar = build_dbar(np.full(small_cfg.L, np.pi / 2), bc, bs)
         m = small_cfg.M
-        assert np.max(np.abs(dbar[:m] + basis.bc)) < 1e-12
+        assert np.max(np.abs(dbar[:m] + bc)) < 1e-12
 
     def test_matches_phase_finite_difference(self, small_cfg, rng):
         phi = TWO_PI * rng.random(small_cfg.L)
-        basis = build_basis(small_cfg)
-        dbar = build_dbar(phi, basis)
+        dbar = build_dbar(phi, *harmonic_basis(small_cfg))
         eps = 1e-6
         for ell in range(small_cfg.L):
             step = np.zeros(small_cfg.L)
@@ -93,8 +96,9 @@ class TestGradientAccuracy:
 
     def test_matches_dense_dft_oracle(self):
         # FFT lengths 64 and 144 against the oracle's 2M-1 = 63 and 139; the
-        # odd lengths 25 and 27 (M = 13, 14) have no Nyquist bin
-        for samples in (32, 70, 13, 14):
+        # odd lengths 25 and 27 (M = 13, 14) have no Nyquist bin; M = 9 and 10
+        # are 2L+1 and 2L+2, where harmonic L is the bin next to Nyquist
+        for samples in (32, 70, 13, 14, 9, 10):
             for p in (2, 6, 20):
                 cfg, phi, w, ws = make_problem(4, samples, p, seed=3)
                 _, grad = ws.cost_and_gradient(phi)

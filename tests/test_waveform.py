@@ -6,6 +6,7 @@ import pytest
 from ceofdm import (
     TWO_PI,
     WaveformConfig,
+    compute_acf,
     compute_modulation_index,
     lfm_equivalent_tbp,
     random_psk,
@@ -13,6 +14,7 @@ from ceofdm import (
     sample_phase,
     synthesize,
 )
+from ceofdm.exports import write_acf_csv
 from oracles import rms_bandwidth
 
 # frozen output of oracles.bisect_modulation_index(100, 16); the closed form
@@ -26,6 +28,19 @@ def direct_phase(phi, cfg):
     for ell in range(1, cfg.L + 1):
         out += np.cos(TWO_PI * ell * cfg.t / cfg.T - phi[ell - 1])
     return TWO_PI * cfg.h * out
+
+
+def direct_frequency(phi, cfg):
+    """Straightforward per-term evaluation of the phase derivative over 2*pi."""
+    out = np.zeros(cfg.M)
+    for ell in range(1, cfg.L + 1):
+        out -= ell * np.sin(TWO_PI * ell * cfg.t / cfg.T - phi[ell - 1])
+    return TWO_PI * cfg.h / cfg.T * out
+
+
+# the smallest grids M = 2L+1 and 2L+2, where harmonic L is the highest DFT
+# bin below Nyquist
+NYQUIST_EDGE = [WaveformConfig(L=L, h=0.2, samples=2 * L + k) for L in (1, 4, 24) for k in (1, 2)]
 
 
 class TestModulationIndex:
@@ -84,6 +99,24 @@ class TestWaveformConfig:
         assert cfg.M == 128
         assert cfg.fs == 128.0
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(L=8, h=0.15, samples=64),
+        dict(L=24, tbp=200.0),
+        dict(L=24, h=0.1856),
+        dict(L=24, tbp=200.3),
+    ], ids=["samples", "tbp", "h", "tbp200.3"])
+    def test_one_sample_grid(self, kwargs, rng, tmp_path):
+        # oversample * tbp need not be an integer; the grid is t = m T / M
+        # all the same, which the ACF delays and the weights' |k| / M share
+        cfg = WaveformConfig(**kwargs)
+        assert cfg.fs * cfg.T == cfg.M
+        phi = TWO_PI * rng.random(cfg.L)
+        assert np.max(np.abs(sample_phase(phi, cfg) - direct_phase(phi, cfg))) < 1e-10
+        write_acf_csv(tmp_path / "acf.csv", compute_acf(synthesize(phi, cfg)), cfg.T)
+        rows = [line.split(",") for line in (tmp_path / "acf.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2 * cfg.M - 1
+        assert [row[1] for row in rows] == [f"{int(row[0]) / cfg.M:.12e}" for row in rows]
+
     def test_time_grid(self, small_cfg):
         t = small_cfg.t
         assert len(t) == small_cfg.M
@@ -117,10 +150,10 @@ class TestSamplePhase:
         assert abs(theta[0]) < 1e-12
 
     def test_matches_direct_formula(self, reference_cfg, rng):
-        for _ in range(5):
-            phi = TWO_PI * rng.random(reference_cfg.L)
-            matrix_path = sample_phase(phi, reference_cfg)
-            assert np.max(np.abs(matrix_path - direct_phase(phi, reference_cfg))) < 1e-10
+        for cfg in [reference_cfg, *NYQUIST_EDGE]:
+            for _ in range(5):
+                phi = TWO_PI * rng.random(cfg.L)
+                assert np.max(np.abs(sample_phase(phi, cfg) - direct_phase(phi, cfg))) < 1e-10
 
     def test_dual_formula_property_loop(self, small_cfg, rng):
         for _ in range(100):
@@ -138,6 +171,14 @@ class TestSampleFrequency:
         cfg = WaveformConfig(L=1, h=0.3, samples=32)
         freq = sample_frequency(np.zeros(1), cfg)
         assert abs(freq[0]) < 1e-12
+
+    def test_matches_direct_formula(self, reference_cfg, rng):
+        for cfg in [reference_cfg, *NYQUIST_EDGE]:
+            for _ in range(5):
+                phi = TWO_PI * rng.random(cfg.L)
+                direct = direct_frequency(phi, cfg)
+                err = np.max(np.abs(sample_frequency(phi, cfg) - direct))
+                assert err < 1e-12 * np.abs(direct).max()
 
     def test_zero_mean(self, reference_cfg, rng):
         phi = TWO_PI * rng.random(reference_cfg.L)
