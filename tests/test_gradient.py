@@ -97,7 +97,7 @@ class TestGradientAccuracy:
     def test_matches_dense_dft_oracle(self):
         # FFT lengths 64 and 144 against the oracle's 2M-1 = 63 and 139; the
         # odd lengths 25 and 27 (M = 13, 14) have no Nyquist bin; M = 9 and 10
-        # are 2L+1 and 2L+2, where harmonic L is the bin next to Nyquist
+        # are 2L+1 and 2L+2, where harmonic L is the highest bin below Nyquist
         for samples in (32, 70, 13, 14, 9, 10):
             for p in (2, 6, 20):
                 cfg, phi, w, ws = make_problem(4, samples, p, seed=3)
