@@ -134,6 +134,14 @@ def _optimize_core(config: ExperimentConfig) -> RunResult:
     )
 
 
+_COUNT_NAMES = ("forward_passes", "gradient_passes", "cache_hits")
+
+
+def _counts_text(counts: dict) -> str:
+    """Evaluation counts as printed on stdout, e.g. '12 forward passes, ...'."""
+    return ", ".join(f"{counts[name]} {name.replace('_', ' ')}" for name in _COUNT_NAMES)
+
+
 def cmd_optimize(config: ExperimentConfig) -> None:
     """Run the descent loop and export initial/final waveform data plus the trace."""
     out = Path(config.run.out)
@@ -151,12 +159,9 @@ def cmd_optimize(config: ExperimentConfig) -> None:
     write_trace_csv(out / "trace.csv", res.trace)
     write_summary(out / "summary.txt", summary)
     # runtime and evaluation counts stay off the data files so reruns are byte-identical
-    counts = res.trace.counts
     print(
         f"optimize: GISL {summary['gisl_initial_db']:.2f} dB -> "
-        f"{summary['gisl_final_db']:.2f} dB in {runtime:.2f} s; "
-        f"{counts['forward_passes']} forward passes, "
-        f"{counts['gradient_passes']} gradient passes, {counts['cache_hits']} cache hits"
+        f"{summary['gisl_final_db']:.2f} dB in {runtime:.2f} s; {_counts_text(res.trace.counts)}"
     )
 
 
@@ -198,14 +203,16 @@ _SEED_COLUMNS = {
 }
 
 
-def _sweep_worker(payload) -> tuple[int, dict | None, str]:
-    """(seed, run summary or None if the run failed, status or error text)."""
+def _sweep_worker(payload) -> tuple[int, dict | None, str, dict]:
+    """(seed, run summary or None if the run failed, status or error text,
+    evaluation counts, empty if the run failed)."""
     config, seed = payload
     try:
-        summary = _optimize_core(config.with_seed(seed)).summary()
+        res = _optimize_core(config.with_seed(seed))
     except Exception as exc:  # per-seed failures become rows, not aborts
-        return seed, None, str(exc).replace(",", ";").replace("\n", " ")
-    return seed, summary, summary["status"]
+        return seed, None, str(exc).replace(",", ";").replace("\n", " "), {}
+    summary = res.summary()
+    return seed, summary, summary["status"], res.trace.counts
 
 
 def _cell(value) -> str:
@@ -226,12 +233,14 @@ def cmd_sweep(config: ExperimentConfig) -> None:
 
     config.write_manifest(out / "manifest.ini")
     lines = [",".join(["seed", "status", *_SEED_COLUMNS, "detail"])]
-    for seed, summary, detail in rows:
+    for seed, summary, detail, _ in rows:
         cells = [_cell(summary[key]) if summary else "" for key in _SEED_COLUMNS.values()]
         lines.append(",".join([str(seed), "ok" if summary else "failed", *cells, detail]))
     (out / "seeds.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    good = [summary for _, summary, _ in rows if summary]
+    good = [summary for _, summary, _, _ in rows if summary]
+    totals = {name: sum(counts.get(name, 0) for *_, counts in rows) for name in _COUNT_NAMES}
+    print(f"sweep: {len(good)} of {len(seeds)} seeds ok; {_counts_text(totals)}")
     if not good:
         raise ValueError("all sweep runs failed; see seeds.csv")
     entries: dict = {"seed_count": len(seeds), "succeeded": len(good)}

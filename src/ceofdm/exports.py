@@ -8,7 +8,6 @@ exact -inf (zero magnitude or empty region) is encoded as -999.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -57,19 +56,135 @@ def _write_lines(path, lines) -> None:
         out.writelines(f"{line}\n" for line in lines)
 
 
-def _write_table(path, header: str, table: np.ndarray, index=None) -> None:
-    """Stream ``header`` and each row of a 2-D float table as %.12e fields.
+_BLOCK_VALUES = 1 << 13  # float fields per block: about 80 bytes each in flight, under 1 MB
+_E_WIDTH = 20  # the longest %.12e text, e.g. "-1.234567890123e-308"
+# One field's slot: its text right-aligned in the first _E_WIDTH bytes, its
+# separator next, zero bytes everywhere else; six 4-byte words in all.
+_SLOT = 24
+_POW10 = 10.0 ** np.arange(23)  # every power of ten up to 1e22 is exact in binary64
+# the 13-digit mantissa m is within 2**-10 of exact, so a fractional part
+# further than this from 0.5 rounds the way the exact value does
+_TIE_BAND = 0.002
 
-    One ``%`` template serves every row, and rows become Python floats one at
-    a time, so a large table is never held as text. With ``index``, each row
-    starts with its integer from ``index``.
+
+def _words(texts) -> np.ndarray:
+    """4-character strings as uint32 words in memory order."""
+    return np.frombuffer("".join(texts).encode("ascii"), np.uint32)
+
+
+# "0000" to "9999": the digits of i are its index into a 10 x 10 x 10 x 10 grid
+_FOUR_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+_FOUR_DIGITS = _FOUR_DIGITS.view(np.uint32).ravel()
+# padding, sign, first digit and point, at 10 * signbit + first digit
+_LEADS = _words(f"\0{sign}{d}." for sign in ("\0", "-") for d in range(10))
+_EXPONENTS = _words(f"e{e:+03d}" for e in range(-10, 36))
+_COMMA, _NEWLINE = _words(["," + 3 * "\0", "\n" + 3 * "\0"])
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a * 10**k in one correctly rounded operation, for |k| <= 22 (k is clipped)."""
+    m = a * _POW10[np.clip(k, 0, 22)]
+    down = np.nonzero(k < 0)
+    m[down] = a[down] / _POW10[np.minimum(-k[down], 22)]
+    return m
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 13-digit mantissa and the exponent that %.12e prints for each value,
+    and where they are exact.
+
+    A finite |x| with decimal exponent e, 12 - e within +-22, has its mantissa
+    m = |x| * 10**(12 - e) in one rounding, and rint(m) is the printed digits
+    unless frac(m) lies within _TIE_BAND of 0.5. Zeros are exact as (0, 0);
+    every other value (near ties, tiny or huge exponents, inf, nan) is not.
     """
-    template = ",".join(["%.12e"] * table.shape[1])
-    if index is None:
-        rows = (template % tuple(row.tolist()) for row in table)
-    else:
-        rows = (f"%d,{template}" % (i, *row.tolist()) for i, row in zip(index, table))
-    _write_lines(path, chain([header], rows))
+    zero = x == 0
+    nonzero = np.isfinite(x) & ~zero
+    a = np.where(nonzero, np.abs(x), 1.0)  # placeholder for zeros, inf and nan
+    e = np.floor(np.log10(a)).astype(np.int64)
+    m = _scaled(a, 12 - e)
+    # log10 can miss by one next to a power of ten
+    off = np.nonzero((m < 1e12) | (m >= 1e13))
+    e[off] += np.where(m[off] < 1e12, -1, 1)
+    m[off] = _scaled(a[off], 12 - e[off])
+    exact = nonzero & (np.abs(12 - e) <= 22) & (m >= 1e12) & (m < 1e13)
+    exact &= np.abs(m - np.floor(m) - 0.5) > _TIE_BAND
+    q = np.rint(np.where(exact, m, 0.0)).astype(np.int64)
+    exact |= zero
+    carry = q == 10**13
+    q[carry] = 10**12
+    return q, np.where(exact, e + carry, 0), exact
+
+
+def _e_fields(x: np.ndarray, slots: np.ndarray) -> None:
+    """Write each value's %.12e text and a comma into its slot; a value
+    without an exact mantissa from _decimal is formatted on its own."""
+    q, e, exact = _decimal(x)
+    words = slots.view(np.uint32)
+    lead = q // 10**12
+    words[..., 0] = _LEADS[lead + 10 * np.signbit(x)]
+    q -= lead * 10**12
+    for w, scale in enumerate((10**8, 10**4, 1), start=1):
+        chunk = q // scale
+        words[..., w] = _FOUR_DIGITS[chunk]
+        q -= chunk * scale
+    words[..., 4] = _EXPONENTS[e + 10]
+    words[..., 5] = _COMMA
+
+    slow = np.nonzero(~exact)
+    if len(slow[0]):
+        padded = "".join(("%.12e" % v).rjust(_E_WIDTH, "\0") for v in x[slow].tolist())
+        text = np.frombuffer(padded.encode("ascii"), np.uint8).reshape(-1, _E_WIDTH)
+        slots[slow + (slice(0, _E_WIDTH),)] = text
+
+
+def _d_fields(index: np.ndarray, slots: np.ndarray) -> None:
+    """Write each integer's %d text and a comma into its slot."""
+    a = np.abs(index)
+    ndigits = np.maximum(1, np.searchsorted(10 ** np.arange(19), a, side="right"))
+    words = slots.view(np.uint32)
+    for w in range(4, 4 - (ndigits.max() + 3) // 4, -1):
+        words[:, w] = _FOUR_DIGITS[a % 10**4]
+        a = a // 10**4
+    words[:, 5] = _COMMA
+    slots[:, :_E_WIDTH][np.arange(_E_WIDTH) < _E_WIDTH - ndigits[:, None]] = 0
+    negative = np.flatnonzero(index < 0)
+    slots[negative, _E_WIDTH - 1 - ndigits[negative]] = ord("-")
+
+
+def _encode_block(table: np.ndarray, index=None) -> np.ndarray:
+    """CSV bytes of a 2-D float table as %.12e fields, each row led by its
+    ``index`` entry as %d when given, every row ending in a newline."""
+    rows, cols = table.shape
+    lead = 0 if index is None else 1
+    slots = np.empty((rows, lead + cols, _SLOT), np.uint8)
+    _e_fields(table, slots[:, lead:])
+    if index is not None:
+        _d_fields(index, slots[:, 0])
+    slots.view(np.uint32)[:, -1, 5] = _NEWLINE
+    return slots[slots != 0]
+
+
+def _write_table(path, header: str, table: np.ndarray, index=None, header_values=None) -> None:
+    """Write ``header`` and the rows of a 2-D float table as %.12e fields.
+
+    The table is encoded and written a block of rows at a time, so it is never
+    held whole as text. With ``index``, each row starts with its integer from
+    ``index``; with ``header_values``, the header row goes on with them as
+    %.12e fields.
+    """
+    step = max(1, _BLOCK_VALUES // table.shape[1])
+    with open(path, "wb") as out:
+        out.write(header.encode("utf-8"))
+        if header_values is None:
+            out.write(b"\n")
+        else:
+            out.write(b",")
+            out.write(_encode_block(np.asarray(header_values, dtype=float)[None, :]))
+        for start in range(0, len(table), step):
+            rows = slice(start, start + step)
+            block_index = None if index is None else np.asarray(index[rows], dtype=np.int64)
+            out.write(_encode_block(table[rows], block_index))
 
 
 def write_phi_csv(path, phi) -> None:
@@ -90,13 +205,13 @@ def read_phi_csv(path) -> np.ndarray:
 def write_waveform_csv(path, s: SampledWaveform) -> None:
     t_norm = s.t * s.fs / len(s.samples)
     table = np.column_stack([t_norm, s.samples.real, s.samples.imag])
-    _write_table(path, "sample_index,t_over_T,real,imag", table, range(len(table)))
+    _write_table(path, "sample_index,t_over_T,real,imag", table, np.arange(len(table)))
 
 
 def write_inst_freq_csv(path, phi, cfg: WaveformConfig) -> None:
     freq = sample_frequency(phi, cfg)
     table = np.column_stack([np.arange(cfg.M) / cfg.M, freq * cfg.T])
-    _write_table(path, "sample_index,t_over_T,freq_times_T", table, range(cfg.M))
+    _write_table(path, "sample_index,t_over_T,freq_times_T", table, np.arange(cfg.M))
 
 
 def write_spectrum_csv(path, s: SampledWaveform, cfg: WaveformConfig, pad_factor: int = 4) -> None:
@@ -121,15 +236,14 @@ def _stft(samples: np.ndarray, nperseg: int, hop: int) -> tuple[np.ndarray, np.n
 
 def write_spectrogram_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None:
     """Windowed-FFT power matrix, rows = frequency bins, columns = time frames."""
-    nperseg = min(128, max(8, cfg.M // 8))
+    nperseg = min(128, max(8, cfg.M // 8), cfg.M)
     hop = max(1, nperseg // 4)
     frames, centers = _stft(s.samples, nperseg, hop)
     freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / cfg.fs))
     power = np.abs(frames) ** 2
     power_db = db(power / power.max())
-    header = "freq_times_T," + ",".join(map("{:.12e}".format, (centers / cfg.M).tolist()))
     table = np.column_stack([freqs * cfg.T, encode_db(power_db)])
-    _write_table(path, header, table)
+    _write_table(path, "freq_times_T", table, header_values=centers / cfg.M)
 
 
 def write_acf_csv(path, r: CorrelationResult, T: float) -> None:
@@ -137,14 +251,13 @@ def write_acf_csv(path, r: CorrelationResult, T: float) -> None:
     mag = r.magnitude()
     u = np.arange(len(mag)) - r.zero_index
     table = np.column_stack([u / (r.fs * T), encode_db(db(mag * mag))])
-    _write_table(path, "delay_samples,delay_over_T,magnitude_db", table, u.tolist())
+    _write_table(path, "delay_samples,delay_over_T,magnitude_db", table, u)
 
 
 def write_af_csv(path, af: AmbiguitySurface, T: float) -> None:
     """First column Doppler (times T); remaining columns |chi|^2 in dB per delay."""
-    header = "doppler_times_T," + ",".join(map("{:.12e}".format, (af.delays / T).tolist()))
     table = np.column_stack([af.dopplers * T, encode_db(db(af.values**2))])
-    _write_table(path, header, table)
+    _write_table(path, "doppler_times_T", table, header_values=af.delays / T)
 
 
 def write_trace_csv(path, trace: OptimizationTrace) -> None:

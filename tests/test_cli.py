@@ -152,6 +152,24 @@ class TestSynthCommand:
         data = np.array([[float(x) for x in line.split(",")] for line in rows])
         assert data[np.argmax(data[:, 2]), 0] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("samples", [3, 7])
+    def test_pulse_shorter_than_spectrogram_window(self, tmp_path, samples):
+        # the spectrogram window was at least 8 samples, so M < 8 had no frame
+        out = tmp_path / "short"
+        code = main([
+            "synth", "--out", str(out), "--seed", "1",
+            "--set", "waveform.L=1", "--set", f"waveform.samples={samples}",
+        ])
+        assert code == 0
+        header = (out / "spectrogram.csv").read_text().splitlines()[0].split(",")
+        assert header[0] == "freq_times_T" and len(header) >= 2
+        summary = read_summary(out / "summary.txt")
+        if samples == 3:
+            # the first null is the last lag, as for a rectangular pulse: no sidelobe
+            assert summary["null_index"] == 2
+        else:
+            assert math.isfinite(summary["gisl_db"]) and math.isfinite(summary["pslr_db"])
+
     def test_export_toggles(self, tmp_path):
         out = tmp_path / "min"
         code = main([
@@ -290,6 +308,26 @@ class TestSweepCommand:
         aggregate = read_summary(out / "aggregate.txt")
         assert aggregate["succeeded"] == 50
         assert aggregate["median_gisl_final_db"] <= -20.0
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_evaluation_counts_sum_over_seeds(self, tmp_path, capsys, threads):
+        args = ["--set", "optimizer.max_iters=10"]
+        pattern = r"(\d+) (forward passes|gradient passes|cache hits)"
+        expected = {"forward passes": 0, "gradient passes": 0, "cache hits": 0}
+        for seed in (3, 4):
+            assert main(["optimize", "--out", str(tmp_path / f"o{seed}"), "--seed", str(seed)] + args) == 0
+            for n, name in re.findall(pattern, capsys.readouterr().out):
+                expected[name] += int(n)
+        code = main([
+            "sweep", "--out", str(tmp_path / "s"), "--seed", "3", "--threads", threads,
+            "--set", "run.seed_count=2",
+        ] + args)
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "sweep: 2 of 2 seeds ok" in stdout
+        assert {name: int(n) for n, name in re.findall(pattern, stdout)} == expected
+        assert expected["gradient passes"] > 0
+        assert "passes" not in (tmp_path / "s" / "seeds.csv").read_text()
 
     def test_partial_failure_rows_and_all_fail_exit(self, tmp_path):
         # empty sidelobe support fails every seed: rows recorded, exit code 3

@@ -21,6 +21,7 @@ from ceofdm import (
     sample_frequency,
     synthesize,
 )
+from ceofdm import exports
 from ceofdm.exports import (
     encode_db,
     write_acf_csv,
@@ -177,3 +178,48 @@ def test_batched_af_matches_per_row_loop(cfg):
     s = synthesize(random_psk(cfg.L, 32, seed=2), cfg)
     nu = np.linspace(-cfg.L / cfg.T, cfg.L / cfg.T, 97)
     assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, s.t, nu))
+
+
+def encoder_values() -> np.ndarray:
+    """Edge cases of the %.12e block encoder, more of them than one block holds."""
+    rng = np.random.default_rng(8)
+    bits = rng.integers(0, 2**63, 40000, dtype=np.uint64, endpoint=True)
+    random = bits.view(np.float64)
+    subnormal = rng.integers(1, 2**52, 500, dtype=np.uint64).view(np.float64)
+    powers = np.array([float(f"1e{e}") for e in range(-30, 31)])
+    neighbours = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    # mantissas within rounding of a decimal tie, at every exponent of the fast path
+    n = rng.integers(10**12, 10**13, 4000) + 0.5
+    k = rng.integers(-22, 23, 4000)
+    near_ties = np.where(k >= 0, n / 10.0 ** np.abs(k), n * 10.0 ** np.abs(k))
+    ties = np.concatenate([[1234567890123.5, 2.5, 0.5, 9.9999999999995], 0.5 * 10.0 ** np.arange(-30, 31)])
+    special = [0.0, -0.0, -999.0, -200.0, np.inf, -np.inf, np.nan, -np.nan]
+    huge = [1e100, -3.7e150, 1.5e-200, 1.7976931348623157e308, -2.2250738585072014e-308]
+    values = np.concatenate([random, subnormal, neighbours, near_ties, ties, special, huge])
+    return np.concatenate([values, -values])
+
+
+def expected_table(header, header_values, table, index) -> bytes:
+    head = ",".join([header, *map(fmt_e, header_values)])
+    return csv_bytes(head, [[str(i), *map(fmt_e, row)] for i, row in zip(index, table)])
+
+
+def test_block_encoder_matches_per_value_format(tmp_path, monkeypatch):
+    values = encoder_values()
+    assert values.size > exports._BLOCK_VALUES
+    table = values[: values.size // 7 * 7].reshape(-1, 7)
+    index = np.arange(len(table)) - len(table) // 2  # negative, zero and positive
+    header_values = values[-50:]
+    path = tmp_path / "t.csv"
+    exports._write_table(path, "i,a,b,c,d,e,f,g", table, index, header_values=header_values)
+    expected = expected_table("i,a,b,c,d,e,f,g", header_values, table, index)
+    assert path.read_bytes() == expected
+
+    wide = np.array([-(10**18), -(10**15), -10, -1, 0, 7, 10**18])
+    exports._write_table(path, "i,x", values[:7, None], wide)
+    assert path.read_bytes() == expected_table("i,x", [], values[:7, None], wide)
+
+    # the inputs have power: without the near-tie fallback the bytes differ
+    monkeypatch.setattr(exports, "_TIE_BAND", -1.0)
+    exports._write_table(path, "i,a,b,c,d,e,f,g", table, index, header_values=header_values)
+    assert path.read_bytes() != expected
