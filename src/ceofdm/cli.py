@@ -9,6 +9,7 @@ codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -254,7 +255,9 @@ def cmd_sweep(config: ExperimentConfig) -> None:
     write_summary(out / "aggregate.txt", entries)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args copies the --set default."""
     parser = argparse.ArgumentParser(
         prog="ceofdm",
         description="Constant-envelope OFDM waveform synthesis and GISL sidelobe shaping.",

@@ -5,19 +5,18 @@ The cost J_p is a smooth function of the phase symbols through the chain
     phi -> phase samples -> s -> F = fft(s) -> r = ifft(|F|^2) -> J_p
 
 and every linear stage is a DFT: M points from the symbols to the phase
-samples, N >= 2M-1 points after that (the FFT length and lag layout of
-``metrics``).
+samples, N >= M+K points after that, with K the largest lag of the weight
+supports (the FFT length and lag layout of ``metrics``).
 
 Forward pass. The phase samples are the harmonic synthesis of ``waveform``,
 one M-point irfft. J_p does not change when the pulse is scaled, so the
 samples are s = exp(j theta) without the 1/sqrt(M), and the ACF is never
 divided by N. |F|^2 is real, so r is conjugate symmetric and its half spectrum
 rfft(|F|^2) = N M conj(r[0..N/2]) holds all of it: bin k stands for the
-lags +k and -k (it counts once at lag 0 and at the Nyquist bin N/2 of an
-even N). The p-sums of ``metrics._gisl_ratio`` run over the bins of the
-weight supports only, each weight times that fold count, and each sum is
-divided by its support's peak before powering, so no p-sum underflows or
-overflows at any even p.
+lags +k and -k (it counts once at lag 0). The p-sums of
+``metrics._gisl_ratio`` run over the bins of the weight supports only, each
+weight times that fold count, and each sum is divided by its support's peak
+before powering, so no p-sum underflows or overflows at any even p.
 
 Gradient. Three more FFTs:
 
@@ -25,8 +24,11 @@ Gradient. Three more FFTs:
     P    = fft(v),  v = |r|^(p-2) * r * (w_sl / (w_sl'|r|^p) - w_ml / (w_ml'|r|^p))
 
 v is nonzero on the supports only and is built there in peak-normalised
-form. Weights symmetric about zero delay, checked once at construction, make
-v conjugate symmetric, so P = hfft(v[0..N/2], N) is real by construction.
+form. It is zero beyond lag K, so the linear convolution behind
+ifft(F * P) lives on -K..M-1+K, and the circular sample m adds the linear
+samples m-N and m+N, both outside that range for m = 0..M-1 once N >= M+K.
+Weights symmetric about zero delay, checked once at construction, make v
+conjugate symmetric, so P = hfft(v[0..N/2], N) is real by construction.
 With the unnormalised forward pass, v comes out divided by N M and conj(s),
 F multiplied by sqrt(M) each, so the gradient's scale carries one factor N.
 Dbar, the phase-sample Jacobian divided by 2*pi*h, is never materialized.
@@ -67,7 +69,6 @@ class GradientWorkspace:
 
     def __init__(self, cfg: WaveformConfig, weights: GislWeights, p) -> None:
         self.p = _validated_p(p)
-        self._n = _fft_length(cfg.M)
         if len(weights.w_sl) != 2 * cfg.M - 1:
             raise ValueError(
                 f"weights length {len(weights.w_sl)} does not match the {2 * cfg.M - 1} lags of M={cfg.M}"
@@ -81,8 +82,8 @@ class GradientWorkspace:
         self.cfg = cfg
         self.weights = weights
         # lag k >= 0 sits at bin k of the half spectrum and also stands for lag -k
-        k = np.arange(cfg.M)
-        fold = np.where((k == 0) | (2 * k == self._n), 1.0, 2.0)
+        fold = np.full(cfg.M, 2.0)
+        fold[0] = 1.0
 
         def support(w):
             """The support's bins, their weights, and the weights times the fold count."""
@@ -91,6 +92,9 @@ class GradientWorkspace:
 
         self._sl = support(weights.w_sl[cfg.M - 1 :])
         self._ml = support(weights.w_ml[cfg.M - 1 :])
+        # lags beyond the supports are never read, so N >= M + K is exact and
+        # N > 2K keeps every support bin below the Nyquist bin N/2
+        self._n = _fft_length(cfg.M, int(max(self._sl[0][-1], self._ml[0][-1])))
         self._cache: dict | None = None
         self.counts = {"forward_passes": 0, "gradient_passes": 0, "cache_hits": 0}
 

@@ -6,7 +6,10 @@ binary mainlobe/sidelobe selector vectors that partition the delay axis.
 
 This module owns the correlation layout. Every correlation, here and in the
 gradient, is an N-point circular FFT correlation with N the smallest
-2^a 3^b 5^c >= 2M-1; any N >= 2M-1 keeps it equal to the linear lag sum, and
+2^a 3^b 5^c >= M+K, where K is the largest lag read: K = M-1 here, so
+N >= 2M-1, and the largest weighted lag in the gradient. The circular sum at
+lag k adds the linear lags k-N and k+N, which lie outside -(M-1)..M-1 for
+every |k| <= K once N >= M+K, so it equals the linear lag sum on those lags.
 5-smooth lengths avoid the slow FFT route that prime lengths such as 1999
 take. Lag k sits at circular position k mod N.
 """
@@ -89,9 +92,15 @@ class AmbiguitySurface:
 
 
 @lru_cache(maxsize=None)
-def _fft_length(m: int) -> int:
-    """Smallest 2^a 3^b 5^c >= 2m-1, the FFT length for correlating m samples."""
-    target = 2 * m - 1
+def _fft_length(m: int, max_lag: int | None = None) -> int:
+    """Smallest 2^a 3^b 5^c >= m + max_lag, the FFT length for correlating m samples.
+
+    An N-point circular correlation of m samples aliases lag k onto k - N,
+    and k - N stays below -(m-1) for every k <= max_lag once
+    N >= m + max_lag, so lags |k| <= max_lag are exact. The default
+    max_lag = m-1 gives N >= 2m-1 and every lag.
+    """
+    target = m + (m - 1 if max_lag is None else max_lag)
     k = np.arange(int(target).bit_length() + 1)
     lengths = np.multiply.outer(np.multiply.outer(2.0**k, 3.0**k), 5.0**k)
     return int(lengths[lengths >= target].min())

@@ -242,6 +242,16 @@ class TestOptimizeCommand:
         trace = (out / "trace.csv").read_text().strip().splitlines()
         assert len(trace) == 1  # header only
 
+    def test_set_does_not_carry_into_next_call(self, tmp_path):
+        # the parser is built once per process; each call starts from the defaults
+        first = ["--set", "optimizer.max_iters=0", "--set", "optimizer.p=6"]
+        assert main(["optimize", "--seed", "1", "--out", str(tmp_path / "a"), *first]) == 0
+        assert main(["optimize", "--seed", "1", "--out", str(tmp_path / "b")]) == 0
+        manifests = [(tmp_path / d / "manifest.ini").read_text().splitlines() for d in "ab"]
+        assert "p = 6" in manifests[0]
+        assert "p = 20" in manifests[1]
+        assert "max_iters = 0" not in manifests[1]
+
 
 class TestQuantizeCommand:
     def test_infinite_alphabet_zero_delta(self, tmp_path):

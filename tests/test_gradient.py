@@ -16,12 +16,14 @@ from ceofdm import (
     WaveformConfig,
     build_weights,
     compute_acf,
+    compute_gisl,
     compute_isl,
     detect_mainlobe_null,
     random_psk,
     sample_phase,
     synthesize,
 )
+from ceofdm.metrics import _fft_length
 from oracles import (
     build_dbar,
     central_difference_gradient,
@@ -116,6 +118,27 @@ class TestGradientAccuracy:
                 _, grad = GradientWorkspace(cfg, weights, 6).cost_and_gradient(phi)
                 dense = dense_dft_gisl_gradient(phi, cfg, weights, 6)
                 assert np.max(np.abs(grad - dense)) < 1e-9 * np.abs(dense).max()
+
+    # 64 + 16 = 80 and 1000 + 125 = 1125 are 5-smooth, so N = M + K sits on
+    # the aliasing edge; at K = 17 and 126, M + K - 1 is 5-smooth instead
+    @pytest.mark.parametrize("L,samples,max_lag", [
+        (4, 64, 16), (4, 64, 17), (4, 64, 10), (8, 1000, 125), (8, 1000, 126),
+    ])
+    def test_short_kernel_matches_acf_and_dense_dft_oracle(self, L, samples, max_lag):
+        # a sub-region support ends at lag K, and the kernel correlates at the
+        # smallest 5-smooth N >= M + K instead of N >= 2M - 1
+        cfg, phi, _, _ = make_problem(L, samples, 6, seed=3)
+        r = compute_acf(synthesize(phi, cfg))
+        null = detect_mainlobe_null(r)
+        w = build_weights(null, [(null / cfg.M, max_lag / cfg.M)], cfg.M)
+        assert np.flatnonzero(w.w_sl).max() == cfg.M - 1 + max_lag
+        ws = GradientWorkspace(cfg, w, 6)
+        assert ws._n == _fft_length(cfg.M, max_lag) < _fft_length(cfg.M)
+        expected = compute_gisl(r, w, 6)
+        assert abs(ws.cost(phi) - expected) <= 1e-12 * expected
+        _, grad = ws.cost_and_gradient(phi)
+        dense = dense_dft_gisl_gradient(phi, cfg, w, 6)
+        assert np.max(np.abs(grad - dense)) < 1e-9 * np.abs(dense).max()
 
     @pytest.mark.parametrize("p", [200, 1000])
     def test_large_p_matches_finite_differences(self, p):

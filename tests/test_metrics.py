@@ -62,6 +62,20 @@ class TestFftLength:
     def test_spot_values(self, m, n):
         assert _fft_length(m) == n
 
+    def test_smallest_5_smooth_at_or_above_m_plus_max_lag(self):
+        smooth = [n for n in range(1, 4100) if is_5_smooth(n)]
+        for m in (*range(2, 130), 999, 1000, 1001, 2000):
+            for max_lag in {0, 1, m // 10, m // 2, m - 2, m - 1}:
+                n = _fft_length(m, max_lag)
+                assert n == min(k for k in smooth if k >= m + max_lag), (m, max_lag)
+            assert _fft_length(m, m - 1) == _fft_length(m)
+
+    @pytest.mark.parametrize(
+        "m,max_lag,n", [(1000, 100, 1125), (1000, 125, 1125), (1000, 126, 1152), (64, 16, 80)]
+    )
+    def test_spot_values_with_max_lag(self, m, max_lag, n):
+        assert _fft_length(m, max_lag) == n
+
 
 class TestComputeAcf:
     def test_zero_delay_is_unity(self, reference_cfg):
