@@ -71,13 +71,16 @@ def cmd_synth(config: ExperimentConfig) -> None:
     """Write the waveform, its spectrum/spectrogram, and its ACF/AF surfaces."""
     out = Path(config.run.out)
     cfg, phi0, s0, r0, null, weights = _prepare(config)
-    summary = {
-        "null_index": null,
-        "gisl_db": db(compute_gisl(r0, weights, config.optimizer.p)),
-        "pslr_db": compute_pslr(r0, null, weights=weights),
-        "M": cfg.M,
-        "fs": cfg.fs,
-    }
+    summary = {"null_index": null}
+    if weights.w_sl.any():
+        summary["gisl_db"] = db(compute_gisl(r0, weights, config.optimizer.p))
+        summary["pslr_db"] = compute_pslr(r0, null, weights=weights)
+    else:
+        print(
+            f"synth: no lag lies in the sidelobe region (first null at lag {null}, last lag "
+            f"{cfg.M - 1}), so gisl_db and pslr_db are undefined and left out of summary.txt"
+        )
+    summary.update(M=cfg.M, fs=cfg.fs)
     config.write_manifest(out / "manifest.ini")
     write_phi_csv(out / "phi.csv", phi0)
     write_waveform_csv(out / "waveform.csv", s0)
@@ -135,7 +138,7 @@ def _optimize_core(config: ExperimentConfig) -> RunResult:
     )
 
 
-_COUNT_NAMES = ("forward_passes", "gradient_passes", "cache_hits")
+_COUNT_NAMES = ("forward_passes", "gradient_passes", "cache_hits", "backtracks", "momentum_resets")
 
 
 def _counts_text(counts: dict) -> str:

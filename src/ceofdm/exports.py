@@ -165,15 +165,27 @@ def _encode_block(table: np.ndarray, index=None) -> np.ndarray:
     return slots[slots != 0]
 
 
-def _write_table(path, header: str, table: np.ndarray, index=None, header_values=None) -> None:
-    """Write ``header`` and the rows of a 2-D float table as %.12e fields.
+def _row_slices(rows: int, cols: int):
+    """Consecutive row ranges of a rows x cols table, about _BLOCK_VALUES values each."""
+    step = max(1, _BLOCK_VALUES // cols)
+    return (slice(start, start + step) for start in range(0, rows, step))
 
-    The table is encoded and written a block of rows at a time, so it is never
-    held whole as text. With ``index``, each row starts with its integer from
-    ``index``; with ``header_values``, the header row goes on with them as
-    %.12e fields.
+
+def _table_blocks(table: np.ndarray, index=None):
+    """A whole 2-D table as _write_table blocks, each row led by its ``index`` entry when given."""
+    for rows in _row_slices(*table.shape):
+        yield table[rows], None if index is None else np.asarray(index[rows], dtype=np.int64)
+
+
+def _write_table(path, header: str, blocks, header_values=None) -> None:
+    """Write ``header`` and then a table's rows as %.12e fields, a block at a time.
+
+    ``blocks`` yields (rows, index) pairs in file order: a 2-D float array of
+    rows, and None or the integer that leads each row. Each block is encoded
+    and written before the next is taken, so neither the table's text nor, for
+    a generated table, the table itself is held whole. With
+    ``header_values``, the header row goes on with them as %.12e fields.
     """
-    step = max(1, _BLOCK_VALUES // table.shape[1])
     with open(path, "wb") as out:
         out.write(header.encode("utf-8"))
         if header_values is None:
@@ -181,10 +193,8 @@ def _write_table(path, header: str, table: np.ndarray, index=None, header_values
         else:
             out.write(b",")
             out.write(_encode_block(np.asarray(header_values, dtype=float)[None, :]))
-        for start in range(0, len(table), step):
-            rows = slice(start, start + step)
-            block_index = None if index is None else np.asarray(index[rows], dtype=np.int64)
-            out.write(_encode_block(table[rows], block_index))
+        for rows, index in blocks:
+            out.write(_encode_block(rows, index))
 
 
 def write_phi_csv(path, phi) -> None:
@@ -205,13 +215,14 @@ def read_phi_csv(path) -> np.ndarray:
 def write_waveform_csv(path, s: SampledWaveform) -> None:
     t_norm = s.t * s.fs / len(s.samples)
     table = np.column_stack([t_norm, s.samples.real, s.samples.imag])
-    _write_table(path, "sample_index,t_over_T,real,imag", table, np.arange(len(table)))
+    blocks = _table_blocks(table, np.arange(len(table)))
+    _write_table(path, "sample_index,t_over_T,real,imag", blocks)
 
 
 def write_inst_freq_csv(path, phi, cfg: WaveformConfig) -> None:
     freq = sample_frequency(phi, cfg)
     table = np.column_stack([np.arange(cfg.M) / cfg.M, freq * cfg.T])
-    _write_table(path, "sample_index,t_over_T,freq_times_T", table, np.arange(cfg.M))
+    _write_table(path, "sample_index,t_over_T,freq_times_T", _table_blocks(table, np.arange(cfg.M)))
 
 
 def write_spectrum_csv(path, s: SampledWaveform, cfg: WaveformConfig, pad_factor: int = 4) -> None:
@@ -223,7 +234,7 @@ def write_spectrum_csv(path, s: SampledWaveform, cfg: WaveformConfig, pad_factor
     power_db = db(power / power.max())
     over_df = freqs / cfg.df if cfg.df > 0 else np.zeros(nfft)
     table = np.column_stack([freqs * cfg.T, over_df, encode_db(power_db)])
-    _write_table(path, "freq_times_T,freq_over_df,magnitude_db", table)
+    _write_table(path, "freq_times_T,freq_over_df,magnitude_db", _table_blocks(table))
 
 
 def _stft(samples: np.ndarray, nperseg: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +254,7 @@ def write_spectrogram_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None
     power = np.abs(frames) ** 2
     power_db = db(power / power.max())
     table = np.column_stack([freqs * cfg.T, encode_db(power_db)])
-    _write_table(path, "freq_times_T", table, header_values=centers / cfg.M)
+    _write_table(path, "freq_times_T", _table_blocks(table), header_values=centers / cfg.M)
 
 
 def write_acf_csv(path, r: CorrelationResult, T: float) -> None:
@@ -251,13 +262,21 @@ def write_acf_csv(path, r: CorrelationResult, T: float) -> None:
     mag = r.magnitude()
     u = np.arange(len(mag)) - r.zero_index
     table = np.column_stack([u / (r.fs * T), encode_db(db(mag * mag))])
-    _write_table(path, "delay_samples,delay_over_T,magnitude_db", table, u)
+    _write_table(path, "delay_samples,delay_over_T,magnitude_db", _table_blocks(table, u))
 
 
 def write_af_csv(path, af: AmbiguitySurface, T: float) -> None:
-    """First column Doppler (times T); remaining columns |chi|^2 in dB per delay."""
-    table = np.column_stack([af.dopplers * T, encode_db(db(af.values**2))])
-    _write_table(path, "doppler_times_T", table, header_values=af.delays / T)
+    """First column Doppler (times T); remaining columns |chi|^2 in dB per delay.
+
+    The dB table is built one encoder block of rows at a time, so no copy of
+    the whole surface is made.
+    """
+    doppler, values = af.dopplers * T, af.values
+    blocks = (
+        (np.column_stack([doppler[rows], encode_db(db(values[rows] ** 2))]), None)
+        for rows in _row_slices(len(values), values.shape[1] + 1)
+    )
+    _write_table(path, "doppler_times_T", blocks, header_values=af.delays / T)
 
 
 def write_trace_csv(path, trace: OptimizationTrace) -> None:

@@ -119,8 +119,8 @@ def _crosscorr(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     m = u.shape[-1]
     n = _fft_length(m)
-    # in place where numpy >= 1.24 allows (fft's out= needs numpy 2): a Doppler
-    # batch holds several (rows, n) arrays
+    # in place where numpy >= 1.24 allows (fft's out= needs numpy 2): one
+    # (rows, n) array fewer in flight
     spec = np.fft.fft(u, n)
     other = np.fft.fft(v, n)
     spec *= np.conj(other, out=other)
@@ -138,21 +138,32 @@ def compute_acf(s: SampledWaveform) -> CorrelationResult:
     return CorrelationResult(r=_crosscorr(s.samples, s.samples), fs=s.fs)
 
 
+# complex FFT points per Doppler block of compute_af: a block's few (rows, N)
+# arrays stay near the size of a core's cache, and a long pulse gets one row
+_AF_BLOCK_POINTS = 1 << 15
+
+
 def compute_af(s: SampledWaveform, doppler_grid) -> AmbiguitySurface:
     """Ambiguity surface over a grid of Doppler shifts (Hz), one row per shift.
 
     Each Doppler shift is split symmetrically between the two copies of the
     waveform before correlating, so the zero-Doppler row reproduces
     compute_acf exactly and the zero-delay cut is the Dirichlet-kernel sum
-    |sum_m |s[m]|^2 e^{j 2 pi nu t_m}|. All rows are correlated in one batch.
+    |sum_m |s[m]|^2 e^{j 2 pi nu t_m}|. The rows are correlated in blocks of
+    max(1, _AF_BLOCK_POINTS // N) rows, one batch of N-point FFTs per block,
+    and each block's |chi| goes straight into the surface; a row's values do
+    not depend on the block it is in.
     """
     nu = np.asarray(doppler_grid, dtype=float).ravel()
     m = s.samples.size
-    shift = np.exp((1j * np.pi * nu)[:, None] * s.t)
-    u = s.samples * shift
-    v = s.samples * np.conj(shift, out=shift)
-    del shift  # frees one (rows, M) array before the FFT batch
-    values = np.abs(_crosscorr(u, v))
+    step = max(1, _AF_BLOCK_POINTS // _fft_length(m))
+    values = np.empty((nu.size, 2 * m - 1))
+    for start in range(0, nu.size, step):
+        rows = slice(start, start + step)
+        shift = np.exp((1j * np.pi * nu[rows])[:, None] * s.t)
+        u = s.samples * shift
+        v = s.samples * np.conj(shift, out=shift)
+        np.abs(_crosscorr(u, v), out=values[rows])
     delays = np.arange(1 - m, m) / s.fs
     return AmbiguitySurface(values=values, delays=delays, dopplers=nu)
 

@@ -88,7 +88,11 @@ class TraceRow:
 
 @dataclass
 class OptimizationTrace:
-    """Accepted iterations, why the loop stopped, and the workspace's evaluation counts."""
+    """Accepted iterations, why the loop stopped, and the run's counts.
+
+    ``counts`` holds the workspace's evaluation counts and, over every line
+    search including a stalled one, the step backtracks and momentum resets.
+    """
 
     rows: list[TraceRow] = field(default_factory=list)
     status: str = "iteration_cap"
@@ -185,33 +189,37 @@ def run_gd_gisl(
     ws = GradientWorkspace(cfg, w, opt.p)
     phi = as_phase_vector(phi0, cfg.L).copy()
     j, grad = ws.cost_and_gradient(phi)
-    trace = OptimizationTrace(
-        initial_j=j, initial_grad_norm=float(np.linalg.norm(grad))
-    )
+    grad_norm = float(np.linalg.norm(grad))
+    trace = OptimizationTrace(initial_j=j, initial_grad_norm=grad_norm)
     q = np.zeros(cfg.L)
     mu = opt.mu0
+    backtracks = resets = 0
     for i in range(1, opt.max_iters + 1):
-        if float(np.linalg.norm(grad)) <= opt.g_min:
+        if grad_norm <= opt.g_min:
             trace.status = "gradient_threshold"
             break
         q, reset = _direction(grad, q, opt.beta)
+        resets += reset
         try:
             res = armijo_backtrack(phi, q, grad, mu, opt, ws.cost, j0=j)
         except LineSearchStall:
+            backtracks += opt.max_backtracks
             trace.status = "line_search_stall"
             break
+        backtracks += res.backtracks
         phi, j, mu = res.phi_next, res.j_next, res.mu_next
         _, grad = ws.cost_and_gradient(phi)
+        grad_norm = float(np.linalg.norm(grad))
         trace.rows.append(
             TraceRow(
                 iteration=i,
                 j=j,
                 j_db=db(j),
-                grad_norm=float(np.linalg.norm(grad)),
+                grad_norm=grad_norm,
                 mu=res.mu,
                 backtracks=res.backtracks,
                 reset=reset,
             )
         )
-    trace.counts = ws.counts
+    trace.counts = {**ws.counts, "backtracks": backtracks, "momentum_resets": resets}
     return phi, trace

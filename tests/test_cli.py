@@ -9,6 +9,10 @@ from ceofdm.cli import main
 from ceofdm.expconfig import ConfigError, ExperimentConfig
 
 
+# the counts that optimize and sweep print on stdout
+COUNTS_PATTERN = r"(\d+) (forward passes|gradient passes|cache hits|backtracks|momentum resets)"
+
+
 def read_summary(path):
     out = {}
     for line in Path(path).read_text().strip().splitlines():
@@ -170,6 +174,24 @@ class TestSynthCommand:
         else:
             assert math.isfinite(summary["gisl_db"]) and math.isfinite(summary["pslr_db"])
 
+    @pytest.mark.parametrize("settings", [
+        ["waveform.L=1", "waveform.h=0", "waveform.samples=128"],  # rectangular pulse
+        ["waveform.L=1", "waveform.samples=3"],
+        ["region.mode=interval", "region.lo=0.5004", "region.hi=0.5008"],  # between two lags
+    ])
+    def test_empty_sidelobe_region_leaves_metrics_out(self, tmp_path, capsys, settings):
+        # the first null is the last lag, or the interval holds no lag: GISL
+        # and PSLR have no sidelobe to measure and are left out, not -inf
+        out = tmp_path / "empty"
+        overrides = [arg for setting in settings for arg in ("--set", setting)]
+        assert main(["synth", "--out", str(out), "--seed", "1", *overrides]) == 0
+        text = (out / "summary.txt").read_text()
+        assert not re.search(r"(inf|nan)$", text, re.M), text
+        summary = read_summary(out / "summary.txt")
+        assert "gisl_db" not in summary and "pslr_db" not in summary
+        assert all(math.isfinite(summary[key]) for key in ("null_index", "M", "fs"))
+        assert "gisl_db and pslr_db are undefined" in capsys.readouterr().out
+
     def test_export_toggles(self, tmp_path):
         out = tmp_path / "min"
         code = main([
@@ -209,6 +231,7 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("settings", [
         ["optimizer.max_iters=30"],
         ["optimizer.max_iters=30", "optimizer.max_backtracks=1"],  # stalls
+        ["optimizer.max_iters=30", "optimizer.beta=1"],  # resets the momentum
     ])
     def test_evaluation_counts_match_trace(self, tmp_path, capsys, settings):
         out = tmp_path / "opt"
@@ -216,18 +239,23 @@ class TestOptimizeCommand:
         code = main(["optimize", "--out", str(out), "--seed", "1", *overrides])
         assert code == 0
         stdout = capsys.readouterr().out
-        counts = {
-            name: int(n)
-            for n, name in re.findall(r"(\d+) (forward passes|gradient passes|cache hits)", stdout)
-        }
-        assert len(counts) == 3
+        counts = {name: int(n) for n, name in re.findall(COUNTS_PATTERN, stdout)}
+        assert len(counts) == 5
         rows = (out / "trace.csv").read_text().strip().splitlines()[1:]
         backtracks = [int(row.split(",")[4]) for row in rows]
+        resets = sum(int(row.split(",")[5]) for row in rows)
         cost_calls = sum(b + 1 for b in backtracks)
-        if read_summary(out / "summary.txt")["status"] == "line_search_stall":
+        stalled = read_summary(out / "summary.txt")["status"] == "line_search_stall"
+        if stalled:
             cost_calls += 2  # max_backtracks + 1 trials before the stall
         assert counts["gradient passes"] == len(rows) + 1
         assert counts["forward passes"] + counts["cache hits"] == cost_calls + len(rows) + 1
+        # the stalled search backtracks max_backtracks = 1 times, and may have reset
+        assert counts["backtracks"] == sum(backtracks) + stalled
+        assert resets <= counts["momentum resets"] <= resets + stalled
+        assert counts["backtracks"] > 0
+        if "optimizer.beta=1" in settings:
+            assert resets > 0
         assert "passes" not in (out / "summary.txt").read_text()
 
     def test_zero_iterations(self, tmp_path):
@@ -322,11 +350,12 @@ class TestSweepCommand:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_evaluation_counts_sum_over_seeds(self, tmp_path, capsys, threads):
         args = ["--set", "optimizer.max_iters=10"]
-        pattern = r"(\d+) (forward passes|gradient passes|cache hits)"
-        expected = {"forward passes": 0, "gradient passes": 0, "cache hits": 0}
+        expected = dict.fromkeys(
+            ["forward passes", "gradient passes", "cache hits", "backtracks", "momentum resets"], 0
+        )
         for seed in (3, 4):
             assert main(["optimize", "--out", str(tmp_path / f"o{seed}"), "--seed", str(seed)] + args) == 0
-            for n, name in re.findall(pattern, capsys.readouterr().out):
+            for n, name in re.findall(COUNTS_PATTERN, capsys.readouterr().out):
                 expected[name] += int(n)
         code = main([
             "sweep", "--out", str(tmp_path / "s"), "--seed", "3", "--threads", threads,
@@ -335,7 +364,7 @@ class TestSweepCommand:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "sweep: 2 of 2 seeds ok" in stdout
-        assert {name: int(n) for n, name in re.findall(pattern, stdout)} == expected
+        assert {name: int(n) for n, name in re.findall(COUNTS_PATTERN, stdout)} == expected
         assert expected["gradient passes"] > 0
         assert "passes" not in (tmp_path / "s" / "seeds.csv").read_text()
 

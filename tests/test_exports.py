@@ -7,6 +7,8 @@ dB encoding, the number format, the column order or the line endings shows
 up as a byte difference.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from ceofdm import (
     sample_frequency,
     synthesize,
 )
-from ceofdm import exports
+from ceofdm import exports, metrics
 from ceofdm.exports import (
     encode_db,
     write_acf_csv,
@@ -180,6 +182,54 @@ def test_batched_af_matches_per_row_loop(cfg):
     assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, s.t, nu))
 
 
+@pytest.fixture(scope="module")
+def survey_af():
+    """The survey surface: 97 Doppler rows at tbp = 208 (M = 1040, N = 2160)."""
+    cfg = WaveformConfig(L=24, tbp=208.0)
+    s = synthesize(random_psk(cfg.L, 32, seed=4), cfg)
+    nu = np.linspace(-cfg.L / cfg.T, cfg.L / cfg.T, 97)
+    return cfg, s, nu
+
+
+def test_blocked_af_csv_matches_per_value_format(tmp_path, survey_af):
+    cfg, s, nu = survey_af
+    # several blocks of each kind, the last one partial: 15 rows per AF block,
+    # 3 rows (6240 values) per encoder block
+    af_rows = metrics._AF_BLOCK_POINTS // metrics._fft_length(cfg.M)
+    encoder_rows = exports._BLOCK_VALUES // (2 * cfg.M)
+    for rows in (af_rows, encoder_rows):
+        assert 1 < rows < len(nu) // 2 and len(nu) % rows
+    af = compute_af(s, nu)
+    write_af_csv(tmp_path / "af.csv", af, cfg.T)
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(af, cfg.T)
+
+
+def test_af_transient_memory_is_block_sized(tmp_path, survey_af):
+    cfg, s, nu = survey_af
+    compute_af(s, nu)  # caches the FFT plans and lag layouts out of the measurement
+    tracemalloc.start()
+    try:
+        af = compute_af(s, nu)
+        af_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        write_af_csv(tmp_path / "af.csv", af, cfg.T)
+        csv_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    surface = af.values.nbytes  # 1.5 MiB
+    # compute_af: the surface it returns, and the scratch of one Doppler block:
+    # its shifted copies, two spectra, the inverse FFT and the gathered lags,
+    # each at most _AF_BLOCK_POINTS complex values (0.5 MiB). Six of them leave
+    # headroom (3.7 MiB is measured); one FFT batch over all 97 rows needs
+    # several (97, 2160) complex arrays, 3.2 MiB each, and read 12.6 MiB.
+    assert af_peak < surface + 6 * metrics._AF_BLOCK_POINTS * 16
+    # write_af_csv: one encoder block in flight, about 80 bytes per value of
+    # _BLOCK_VALUES (0.5 MiB measured), so 1 MiB. It is under one surface-sized
+    # array: dB tables of the whole surface read 4.8 MiB.
+    assert csv_peak < exports._BLOCK_VALUES * 128 < surface
+
+
 def encoder_values() -> np.ndarray:
     """Edge cases of the %.12e block encoder, more of them than one block holds."""
     rng = np.random.default_rng(8)
@@ -211,15 +261,17 @@ def test_block_encoder_matches_per_value_format(tmp_path, monkeypatch):
     index = np.arange(len(table)) - len(table) // 2  # negative, zero and positive
     header_values = values[-50:]
     path = tmp_path / "t.csv"
-    exports._write_table(path, "i,a,b,c,d,e,f,g", table, index, header_values=header_values)
+    blocks = exports._table_blocks(table, index)
+    exports._write_table(path, "i,a,b,c,d,e,f,g", blocks, header_values=header_values)
     expected = expected_table("i,a,b,c,d,e,f,g", header_values, table, index)
     assert path.read_bytes() == expected
 
     wide = np.array([-(10**18), -(10**15), -10, -1, 0, 7, 10**18])
-    exports._write_table(path, "i,x", values[:7, None], wide)
+    exports._write_table(path, "i,x", exports._table_blocks(values[:7, None], wide))
     assert path.read_bytes() == expected_table("i,x", [], values[:7, None], wide)
 
     # the inputs have power: without the near-tie fallback the bytes differ
     monkeypatch.setattr(exports, "_TIE_BAND", -1.0)
-    exports._write_table(path, "i,a,b,c,d,e,f,g", table, index, header_values=header_values)
+    blocks = exports._table_blocks(table, index)
+    exports._write_table(path, "i,a,b,c,d,e,f,g", blocks, header_values=header_values)
     assert path.read_bytes() != expected
