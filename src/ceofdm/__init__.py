@@ -23,7 +23,6 @@ from .metrics import (
     compute_pslr,
     db,
     detect_mainlobe_null,
-    weights_are_symmetric,
 )
 from .gradient import GradientWorkspace
 from .optimizer import (
@@ -64,7 +63,6 @@ __all__ = [
     "compute_af",
     "detect_mainlobe_null",
     "build_weights",
-    "weights_are_symmetric",
     "compute_gisl",
     "compute_isl",
     "compute_pslr",

@@ -52,7 +52,7 @@ __all__ = ["main", "entry", "cmd_synth", "cmd_optimize", "cmd_quantize", "cmd_sw
 
 
 def _prepare(config: ExperimentConfig, phi0=None):
-    """Initial waveform (seeded PSK unless given), its ACF, the detected null, the weights."""
+    """Initial waveform (seeded PSK unless given), its ACF, and the weights at its first null."""
     cfg = config.to_waveform_config()
     if phi0 is None:
         phi0 = random_psk(cfg.L, config.waveform.mpsk, config.run.seed)
@@ -60,7 +60,7 @@ def _prepare(config: ExperimentConfig, phi0=None):
     r0 = compute_acf(s0)
     null = detect_mainlobe_null(r0)
     weights = build_weights(null, config.region_descriptor(null, cfg.M), cfg.M)
-    return cfg, phi0, s0, r0, null, weights
+    return cfg, phi0, s0, r0, weights
 
 
 def _default_doppler_grid(cfg) -> np.ndarray:
@@ -70,15 +70,16 @@ def _default_doppler_grid(cfg) -> np.ndarray:
 def cmd_synth(config: ExperimentConfig) -> None:
     """Write the waveform, its spectrum/spectrogram, and its ACF/AF surfaces."""
     out = Path(config.run.out)
-    cfg, phi0, s0, r0, null, weights = _prepare(config)
-    summary = {"null_index": null}
-    if weights.w_sl.any():
+    cfg, phi0, s0, r0, weights = _prepare(config)
+    summary = {"null_index": weights.null_index}
+    if weights.sl_lags.size:
         summary["gisl_db"] = db(compute_gisl(r0, weights, config.optimizer.p))
-        summary["pslr_db"] = compute_pslr(r0, null, weights=weights)
+        summary["pslr_db"] = compute_pslr(r0, weights)
     else:
         print(
-            f"synth: no lag lies in the sidelobe region (first null at lag {null}, last lag "
-            f"{cfg.M - 1}), so gisl_db and pslr_db are undefined and left out of summary.txt"
+            "synth: no lag lies in the sidelobe region (first null at lag "
+            f"{weights.null_index}, last lag {cfg.M - 1}), so gisl_db and pslr_db are "
+            "undefined and left out of summary.txt"
         )
     summary.update(M=cfg.M, fs=cfg.fs)
     config.write_manifest(out / "manifest.ini")
@@ -104,7 +105,6 @@ class RunResult:
     phi0: np.ndarray
     s0: SampledWaveform
     r0: CorrelationResult
-    null: int
     phi_final: np.ndarray
     s_final: SampledWaveform
     r_final: CorrelationResult
@@ -118,9 +118,9 @@ class RunResult:
             "gisl_initial_db": gisl_initial,
             "gisl_final_db": gisl_final,
             "gisl_improvement_db": gisl_initial - gisl_final,
-            "pslr_initial_db": compute_pslr(self.r0, self.null, weights=self.weights),
-            "pslr_final_db": compute_pslr(self.r_final, self.null, weights=self.weights),
-            "null_index_initial": self.null,
+            "pslr_initial_db": compute_pslr(self.r0, self.weights),
+            "pslr_final_db": compute_pslr(self.r_final, self.weights),
+            "null_index_initial": self.weights.null_index,
             "null_index_final": detect_mainlobe_null(self.r_final),
             "iterations": len(self.trace.rows),
             "status": self.trace.status,
@@ -129,11 +129,11 @@ class RunResult:
 
 
 def _optimize_core(config: ExperimentConfig) -> RunResult:
-    cfg, phi0, s0, r0, null, weights = _prepare(config)
+    cfg, phi0, s0, r0, weights = _prepare(config)
     phi_final, trace = run_gd_gisl(phi0, cfg, weights, config.optimizer)
     s_final = synthesize(phi_final, cfg)
     return RunResult(
-        cfg, weights, config.optimizer.p, phi0, s0, r0, null,
+        cfg, weights, config.optimizer.p, phi0, s0, r0,
         phi_final, s_final, compute_acf(s_final), trace,
     )
 
@@ -179,16 +179,16 @@ def cmd_quantize(config: ExperimentConfig, input_dir: str | None = None) -> None
     if input_dir is not None:
         base = ExperimentConfig.from_sources(Path(input_dir) / "manifest.ini")
         phi0 = read_phi_csv(Path(input_dir) / "phi_initial.csv")
-        cfg, _, _, _, _, weights = _prepare(base, phi0)
+        cfg, _, _, _, weights = _prepare(base, phi0)
         phi_final = read_phi_csv(Path(input_dir) / "phi_final.csv")
         p = base.optimizer.p
     else:
         res = _optimize_core(config)
         cfg, weights, phi_final, p = res.cfg, res.weights, res.phi_final, res.p
-    report = degradation_sweep(phi_final, cfg, weights, p, config.alphabets)
+    rows = degradation_sweep(phi_final, cfg, weights, p, config.alphabets)
     config.write_manifest(out / "manifest.ini")
-    write_quantization_csv(out / "report.csv", report)
-    for row in report.rows:
+    write_quantization_csv(out / "report.csv", rows)
+    for row in rows:
         label = "inf" if row.mpsk == math.inf else str(int(row.mpsk))
         write_acf_csv(out / f"acf_mpsk_{label}.csv", row.acf, cfg.T)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .metrics import AmbiguitySurface, CorrelationResult, db
 from .optimizer import OptimizationTrace
-from .quantize import QuantizationReport
+from .quantize import QuantizationRow
 from .waveform import SampledWaveform, WaveformConfig, sample_frequency
 
 __all__ = [
@@ -290,12 +290,12 @@ def write_trace_csv(path, trace: OptimizationTrace) -> None:
     _write_lines(path, lines)
 
 
-def write_quantization_csv(path, report: QuantizationReport) -> None:
+def write_quantization_csv(path, rows: tuple[QuantizationRow, ...]) -> None:
     lines = [
         "mpsk,max_perturbation_rad,gisl_before_db,gisl_after_db,"
         "gisl_degradation_db,pslr_before_db,pslr_after_db"
     ]
-    for row in report.rows:
+    for row in rows:
         mpsk = "inf" if row.mpsk == math.inf else str(int(row.mpsk))
         lines.append(
             f"{mpsk},{_fmt_full(row.max_perturbation)},"

@@ -15,20 +15,21 @@ divided by N. |F|^2 is real, so r is conjugate symmetric and its half spectrum
 rfft(|F|^2) = N M conj(r[0..N/2]) holds all of it: bin k stands for the
 lags +k and -k (it counts once at lag 0). The p-sums of
 ``metrics._gisl_ratio`` run over the bins of the weight supports only, each
-weight times that fold count, and each sum is divided by its support's peak
-before powering, so no p-sum underflows or overflows at any even p.
+bin counted with that fold count, and each sum is divided by its support's
+peak before powering, so no p-sum underflows or overflows at any even p.
 
 Gradient. Three more FFTs:
 
     grad = 8*pi*h * J_p * Dbar' * z,  z = Im{ conj(s) * ifft(F * P) }
-    P    = fft(v),  v = |r|^(p-2) * r * (w_sl / (w_sl'|r|^p) - w_ml / (w_ml'|r|^p))
+    P    = fft(v),  v = |r|^(p-2) * r * (1_sl / sum_sl |r|^p - 1_ml / sum_ml |r|^p)
 
 v is nonzero on the supports only and is built there in peak-normalised
 form. It is zero beyond lag K, so the linear convolution behind
 ifft(F * P) lives on -K..M-1+K, and the circular sample m adds the linear
 samples m-N and m+N, both outside that range for m = 0..M-1 once N >= M+K.
-Weights symmetric about zero delay, checked once at construction, make v
-conjugate symmetric, so P = hfft(v[0..N/2], N) is real by construction.
+The weights store each support as lags k >= 0 that select both -k and +k,
+so v is conjugate symmetric and P = hfft(v[0..N/2], N) is real by
+construction.
 With the unnormalised forward pass, v comes out divided by N M and conj(s),
 F multiplied by sqrt(M) each, so the gradient's scale carries one factor N.
 Dbar, the phase-sample Jacobian divided by 2*pi*h, is never materialized.
@@ -43,13 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import (
-    GislWeights,
-    weights_are_symmetric,
-    _fft_length,
-    _gisl_ratio,
-    _validated_p,
-)
+from .metrics import GislWeights, _check_lags, _fft_length, _gisl_ratio, _validated_p
 from .waveform import TWO_PI, WaveformConfig, _harmonic_sum, as_phase_vector
 
 __all__ = ["GradientWorkspace"]
@@ -69,32 +64,20 @@ class GradientWorkspace:
 
     def __init__(self, cfg: WaveformConfig, weights: GislWeights, p) -> None:
         self.p = _validated_p(p)
-        if len(weights.w_sl) != 2 * cfg.M - 1:
-            raise ValueError(
-                f"weights length {len(weights.w_sl)} does not match the {2 * cfg.M - 1} lags of M={cfg.M}"
-            )
-        if not weights_are_symmetric(weights):
-            raise ValueError("weights must be symmetric about zero delay")
-        if not weights.w_ml.any():
-            raise ValueError("mainlobe weight support is empty")
-        if not weights.w_sl.any():
+        _check_lags(weights, 2 * cfg.M - 1)
+        if weights.sl_lags.size == 0:
             raise ValueError("sidelobe weight support is empty; gradient undefined")
         self.cfg = cfg
         self.weights = weights
-        # lag k >= 0 sits at bin k of the half spectrum and also stands for lag -k
-        fold = np.full(cfg.M, 2.0)
-        fold[0] = 1.0
-
-        def support(w):
-            """The support's bins, their weights, and the weights times the fold count."""
-            idx = np.flatnonzero(w)
-            return idx, w[idx], fold[idx] * w[idx]
-
-        self._sl = support(weights.w_sl[cfg.M - 1 :])
-        self._ml = support(weights.w_ml[cfg.M - 1 :])
-        # lags beyond the supports are never read, so N >= M + K is exact and
-        # N > 2K keeps every support bin below the Nyquist bin N/2
-        self._n = _fft_length(cfg.M, int(max(self._sl[0][-1], self._ml[0][-1])))
+        # lag k >= 0 sits at bin k of the half spectrum and also stands for
+        # lag -k, so it counts twice, except lag 0
+        sl, ml = weights.sl_lags, weights.ml_lags
+        self._sl = sl, np.full(sl.size, 2.0)
+        self._ml = ml, np.where(ml == 0, 1.0, 2.0)
+        # lags beyond the sidelobe lags, the largest, are never read, so
+        # N >= M + K is exact and N > 2K keeps every support bin below the
+        # Nyquist bin N/2
+        self._n = _fft_length(cfg.M, int(sl[-1]))
         self._cache: dict | None = None
         self.counts = {"forward_passes": 0, "gradient_passes": 0, "cache_hits": 0}
 
@@ -109,7 +92,7 @@ class GradientWorkspace:
         big_f = np.fft.fft(s, self._n)
         # N M conj(r) on lags 0..N/2
         r_half = np.fft.rfft(big_f.real**2 + big_f.imag**2)
-        (sl_idx, _, sl_coef), (ml_idx, _, ml_coef) = self._sl, self._ml
+        (sl_idx, sl_coef), (ml_idx, ml_coef) = self._sl, self._ml
         r_sl, r_ml = r_half[sl_idx], r_half[ml_idx]
         cost, sl, ml = _gisl_ratio(np.abs(r_sl), sl_coef, np.abs(r_ml), ml_coef, self.p)
         self._cache = {
@@ -131,14 +114,14 @@ class GradientWorkspace:
         phi = as_phase_vector(phi, self.cfg.L)
         state = self._forward(phi)
         self.counts["gradient_passes"] += 1
-        (sl_idx, sl_w, _), (ml_idx, ml_w, _) = self._sl, self._ml
+        (sl_idx, _), (ml_idx, _) = self._sl, self._ml
         (a, sl_sum, sl_pow), (b, ml_sum, ml_pow) = state["psums"]
         r_sl, r_ml = state["r"]
-        # w |r|^(p-2) r / (w'|r|^p) on each support in peak-normalised form;
+        # |r|^(p-2) r / sum |r|^p on each support in peak-normalised form;
         # conj undoes the conj that rfft put on r
         v = np.zeros(self._n // 2 + 1, dtype=complex)
-        v[sl_idx] = (sl_w * sl_pow / (a * a * sl_sum)) * np.conj(r_sl)
-        v[ml_idx] = -(ml_w * ml_pow / (b * b * ml_sum)) * np.conj(r_ml)
+        v[sl_idx] = (sl_pow / (a * a * sl_sum)) * np.conj(r_sl)
+        v[ml_idx] = -(ml_pow / (b * b * ml_sum)) * np.conj(r_ml)
         p_spec = np.fft.hfft(v, self._n)
         g = np.fft.ifft(state["F"] * p_spec)[: self.cfg.M]
         z = (np.conj(state["s"]) * g).imag

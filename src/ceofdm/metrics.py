@@ -2,7 +2,7 @@
 
 All correlation vectors have length 2M-1 and are centered: index M-1 holds
 zero delay, index k holds delay (k - (M-1)) / fs. Sidelobe metrics operate on
-binary mainlobe/sidelobe selector vectors that partition the delay axis.
+binary mainlobe and sidelobe supports, each stored once as non-negative lags.
 
 This module owns the correlation layout. Every correlation, here and in the
 gradient, is an N-point circular FFT correlation with N the smallest
@@ -32,7 +32,6 @@ __all__ = [
     "compute_af",
     "detect_mainlobe_null",
     "build_weights",
-    "weights_are_symmetric",
     "compute_gisl",
     "compute_isl",
     "compute_pslr",
@@ -68,18 +67,22 @@ class CorrelationResult:
 
 @dataclass(frozen=True)
 class GislWeights:
-    """Binary sidelobe/mainlobe selectors on the centered delay grid.
+    """Binary sidelobe and mainlobe supports of a pulse of M samples.
 
-    ``w_ml`` is one exactly on |k| <= null_index (first-null samples belong to
-    the mainlobe); ``w_sl`` is one exactly on the requested sidelobe region.
-    The two supports are disjoint and each vector is symmetric about zero
-    delay.
+    Each support is stored once as non-negative lags, and lag k selects both
+    delays -k and +k, so both supports are symmetric about zero delay by
+    construction. The mainlobe is lags 0..null_index (first-null samples
+    belong to the mainlobe); ``sl_lags`` holds the ascending sidelobe lags,
+    all above null_index and below M.
     """
 
-    w_sl: np.ndarray
-    w_ml: np.ndarray
+    sl_lags: np.ndarray
     null_index: int
-    region: object
+    M: int
+
+    @property
+    def ml_lags(self) -> np.ndarray:
+        return np.arange(self.null_index + 1)
 
 
 @dataclass(frozen=True)
@@ -188,48 +191,43 @@ def detect_mainlobe_null(r: CorrelationResult) -> int:
 
 
 def build_weights(null_index: int, region, M: int) -> GislWeights:
-    """Binary mainlobe/sidelobe selectors on the centered delay grid.
+    """Sidelobe lags of a region, beyond the mainlobe that ends at null_index.
 
-    ``region`` is either the string ``"full"`` (all delays beyond the first
+    ``region`` is either the string ``"full"`` (every lag beyond the first
     null) or a sequence of (lo, hi) delay-magnitude intervals in fractions of
-    the pulse duration; sample k maps to |tau|/T = |k - (M-1)| / M. Intervals
-    may touch the mainlobe edge but must not reach inside it; boundary
-    samples at the null itself count as mainlobe.
+    the pulse duration; lag k maps to |tau|/T = k / M, and an interval takes
+    the lags within 1e-9 M samples of it. Intervals may touch the mainlobe
+    edge but must not reach inside it; the null itself counts as mainlobe.
     """
     if null_index < 1 or null_index > M - 1:
         raise ValueError(f"null_index must be in [1, {M - 1}], got {null_index}")
-    offsets = np.abs(np.arange(2 * M - 1) - (M - 1))
-    w_ml = (offsets <= null_index).astype(float)
+    lags = np.arange(null_index + 1, M)
     if isinstance(region, str):
         if region != "full":
             raise ValueError(f"unknown region descriptor {region!r}")
-        w_sl = (offsets > null_index).astype(float)
-        descriptor = "full"
-    else:
-        w_sl = np.zeros(2 * M - 1)
-        tol = 1e-9 * M
-        intervals = []
-        for lo, hi in region:
-            lo, hi = float(lo), float(hi)
-            if not (0.0 <= lo <= hi):
-                raise ValueError(f"invalid region interval ({lo}, {hi})")
-            lo_s, hi_s = lo * M, hi * M
-            if lo_s < null_index - tol:
-                raise ValueError(
-                    f"region interval ({lo}, {hi}) overlaps the mainlobe "
-                    f"(first null at {null_index} samples = {null_index / M:.6g} T)"
-                )
-            w_sl[(offsets >= lo_s - tol) & (offsets <= hi_s + tol)] = 1.0
-            intervals.append((lo, hi))
-        w_sl[offsets <= null_index] = 0.0
-        descriptor = tuple(intervals)
-    return GislWeights(w_sl=w_sl, w_ml=w_ml, null_index=int(null_index), region=descriptor)
+        return GislWeights(sl_lags=lags, null_index=int(null_index), M=int(M))
+    selected = np.zeros(lags.size, dtype=bool)
+    tol = 1e-9 * M
+    null_text = f"first null at {null_index} samples = {null_index / M:.6g} T"
+    for lo, hi in region:
+        lo, hi = float(lo), float(hi)
+        lo_s, hi_s = lo * M, hi * M
+        if 0.0 <= hi_s < null_index - tol:
+            raise ValueError(f"region interval ({lo}, {hi}) ends inside the mainlobe ({null_text})")
+        if not (0.0 <= lo <= hi):
+            raise ValueError(f"invalid region interval ({lo}, {hi})")
+        if lo_s < null_index - tol:
+            raise ValueError(f"region interval ({lo}, {hi}) overlaps the mainlobe ({null_text})")
+        selected |= (lags >= lo_s - tol) & (lags <= hi_s + tol)
+    return GislWeights(sl_lags=lags[selected], null_index=int(null_index), M=int(M))
 
 
-def weights_are_symmetric(w: GislWeights) -> bool:
-    return bool(
-        np.array_equal(w.w_sl, w.w_sl[::-1]) and np.array_equal(w.w_ml, w.w_ml[::-1])
-    )
+def _check_lags(w: GislWeights, lags: int) -> None:
+    """Raise unless the weights were built for a pulse with this many centered lags."""
+    if lags != 2 * w.M - 1:
+        raise ValueError(
+            f"weights built for M={w.M} ({2 * w.M - 1} lags) do not match a length of {lags} lags"
+        )
 
 
 def _validated_p(p) -> int:
@@ -255,17 +253,17 @@ def _psum(mags: np.ndarray, coef: np.ndarray, p: int):
 
 
 def _gisl_ratio(sl_mags, sl_coef, ml_mags, ml_coef, p: int):
-    """GISL from the |r| values and weights on its sidelobe and mainlobe supports.
+    """GISL from the |r| values and coefficients on its sidelobe and mainlobe supports.
 
     With a, b the supports' peaks and S, B their peak-normalised p-sums
     (``_psum``),
 
-        (sum_sl w |r|^p / sum_ml w |r|^p)^(2/p) = (a/b)^2 (S/B)^(2/p),
+        (sum_sl c |r|^p / sum_ml c |r|^p)^(2/p) = (a/b)^2 (S/B)^(2/p),
 
     and no power of an unnormalised |r| is ever formed, so the value stays
     finite at any even p and does not change when r is scaled. Works on any
-    lag layout: the centered ACF, or the gradient's half spectrum with each
-    weight multiplied by its fold count. Returns the ratio and the two
+    lag layout: the centered ACF with unit coefficients, or the gradient's
+    half spectrum with each lag's fold count as its coefficient. Returns the ratio and the two
     ``_psum`` triples; an empty or all-zero sidelobe support gives 0.
     """
     sl = _psum(sl_mags, sl_coef, p)
@@ -275,20 +273,31 @@ def _gisl_ratio(sl_mags, sl_coef, ml_mags, ml_coef, p: int):
     return (sl[0] / ml[0]) ** 2 * (sl[1] / ml[1]) ** (2.0 / p), sl, ml
 
 
-def compute_gisl(r: CorrelationResult, w: GislWeights, p) -> float:
-    """Generalized integrated sidelobe level (w_sl' |r|^p / w_ml' |r|^p)^(2/p).
+def _region_mags(r: CorrelationResult, w: GislWeights):
+    """|r| on the sidelobe and the mainlobe support, each in ascending delay order.
 
-    Linear (power-ratio) value; convert with ``db`` for decibels. At p=2 this
-    is the plain ISL energy ratio; as p grows it approaches the PSLR. Each
-    p-sum is normalised by its support's peak before powering, so the value
-    is finite at any even p.
+    Both -k and +k are read: the FFT-computed ACF is symmetric only to
+    rounding.
+    """
+    _check_lags(w, len(r.r))
+    mags = np.abs(r.r)
+    zero = r.zero_index
+    sl = mags[zero + np.concatenate((-w.sl_lags[::-1], w.sl_lags))]
+    return sl, mags[zero - w.null_index : zero + w.null_index + 1]
+
+
+def compute_gisl(r: CorrelationResult, w: GislWeights, p) -> float:
+    """Generalized integrated sidelobe level (sum_sl |r|^p / sum_ml |r|^p)^(2/p).
+
+    Each sum runs over both signs of the support's lags. Linear (power-ratio)
+    value; convert with ``db`` for decibels. At p=2 this is the plain ISL
+    energy ratio; as p grows it approaches the PSLR. Each p-sum is normalised
+    by its support's peak before powering, so the value is finite at any
+    even p.
     """
     p = _validated_p(p)
-    if not w.w_ml.any():
-        raise ValueError("mainlobe weight support is empty")
-    mags = np.abs(r.r)
-    sl, ml = w.w_sl != 0, w.w_ml != 0
-    return _gisl_ratio(mags[sl], w.w_sl[sl], mags[ml], w.w_ml[ml], p)[0]
+    sl, ml = _region_mags(r, w)
+    return _gisl_ratio(sl, np.ones(sl.size), ml, np.ones(ml.size), p)[0]
 
 
 def compute_isl(r: CorrelationResult, w: GislWeights) -> float:
@@ -296,22 +305,13 @@ def compute_isl(r: CorrelationResult, w: GislWeights) -> float:
     return compute_gisl(r, w, 2)
 
 
-def compute_pslr(r: CorrelationResult, null_index: int, weights: GislWeights | None = None) -> float:
+def compute_pslr(r: CorrelationResult, w: GislWeights) -> float:
     """Peak sidelobe level in dB relative to the unit mainlobe peak.
 
-    With ``weights`` given, the peak is taken over the sidelobe support (a
-    sub-region PSLR); otherwise over all delays beyond the first null.
-    Returns -inf when the searched region is empty or identically zero.
+    The peak is taken over the sidelobe lags of ``w``. Returns -inf when the
+    support is empty or identically zero.
     """
-    mag = np.abs(r.r)
-    if weights is not None:
-        sl = mag[weights.w_sl > 0]
-    else:
-        offsets = np.abs(np.arange(len(mag)) - r.zero_index)
-        sl = mag[offsets > null_index]
-    if sl.size == 0:
-        return float("-inf")
-    peak = float(sl.max())
+    peak = float(_region_mags(r, w)[0].max(initial=0.0))
     if peak == 0.0:
         return float("-inf")
     return db(peak * peak)

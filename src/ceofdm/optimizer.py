@@ -172,8 +172,8 @@ def run_gd_gisl(
     cfg : WaveformConfig
         Waveform and sampling parameters.
     w : GislWeights
-        Mainlobe/sidelobe selectors, built once from the initial waveform and
-        held fixed for the whole run.
+        Mainlobe and sidelobe supports, built once from the initial waveform
+        and held fixed for the whole run.
     opt : OptimizerConfig, optional
         Loop hyperparameters; defaults are used when omitted.
 

@@ -12,7 +12,6 @@ from .waveform import TWO_PI, WaveformConfig, synthesize
 
 __all__ = [
     "QuantizationRow",
-    "QuantizationReport",
     "quantize_psk",
     "wrap_to_pi",
     "degradation_sweep",
@@ -60,26 +59,23 @@ class QuantizationRow:
         return self.gisl_after_db - self.gisl_before_db
 
 
-@dataclass(frozen=True)
-class QuantizationReport:
-    rows: tuple[QuantizationRow, ...]
-
-
 def degradation_sweep(
     phi_opt,
     cfg: WaveformConfig,
     w: GislWeights,
     p,
     alphabet_sizes,
-) -> QuantizationReport:
+) -> tuple[QuantizationRow, ...]:
     """Requantize optimized phases over each alphabet and remeasure GISL/PSLR.
+
+    Returns one row per alphabet, in the order given.
 
     Metrics are evaluated over the same frozen weights as the optimization so
     the dB deltas are directly comparable across alphabet sizes.
     """
     base = compute_acf(synthesize(phi_opt, cfg))
     gisl0 = db(compute_gisl(base, w, p))
-    pslr0 = compute_pslr(base, w.null_index, weights=w)
+    pslr0 = compute_pslr(base, w)
     rows = []
     for mpsk in alphabet_sizes:
         phi_q = quantize_psk(phi_opt, mpsk)
@@ -92,8 +88,8 @@ def degradation_sweep(
                 gisl_before_db=gisl0,
                 gisl_after_db=db(compute_gisl(r_q, w, p)),
                 pslr_before_db=pslr0,
-                pslr_after_db=compute_pslr(r_q, w.null_index, weights=w),
+                pslr_after_db=compute_pslr(r_q, w),
                 acf=r_q,
             )
         )
-    return QuantizationReport(rows=tuple(rows))
+    return tuple(rows)

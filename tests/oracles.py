@@ -113,8 +113,10 @@ def dense_dft_gisl_gradient(phi, cfg, weights, p: int) -> np.ndarray:
     s_bar[:m] = np.exp(1j * theta) / math.sqrt(m)
     f_vec = dft @ s_bar
     r = np.conj(dft).T @ (np.abs(f_vec) ** 2) / n
-    w_sl = np.fft.ifftshift(weights.w_sl)
-    w_ml = np.fft.ifftshift(weights.w_ml)
+    # dense selectors on the circular lag layout: lag k and -k at k mod n
+    w_sl, w_ml = np.zeros(n), np.zeros(n)
+    w_sl[weights.sl_lags] = w_sl[-weights.sl_lags] = 1.0
+    w_ml[weights.ml_lags] = w_ml[-weights.ml_lags] = 1.0
     mags = np.abs(r)
     num = float(w_sl @ mags**p)
     den = float(w_ml @ mags**p)

@@ -179,8 +179,8 @@ def test_criterion_05_subregion_optimization(campaigns):
 
 def test_criterion_06_mainlobe_preservation(campaigns):
     # The mainlobe is measured by its interpolated width at levels above the
-    # close-in sidelobe pedestal. The first local minimum of |r| (the null that
-    # bounds w_ml) lies in that pedestal, which the optimizer is free to
+    # close-in sidelobe pedestal. The first local minimum of |r| (the null, the
+    # last mainlobe lag) lies in that pedestal, which the optimizer is free to
     # reshape: at p = 20 the samples near it add nothing measurable to the
     # mainlobe energy. Its move is therefore reported, not asserted.
     _, results = campaigns
@@ -240,7 +240,7 @@ def test_criterion_10_quantization_degradation(campaigns):
     degradations = {a: [] for a in alphabets}
     for r in results["sub"][:20]:
         rep = degradation_sweep(r["phi_final"], cfg, r["weights"], P_VALUE, alphabets)
-        for row in rep.rows:
+        for row in rep:
             degradations[int(row.mpsk)].append(row.gisl_degradation_db)
     means = {a: float(np.mean(degradations[a])) for a in alphabets}
     all_positive = all(m > 0 for m in means.values())

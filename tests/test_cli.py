@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from ceofdm.cli import main
 from ceofdm.expconfig import ConfigError, ExperimentConfig
+from ceofdm.exports import DB_NEG_INF
 
 
 # the counts that optimize and sweep print on stdout
@@ -454,6 +456,15 @@ class TestExitCodes:
         ])
         assert code == 3
 
+    def test_region_ending_inside_mainlobe_names_the_null(self, tmp_path, capsys):
+        # lo defaults to the detected first null, 9 samples = 0.009 T here
+        code = main([
+            "optimize", "--out", str(tmp_path / "x"), "--seed", "1",
+            "--set", "region.mode=interval", "--set", "region.hi=0.005",
+        ])
+        assert code == 3
+        assert "ends inside the mainlobe (first null at 9 samples" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["synth", "optimize", "sweep"])
     def test_large_p_exits_zero_with_finite_summary(self, tmp_path, command):
         # every |r|^400 of a sidelobe underflows a double; the peak-normalised
@@ -479,3 +490,53 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         code = main(["synth", "--config", str(tmp_path / "none.ini"), "--out", str(tmp_path / "x")])
         assert code == 4
+
+
+# the edges of the config space: M = 3, M = 2L + 1, the rectangular pulse
+# (h = 0), regions that end inside the mainlobe or hold a few lags, and large p
+EDGE_PULSES = [
+    ["waveform.L=1", "waveform.samples=3"],
+    ["waveform.L=4", "waveform.samples=9"],
+    ["waveform.L=1", "waveform.h=0", "waveform.samples=16"],
+    ["waveform.L=8", "waveform.samples=120"],
+]
+EDGE_REGIONS = [
+    [],
+    ["region.mode=interval", "region.hi=0.05"],
+    ["region.mode=interval", "region.lo=0.3", "region.hi=0.32"],
+    ["region.mode=interval", "region.lo=0.3", "region.hi=0.3"],  # rejected by the parser
+    ["region.mode=interval", "region.hi=0.5"],
+]
+EDGE_COMMANDS = [
+    ["synth"],
+    ["optimize", "--set", "optimizer.max_iters=3"],
+    ["quantize", "--set", "optimizer.max_iters=3", "--set", "quantization.alphabets=8,inf"],
+]
+
+
+def test_edge_config_sweep(tmp_path, capsys):
+    """Each edge config exits 0 with finite results, or 2 or 3 with a message."""
+    codes = []
+    for i, (pulse, region, p, command) in enumerate(itertools.product(
+        EDGE_PULSES, EDGE_REGIONS, (2, 1000), EDGE_COMMANDS
+    )):
+        out = tmp_path / str(i)
+        settings = [*pulse, *region, f"optimizer.p={p}"]
+        args = [*command, "--out", str(out), "--seed", "1"]
+        code = main(args + [x for kv in settings for x in ("--set", kv)])
+        err = capsys.readouterr().err
+        case = f"{' '.join(args[:1] + settings)}: exit {code}, stderr {err!r}"
+        codes.append(code)
+        if code == 0:
+            assert err == "", case
+            summary = out / "summary.txt"
+            if summary.exists():
+                assert not re.search(r"= -?(inf|nan)$", summary.read_text(), re.M), case
+            if command[0] == "quantize":
+                rows = (out / "report.csv").read_text().splitlines()[1:]
+                values = [float(x) for row in rows for x in row.split(",")[1:]]
+                assert all(math.isfinite(v) and v != DB_NEG_INF for v in values), case
+        else:
+            assert code in (2, 3), case
+            assert re.fullmatch(r"(config error|numerical failure): \S.*\n", err), case
+    assert codes.count(0) and codes.count(2) and codes.count(3)

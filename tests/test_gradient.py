@@ -1,14 +1,8 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ceofdm
 from ceofdm import (
     TWO_PI,
     GislWeights,
@@ -113,7 +107,7 @@ class TestGradientAccuracy:
             cfg, phi, w, ws = make_problem(4, samples, 6, seed=3, region="sub")
             lag = w.null_index + 2
             narrow = build_weights(w.null_index, [(lag / cfg.M, lag / cfg.M)], cfg.M)
-            assert np.count_nonzero(narrow.w_sl) == 2
+            assert narrow.sl_lags.tolist() == [lag]
             for weights in (w, narrow):
                 _, grad = GradientWorkspace(cfg, weights, 6).cost_and_gradient(phi)
                 dense = dense_dft_gisl_gradient(phi, cfg, weights, 6)
@@ -131,7 +125,7 @@ class TestGradientAccuracy:
         r = compute_acf(synthesize(phi, cfg))
         null = detect_mainlobe_null(r)
         w = build_weights(null, [(null / cfg.M, max_lag / cfg.M)], cfg.M)
-        assert np.flatnonzero(w.w_sl).max() == cfg.M - 1 + max_lag
+        assert w.sl_lags[-1] == max_lag
         ws = GradientWorkspace(cfg, w, 6)
         assert ws._n == _fft_length(cfg.M, max_lag) < _fft_length(cfg.M)
         expected = compute_gisl(r, w, 6)
@@ -198,19 +192,9 @@ class TestGradientStructure:
 
 
 class TestGradientValidation:
-    def test_asymmetric_weights_rejected(self):
-        cfg, phi, w, _ = make_problem(8, 64, 6, seed=0)
-        w_bad = np.array(w.w_sl)
-        w_bad[0] = 0.0  # breaks the symmetry
-        bad = GislWeights(w_sl=w_bad, w_ml=w.w_ml, null_index=w.null_index, region=w.region)
-        with pytest.raises(ValueError, match="symmetric"):
-            GradientWorkspace(cfg, bad, 6)
-
     def test_empty_sidelobe_support_rejected(self):
         cfg, phi, w, _ = make_problem(8, 64, 6, seed=0)
-        empty = GislWeights(
-            w_sl=np.zeros_like(w.w_sl), w_ml=w.w_ml, null_index=w.null_index, region="x"
-        )
+        empty = GislWeights(sl_lags=w.sl_lags[:0], null_index=w.null_index, M=w.M)
         with pytest.raises(ValueError, match="sidelobe"):
             GradientWorkspace(cfg, empty, 6)
 
@@ -219,27 +203,3 @@ class TestGradientValidation:
         other = WaveformConfig(L=8, h=0.2, samples=48)
         with pytest.raises(ValueError, match="length"):
             GradientWorkspace(other, w, 6)
-
-    def test_asymmetric_weights_raise_under_optimize_flag(self):
-        # the check must not be an assert, which python -O strips
-        script = textwrap.dedent("""
-            import numpy as np
-            from ceofdm import GislWeights, GradientWorkspace
-            from test_gradient import make_problem
-            cfg, phi, w, _ = make_problem(8, 64, 6, seed=0)
-            w_bad = np.array(w.w_sl)
-            w_bad[0] = 0.0
-            bad = GislWeights(w_sl=w_bad, w_ml=w.w_ml, null_index=w.null_index, region=w.region)
-            try:
-                GradientWorkspace(cfg, bad, 6)
-            except ValueError as exc:
-                print("raised, debug", __debug__, "symmetric" in str(exc))
-        """)
-        paths = [Path(ceofdm.__file__).resolve().parents[1], Path(__file__).resolve().parent]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "raised, debug False True"

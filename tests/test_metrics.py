@@ -18,7 +18,6 @@ from ceofdm import (
     detect_mainlobe_null,
     random_psk,
     synthesize,
-    weights_are_symmetric,
 )
 from ceofdm.metrics import _fft_length
 from oracles import brute_force_acf
@@ -175,29 +174,73 @@ class TestDetectMainlobeNull:
         assert lfm_null_samples / 2 <= null <= 2 * lfm_null_samples
 
 
+def dense_mask_reference(null, region, m):
+    """Sidelobe and mainlobe masks over the 2M-1 centered lags, by the dense rule.
+
+    The mainlobe is every |k| <= null; the sidelobe is every |k| beyond the
+    null, restricted to samples within 1e-9 M of some interval when the
+    region is a list of intervals.
+    """
+    offsets = np.abs(np.arange(2 * m - 1) - (m - 1))
+    if region == "full":
+        w_sl = offsets > null
+    else:
+        tol = 1e-9 * m
+        w_sl = np.zeros(2 * m - 1, dtype=bool)
+        for lo, hi in region:
+            w_sl |= (offsets >= lo * m - tol) & (offsets <= hi * m + tol)
+        w_sl &= offsets > null
+    return w_sl, offsets <= null
+
+
 class TestBuildWeights:
+    @pytest.mark.parametrize("null,region,m", [
+        (5, "full", 100),
+        (9, [(9 / 1000, 0.1)], 1000),  # starts exactly at the null
+        (9, [(0.009, 0.1)], 1000),  # the null as a rounded fraction
+        (3, [(7 / 50, 7 / 50)], 50),  # lo == hi on a sample
+        (3, [(0.2, (10 + 1e-9 * 50) / 50)], 50),  # hi one tolerance beyond a sample
+        (3, [(0.1, (10 - 2e-9 * 50) / 50)], 50),  # hi two tolerances short of one
+        (3, [(0.1, 0.3), (0.3, 0.5)], 50),  # two touching intervals
+        (3, [(0.5, 0.9), (0.1, 0.2)], 50),  # out of order
+        (2, "full", 9),  # M = 2L + 1 at L = 4
+        (2, [(3 / 9, 5 / 9)], 9),
+        (8, "full", 9),  # the null at the last lag: empty sidelobe region
+    ])
+    def test_matches_dense_mask_reference(self, null, region, m):
+        w = build_weights(null, region, m)
+        w_sl, w_ml = dense_mask_reference(null, region, m)
+        offsets = np.abs(np.arange(2 * m - 1) - (m - 1))
+        assert np.array_equal(np.isin(offsets, w.sl_lags), w_sl)
+        assert np.array_equal(np.isin(offsets, w.ml_lags), w_ml)
+        assert np.all(np.diff(w.sl_lags) > 0)
+        assert w.null_index == null and w.M == m
+
     def test_full_band_partitions_delay_axis(self):
         w = build_weights(5, "full", 100)
-        assert np.array_equal(w.w_sl + w.w_ml, np.ones(199))
-        assert np.all(w.w_sl * w.w_ml == 0)
-        assert weights_are_symmetric(w)
+        lags = np.concatenate((w.ml_lags, w.sl_lags))
+        assert np.array_equal(lags, np.arange(100))
 
     def test_interval_support_count(self):
         null, m = 9, 1000
         w = build_weights(null, [(null / m, 0.1)], m)
-        per_side = math.floor(0.1 * m) - null
-        assert int(w.w_sl.sum()) == 2 * per_side
-        assert np.all(w.w_sl * w.w_ml == 0)
-        assert weights_are_symmetric(w)
+        assert w.sl_lags.tolist() == list(range(null + 1, 101))
 
     def test_mainlobe_support(self):
         w = build_weights(3, "full", 50)
-        offsets = np.abs(np.arange(99) - 49)
-        assert np.array_equal(w.w_ml, (offsets <= 3).astype(float))
+        assert w.ml_lags.tolist() == [0, 1, 2, 3]
+        assert w.sl_lags.tolist() == list(range(4, 50))
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlaps the mainlobe"):
             build_weights(9, [(0.0, 0.1)], 1000)
+
+    def test_interval_ending_inside_mainlobe_names_the_null(self):
+        # the region's lo defaults to the detected null, here 9 samples = 0.009 T
+        with pytest.raises(ValueError, match=r"ends inside the mainlobe \(first null at 9 samples"):
+            build_weights(9, [(0.009, 0.005)], 1000)
+        # an interval that ends on the null touches the mainlobe and selects no lag
+        assert build_weights(9, [(0.009, 0.009)], 1000).sl_lags.size == 0
 
     def test_bad_null_index(self):
         with pytest.raises(ValueError):
@@ -213,21 +256,19 @@ class TestBuildWeights:
 
 
 def single_sample_weights(m, offset):
-    n = 2 * m - 1
-    w_sl = np.zeros(n)
-    w_ml = np.zeros(n)
-    w_ml[m - 1] = 1.0
-    w_sl[m - 1 + offset] = 1.0
-    return GislWeights(w_sl=w_sl, w_ml=w_ml, null_index=1, region="synthetic")
+    """The sidelobe is lag +-offset and the mainlobe lag 0 alone."""
+    return GislWeights(sl_lags=np.array([offset]), null_index=0, M=m)
 
 
 class TestComputeGisl:
     @pytest.mark.parametrize("p", [2, 6, 20])
     def test_single_sample_ratio(self, p):
+        # the sidelobe lag counts at -3 and +3, so its p-sum is 2 * 0.1^p over
+        # a unit mainlobe: (2 * 0.1^p)^(2/p) = 0.01 * 2^(2/p)
         r = synthetic_corr([0.0, 0.0, 0.1, 0.0])
         w = single_sample_weights(5, 3)
-        assert compute_gisl(r, w, p) == pytest.approx(0.01, rel=1e-12)
-        assert db(compute_gisl(r, w, p)) == pytest.approx(-20.0, abs=1e-9)
+        assert compute_gisl(r, w, p) == pytest.approx(0.01 * 2 ** (2 / p), rel=1e-12)
+        assert db(compute_gisl(r, w, p)) == pytest.approx(-20.0 + db(2) * 2 / p, abs=1e-9)
 
     def test_equals_isl_at_p2(self, reference_cfg):
         for seed in range(5):
@@ -260,44 +301,49 @@ class TestComputeGisl:
         with pytest.raises(ValueError, match="even integer"):
             compute_gisl(r, w, p)
 
-    def test_empty_mainlobe_rejected(self):
-        r = synthetic_corr([0.1, 0.2])
-        w = single_sample_weights(3, 1)
-        empty = GislWeights(w_sl=w.w_sl, w_ml=np.zeros_like(w.w_ml), null_index=1, region="x")
-        with pytest.raises(ValueError, match="mainlobe"):
-            compute_gisl(r, empty, 2)
-
     def test_empty_sidelobe_support_gives_zero(self):
         r = synthetic_corr([0.1, 0.2])
-        w = single_sample_weights(3, 1)
-        silent = GislWeights(w_sl=np.zeros_like(w.w_sl), w_ml=w.w_ml, null_index=1, region="x")
+        silent = GislWeights(sl_lags=np.array([], dtype=int), null_index=1, M=3)
         assert compute_gisl(r, silent, 2) == 0.0
         assert compute_gisl(r, silent, 10000) == 0.0
         assert db(compute_gisl(r, silent, 2)) == float("-inf")
         assert compute_isl(r, silent) == 0.0
 
 
+@pytest.mark.parametrize("metric", [
+    lambda r, w: compute_gisl(r, w, 2),
+    compute_pslr,
+], ids=["gisl", "pslr"])
+@pytest.mark.parametrize("values,m", [([0.1, 0.2], 5), ([0.1, 0.2, 0.3, 0.4], 3)])
+def test_length_mismatch_rejected(metric, values, m):
+    # weights built for another M: a longer r would otherwise be read at the
+    # wrong lags without an error
+    with pytest.raises(ValueError, match="length"):
+        metric(synthetic_corr(values), single_sample_weights(m, 2))
+
+
 class TestComputePslr:
     def test_triangle_has_no_sidelobes(self):
         cfg, s = rect_waveform(32)
         r = compute_acf(s)
-        assert compute_pslr(r, detect_mainlobe_null(r)) == float("-inf")
+        assert compute_pslr(r, build_weights(detect_mainlobe_null(r), "full", 32)) == float("-inf")
 
     def test_synthetic_peak(self):
         r = synthetic_corr([0.0, 0.05, 0.1, 0.02])
-        assert compute_pslr(r, 1) == pytest.approx(-20.0, abs=1e-9)
+        assert compute_pslr(r, build_weights(1, "full", 5)) == pytest.approx(-20.0, abs=1e-9)
 
     def test_weights_restrict_search(self):
         r = synthetic_corr([0.0, 0.5, 0.1, 0.02])
         w = single_sample_weights(5, 3)  # only the 0.1 sample is selected
-        assert compute_pslr(r, 1, weights=w) == pytest.approx(-20.0, abs=1e-9)
-        assert compute_pslr(r, 1) == pytest.approx(db(0.25), abs=1e-9)
+        assert compute_pslr(r, w) == pytest.approx(-20.0, abs=1e-9)
+        assert compute_pslr(r, build_weights(1, "full", 5)) == pytest.approx(db(0.25), abs=1e-9)
 
     def test_typical_level_band(self, reference_cfg):
         values = []
         for seed in range(20):
             r = compute_acf(synthesize(random_psk(24, math.inf, seed=seed), reference_cfg))
-            values.append(compute_pslr(r, detect_mainlobe_null(r)))
+            w = build_weights(detect_mainlobe_null(r), "full", reference_cfg.M)
+            values.append(compute_pslr(r, w))
         assert -17.2 <= float(np.median(values)) <= -13.2
 
 
@@ -307,7 +353,7 @@ class TestGislApproachesPslr:
             r = compute_acf(synthesize(random_psk(24, math.inf, seed=seed), reference_cfg))
             null = detect_mainlobe_null(r)
             w = build_weights(null, "full", reference_cfg.M)
-            pslr = compute_pslr(r, null)
+            pslr = compute_pslr(r, w)
             ps = (2, 6, 10, 20, 100, 400, 1000, 10000)
             gaps = [abs(db(compute_gisl(r, w, p)) - pslr) for p in ps]
             assert all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))

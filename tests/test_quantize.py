@@ -79,7 +79,7 @@ class TestDegradationSweep:
     def test_infinite_alphabet_zero_delta(self, optimized_subregion):
         cfg, w, phi_opt = optimized_subregion
         report = degradation_sweep(phi_opt, cfg, w, 20, [math.inf])
-        row = report.rows[0]
+        row = report[0]
         assert row.gisl_degradation_db == 0.0
         assert row.max_perturbation == 0.0
         assert row.pslr_after_db == row.pslr_before_db
@@ -87,24 +87,24 @@ class TestDegradationSweep:
     def test_coarse_alphabet_degrades(self, optimized_subregion):
         cfg, w, phi_opt = optimized_subregion
         report = degradation_sweep(phi_opt, cfg, w, 20, [8])
-        assert report.rows[0].gisl_degradation_db > 0.0
+        assert report[0].gisl_degradation_db > 0.0
 
     def test_large_alphabet_converges(self, optimized_subregion):
         cfg, w, phi_opt = optimized_subregion
         report = degradation_sweep(phi_opt, cfg, w, 20, [2**16])
-        assert abs(report.rows[0].gisl_degradation_db) < 0.01
+        assert abs(report[0].gisl_degradation_db) < 0.01
 
     def test_perturbation_column(self, optimized_subregion):
         cfg, w, phi_opt = optimized_subregion
         report = degradation_sweep(phi_opt, cfg, w, 20, [16, 64])
-        assert report.rows[0].max_perturbation <= np.pi / 16 + 1e-12
-        assert report.rows[1].max_perturbation <= np.pi / 64 + 1e-12
-        assert report.rows[0].mpsk == 16.0
+        assert report[0].max_perturbation <= np.pi / 16 + 1e-12
+        assert report[1].max_perturbation <= np.pi / 64 + 1e-12
+        assert report[0].mpsk == 16.0
 
     def test_rows_carry_the_quantized_acf(self, optimized_subregion):
         cfg, w, phi_opt = optimized_subregion
         report = degradation_sweep(phi_opt, cfg, w, 20, [8, math.inf])
-        for row, mpsk in zip(report.rows, [8, math.inf]):
+        for row, mpsk in zip(report, [8, math.inf]):
             expected = compute_acf(synthesize(quantize_psk(phi_opt, mpsk), cfg))
             assert np.array_equal(row.acf.r, expected.r)
             assert row.acf.fs == expected.fs
