@@ -13,8 +13,7 @@ import functools
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -169,19 +168,30 @@ def cmd_optimize(config: ExperimentConfig) -> None:
     )
 
 
+def _read_phases(path: Path, L: int) -> np.ndarray:
+    """The phase vector in ``path``, which must hold the L phases its manifest declares."""
+    phi = read_phi_csv(path)
+    if len(phi) != L:
+        raise ConfigError(f"{path} holds {len(phi)} phases, but its manifest has L = {L}")
+    return phi
+
+
 def cmd_quantize(config: ExperimentConfig, input_dir: str | None = None) -> None:
     """Truncate optimized phases onto each alphabet and export the damage report.
 
     With ``input_dir``, reuse a finished optimize run (its manifest and phase
-    vectors); otherwise optimize in place first.
+    vectors); otherwise optimize in place first. The manifest written echoes
+    the pulse actually quantized: the input run's waveform, region and
+    optimizer sections, with this command's quantization and run sections.
     """
     out = Path(config.run.out)
     if input_dir is not None:
         base = ExperimentConfig.from_sources(Path(input_dir) / "manifest.ini")
-        phi0 = read_phi_csv(Path(input_dir) / "phi_initial.csv")
-        cfg, _, _, _, weights = _prepare(base, phi0)
-        phi_final = read_phi_csv(Path(input_dir) / "phi_final.csv")
-        p = base.optimizer.p
+        config = replace(base, quantization=config.quantization, run=config.run)
+        phi0 = _read_phases(Path(input_dir) / "phi_initial.csv", config.waveform.L)
+        cfg, _, _, _, weights = _prepare(config, phi0)
+        phi_final = _read_phases(Path(input_dir) / "phi_final.csv", config.waveform.L)
+        p = config.optimizer.p
     else:
         res = _optimize_core(config)
         cfg, weights, phi_final, p = res.cfg, res.weights, res.phi_final, res.p
@@ -229,6 +239,10 @@ def cmd_sweep(config: ExperimentConfig) -> None:
     seeds = [config.run.seed + i for i in range(config.run.seed_count)]
     payloads = [(config, seed) for seed in seeds]
     if config.run.threads > 1 and len(seeds) > 1:
+        # imported here, so the commands that never fork a pool do not load the
+        # multiprocessing stack (logging, pickle, socket) at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         # a forked pool starts all its workers at once: no more than there are seeds
         with ProcessPoolExecutor(max_workers=min(config.run.threads, len(seeds))) as pool:
             rows = list(pool.map(_sweep_worker, payloads))

@@ -239,10 +239,12 @@ def write_spectrum_csv(path, s: SampledWaveform, cfg: WaveformConfig, pad_factor
 
 def _stft(samples: np.ndarray, nperseg: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
     window = np.hanning(nperseg)
-    starts = range(0, len(samples) - nperseg + 1, hop)
-    frames = np.array([np.fft.fftshift(np.fft.fft(samples[k : k + nperseg] * window)) for k in starts])
-    centers = np.array([k + nperseg / 2.0 for k in starts])
-    return frames.T, centers
+    starts = np.arange(0, len(samples) - nperseg + 1, hop)
+    # every frame in one batch, read through a strided view: the windowed
+    # product is the only copy of the frames made before the FFT
+    segments = np.lib.stride_tricks.sliding_window_view(samples, nperseg)[::hop]
+    frames = np.fft.fftshift(np.fft.fft(segments * window, axis=1), axes=1)
+    return frames.T, starts + nperseg / 2.0
 
 
 def write_spectrogram_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None:

@@ -160,6 +160,15 @@ def per_row_af(samples: np.ndarray, t: np.ndarray, nu) -> np.ndarray:
     return out
 
 
+def per_frame_stft(samples: np.ndarray, nperseg: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hann-windowed, centred FFT of one frame at a time, frames as columns,
+    and the frame centres in samples."""
+    window = np.hanning(nperseg)
+    starts = range(0, len(samples) - nperseg + 1, hop)
+    frames = np.array([np.fft.fftshift(np.fft.fft(samples[k : k + nperseg] * window)) for k in starts])
+    return frames.T, np.array([k + nperseg / 2.0 for k in starts])
+
+
 def fmt_e(x) -> str:
     """One exported value, formatted on its own."""
     return f"{x:.12e}"

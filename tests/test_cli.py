@@ -1,11 +1,14 @@
 import itertools
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ceofdm
 from ceofdm.cli import main
 from ceofdm.expconfig import ConfigError, ExperimentConfig
 from ceofdm.exports import DB_NEG_INF
@@ -30,6 +33,13 @@ def read_acf(path):
     rows = Path(path).read_text().strip().splitlines()[1:]
     data = np.array([[float(x) for x in line.split(",")] for line in rows])
     return data[:, 0].astype(int), data[:, 1], data[:, 2]
+
+
+def manifest_section(path, name):
+    """The text of one manifest section, from its [name] line to the blank line that ends it."""
+    text = Path(path).read_text()
+    start = text.index(f"[{name}]\n")
+    return text[start : text.index("\n\n", start)]
 
 
 def tree_bytes(root):
@@ -323,6 +333,41 @@ class TestQuantizeCommand:
         assert main(["quantize", "--out", str(fed_out), "--input", str(opt_out)] + args) == 0
         assert (inline_out / "report.csv").read_bytes() == (fed_out / "report.csv").read_bytes()
 
+    def test_input_manifest_echoes_the_input_pulse(self, tmp_path):
+        # an input away from every pulse default; the manifest used to be this
+        # command's own config, L = 24 and tbp = 200
+        opt, q1, q2 = tmp_path / "opt", tmp_path / "q1", tmp_path / "q2"
+        code = main([
+            "optimize", "--out", str(opt), "--seed", "5",
+            "--set", "waveform.L=16", "--set", "waveform.tbp=208",
+            "--set", "region.mode=interval", "--set", "region.hi=0.1",
+            "--set", "optimizer.p=6", "--set", "optimizer.max_iters=5",
+        ])
+        assert code == 0
+        code = main([
+            "quantize", "--out", str(q1), "--input", str(opt),
+            "--set", "quantization.alphabets=16, 4",
+        ])
+        assert code == 0
+        for name in ("waveform", "region", "optimizer"):
+            assert manifest_section(q1 / "manifest.ini", name) == manifest_section(
+                opt / "manifest.ini", name
+            )
+        assert "L = 16" in manifest_section(q1 / "manifest.ini", "waveform")
+        assert "alphabets = 16, 4" in manifest_section(q1 / "manifest.ini", "quantization")
+
+        code = main([
+            "quantize", "--config", str(q1 / "manifest.ini"), "--input", str(opt),
+            "--out", str(q2),
+        ])
+        assert code == 0
+        first, second = tree_bytes(q1), tree_bytes(q2)
+        assert sorted(first) == sorted(second)
+        assert {"report.csv", "acf_mpsk_16.csv", "acf_mpsk_4.csv"} <= set(first)
+        for name in first:
+            if name != "manifest.ini":
+                assert first[name] == second[name], name
+
 
 class TestSweepCommand:
     def test_single_seed_matches_optimize(self, tmp_path):
@@ -417,7 +462,8 @@ class TestSweepCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("ceofdm.cli.ProcessPoolExecutor", SerialPool)
+        # cmd_sweep imports the pool class where it forks one, so patch it at its source
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         code = main([
             "sweep", "--out", str(tmp_path / "s"), "--seed", "0", "--threads", "64",
             "--set", "run.seed_count=2", "--set", "optimizer.max_iters=2",
@@ -490,6 +536,55 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         code = main(["synth", "--config", str(tmp_path / "none.ini"), "--out", str(tmp_path / "x")])
         assert code == 4
+
+    @pytest.mark.parametrize("name", ["phi_initial.csv", "phi_final.csv"])
+    def test_phase_file_shorter_than_manifest_is_config_error(self, tmp_path, capsys, name):
+        # a truncated phase vector used to exit 3 with a shape error naming neither file nor L
+        opt = tmp_path / "opt"
+        args = ["--set", "waveform.L=16", "--set", "optimizer.max_iters=1"]
+        assert main(["optimize", "--out", str(opt), "--seed", "1"] + args) == 0
+        lines = (opt / name).read_text().splitlines()
+        (opt / name).write_text("\n".join(lines[:5]) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "q"
+        assert main(["quantize", "--out", str(out), "--input", str(opt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(opt / name) in err and "4 phases" in err and "L = 16" in err
+        assert not (out / "report.csv").exists()
+
+
+# Run in a fresh interpreter, which has loaded nothing yet. The exit codes
+# carry the verdict, so the check holds under python -O as well.
+POOL_FREE_SCRIPT = """
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from ceofdm.cli import main
+
+out = sys.argv[2]
+quick = ["--seed", "1", "--set", "optimizer.max_iters=1"]
+for argv in (
+    ["synth", "--out", out + "/synth"] + quick,
+    ["optimize", "--out", out + "/opt"] + quick,
+    ["quantize", "--out", out + "/quant"] + quick,
+    ["quantize", "--out", out + "/fed", "--input", out + "/opt"],
+):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+loaded = [name for name in ("multiprocessing", "concurrent.futures", "logging") if name in sys.modules]
+if loaded:
+    sys.exit(f"loaded {loaded}")
+"""
+
+
+def test_commands_without_a_pool_never_import_multiprocessing(tmp_path):
+    src = Path(ceofdm.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", POOL_FREE_SCRIPT, str(src), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # the edges of the config space: M = 3, M = 2L + 1, the rectangular pulse

@@ -33,7 +33,7 @@ from ceofdm.exports import (
     write_spectrum_csv,
     write_waveform_csv,
 )
-from oracles import csv_bytes, fmt_db, fmt_e, per_row_af
+from oracles import csv_bytes, fmt_db, fmt_e, per_frame_stft, per_row_af
 
 CONFIGS = {
     # ordinary pulse; M = 200
@@ -98,18 +98,27 @@ def test_spectrogram_csv(tmp_path, pulse):
     cfg, _, s = pulse
     nperseg = min(128, max(8, cfg.M // 8))
     hop = max(1, nperseg // 4)
-    window = np.hanning(nperseg)
-    starts = list(range(0, cfg.M - nperseg + 1, hop))
-    frames = np.array(
-        [np.fft.fftshift(np.fft.fft(s.samples[k : k + nperseg] * window)) for k in starts]
-    ).T
+    frames, centers = per_frame_stft(s.samples, nperseg, hop)
     power = np.abs(frames) ** 2
     power_db = db(power / power.max())
     freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / cfg.fs))
-    header = "freq_times_T," + ",".join(fmt_e((k + nperseg / 2.0) / cfg.M) for k in starts)
+    header = "freq_times_T," + ",".join(fmt_e(c / cfg.M) for c in centers)
     rows = [[fmt_e(freqs[i] * cfg.T)] + [fmt_db(v) for v in power_db[i]] for i in range(nperseg)]
     write_spectrogram_csv(tmp_path / "g.csv", s, cfg)
     assert (tmp_path / "g.csv").read_bytes() == csv_bytes(header, rows)
+
+
+@pytest.mark.parametrize("M", [7, 70, 128, 1040, 25000])
+def test_batched_stft_matches_per_frame_loop(M):
+    # the frame sizes write_spectrogram_csv uses: one whole-pulse frame at
+    # M = 7, hop 2 at M = 70, and 128-sample frames at hop 32 from M = 1024 on
+    nperseg = min(128, max(8, M // 8), M)
+    hop = max(1, nperseg // 4)
+    samples = np.exp(1j * 2 * np.pi * np.random.default_rng(M).random(M))
+    frames, centers = exports._stft(samples, nperseg, hop)
+    expected_frames, expected_centers = per_frame_stft(samples, nperseg, hop)
+    assert np.array_equal(frames, expected_frames)
+    assert np.array_equal(centers, expected_centers)
 
 
 def expected_acf(r: CorrelationResult, T: float) -> bytes:
