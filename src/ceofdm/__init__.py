@@ -2,7 +2,6 @@
 
 from .waveform import (
     TWO_PI,
-    SampledWaveform,
     WaveformConfig,
     compute_modulation_index,
     lfm_equivalent_tbp,
@@ -19,21 +18,16 @@ from .metrics import (
     compute_acf,
     compute_af,
     compute_gisl,
-    compute_isl,
     compute_pslr,
     db,
     detect_mainlobe_null,
 )
 from .gradient import GradientWorkspace
 from .optimizer import (
-    LineSearchStall,
-    OptimizationTrace,
     OptimizerConfig,
-    armijo_backtrack,
     run_gd_gisl,
 )
 from .quantize import (
-    QuantizationRow,
     degradation_sweep,
     quantize_psk,
     wrap_to_pi,
@@ -44,15 +38,11 @@ __version__ = "0.1.0"
 __all__ = [
     "TWO_PI",
     "WaveformConfig",
-    "SampledWaveform",
     "CorrelationResult",
     "GislWeights",
     "AmbiguitySurface",
     "OptimizerConfig",
-    "OptimizationTrace",
-    "LineSearchStall",
     "GradientWorkspace",
-    "QuantizationRow",
     "compute_modulation_index",
     "lfm_equivalent_tbp",
     "sample_phase",
@@ -64,10 +54,8 @@ __all__ = [
     "detect_mainlobe_null",
     "build_weights",
     "compute_gisl",
-    "compute_isl",
     "compute_pslr",
     "db",
-    "armijo_backtrack",
     "run_gd_gisl",
     "quantize_psk",
     "wrap_to_pi",

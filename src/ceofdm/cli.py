@@ -20,6 +20,7 @@ import numpy as np
 
 from .expconfig import ConfigError, ExperimentConfig
 from .exports import (
+    _fmt_full,
     read_phi_csv,
     write_acf_csv,
     write_af_csv,
@@ -170,7 +171,10 @@ def cmd_optimize(config: ExperimentConfig) -> None:
 
 def _read_phases(path: Path, L: int) -> np.ndarray:
     """The phase vector in ``path``, which must hold the L phases its manifest declares."""
-    phi = read_phi_csv(path)
+    try:
+        phi = read_phi_csv(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if len(phi) != L:
         raise ConfigError(f"{path} holds {len(phi)} phases, but its manifest has L = {L}")
     return phi
@@ -195,7 +199,7 @@ def cmd_quantize(config: ExperimentConfig, input_dir: str | None = None) -> None
     else:
         res = _optimize_core(config)
         cfg, weights, phi_final, p = res.cfg, res.weights, res.phi_final, res.p
-    rows = degradation_sweep(phi_final, cfg, weights, p, config.alphabets)
+    rows = degradation_sweep(phi_final, cfg, weights, p, config.quantization.alphabets)
     config.write_manifest(out / "manifest.ini")
     write_quantization_csv(out / "report.csv", rows)
     for row in rows:
@@ -229,10 +233,6 @@ def _sweep_worker(payload) -> tuple[int, dict | None, str, dict]:
     return seed, summary, summary["status"], res.trace.counts
 
 
-def _cell(value) -> str:
-    return f"{value:.17g}" if isinstance(value, float) else str(value)
-
-
 def cmd_sweep(config: ExperimentConfig) -> None:
     """Run seed_count independent optimizations and aggregate their metrics."""
     out = Path(config.run.out)
@@ -252,7 +252,7 @@ def cmd_sweep(config: ExperimentConfig) -> None:
     config.write_manifest(out / "manifest.ini")
     lines = [",".join(["seed", "status", *_SEED_COLUMNS, "detail"])]
     for seed, summary, detail, _ in rows:
-        cells = [_cell(summary[key]) if summary else "" for key in _SEED_COLUMNS.values()]
+        cells = [_fmt_full(summary[key]) if summary else "" for key in _SEED_COLUMNS.values()]
         lines.append(",".join([str(seed), "ok" if summary else "failed", *cells, detail]))
     (out / "seeds.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -189,10 +189,6 @@ class ExperimentConfig:
     quantization: QuantizationSpec = field(default_factory=QuantizationSpec)
     run: RunSpec = field(default_factory=RunSpec)
 
-    @property
-    def alphabets(self) -> tuple[float, ...]:
-        return self.quantization.alphabets
-
     @classmethod
     def from_sources(
         cls,

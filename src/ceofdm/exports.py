@@ -45,10 +45,9 @@ def encode_db(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _fmt_full(x: float) -> str:
-    if isinstance(x, float) and x == float("-inf"):
-        return "-inf"
-    return f"{x:.17g}"
+def _fmt_full(x) -> str:
+    """A float at full precision (%.17g), anything else as str()."""
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _write_lines(path, lines) -> None:
@@ -206,10 +205,20 @@ def write_phi_csv(path, phi) -> None:
 
 
 def read_phi_csv(path) -> np.ndarray:
+    """The phases of a write_phi_csv file; a ValueError names the file and the bad line."""
     rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not rows or rows[0] != "ell,phi_rad":
-        raise ValueError(f"{path} is not a phase-vector CSV")
-    return np.array([float(line.split(",")[1]) for line in rows[1:]])
+        raise ValueError(f"{path}, line 1: expected the header 'ell,phi_rad'")
+    phi = []
+    for n, line in enumerate(rows[1:], start=2):
+        try:
+            value = float(line.split(",")[1])
+        except (IndexError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}, line {n}: {line!r} is not 'ell,phi_rad' with a finite phase")
+        phi.append(value)
+    return np.array(phi)
 
 
 def write_waveform_csv(path, s: SampledWaveform) -> None:
@@ -312,10 +321,4 @@ def write_quantization_csv(path, rows: tuple[QuantizationRow, ...]) -> None:
 
 def write_summary(path, entries: dict) -> None:
     """Key-value summary, one ``key = value`` line per entry, full precision."""
-    lines = []
-    for key, value in entries.items():
-        if isinstance(value, float):
-            lines.append(f"{key} = {_fmt_full(value)}")
-        else:
-            lines.append(f"{key} = {value}")
-    _write_lines(path, lines)
+    _write_lines(path, [f"{key} = {_fmt_full(value)}" for key, value in entries.items()])

@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .metrics import GislWeights, _check_lags, _fft_length, _gisl_ratio, _validated_p
-from .waveform import TWO_PI, WaveformConfig, _harmonic_sum, as_phase_vector
+from .waveform import TWO_PI, WaveformConfig, _harmonic_sum, _phase_vector
 
 __all__ = ["GradientWorkspace"]
 
@@ -107,11 +107,11 @@ class GradientWorkspace:
 
     def cost(self, phi) -> float:
         """GISL value at ``phi`` (linear, not dB)."""
-        return self._forward(as_phase_vector(phi, self.cfg.L))["cost"]
+        return self._forward(_phase_vector(phi, self.cfg.L))["cost"]
 
     def cost_and_gradient(self, phi) -> tuple[float, np.ndarray]:
         """GISL value and its exact gradient with respect to the phase symbols."""
-        phi = as_phase_vector(phi, self.cfg.L)
+        phi = _phase_vector(phi, self.cfg.L)
         state = self._forward(phi)
         self.counts["gradient_passes"] += 1
         (sl_idx, _), (ml_idx, _) = self._sl, self._ml

@@ -33,7 +33,6 @@ __all__ = [
     "detect_mainlobe_null",
     "build_weights",
     "compute_gisl",
-    "compute_isl",
     "compute_pslr",
 ]
 
@@ -298,11 +297,6 @@ def compute_gisl(r: CorrelationResult, w: GislWeights, p) -> float:
     p = _validated_p(p)
     sl, ml = _region_mags(r, w)
     return _gisl_ratio(sl, np.ones(sl.size), ml, np.ones(ml.size), p)[0]
-
-
-def compute_isl(r: CorrelationResult, w: GislWeights) -> float:
-    """Integrated sidelobe level: sidelobe energy over mainlobe energy (linear)."""
-    return compute_gisl(r, w, 2)
 
 
 def compute_pslr(r: CorrelationResult, w: GislWeights) -> float:

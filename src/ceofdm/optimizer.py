@@ -12,21 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .gradient import GradientWorkspace
 from .metrics import GislWeights, _validated_p, db
-from .waveform import WaveformConfig, as_phase_vector
+from .waveform import WaveformConfig, _phase_vector
 
 __all__ = [
     "OptimizerConfig",
     "TraceRow",
     "OptimizationTrace",
-    "LineSearchStall",
-    "ArmijoResult",
-    "armijo_backtrack",
     "run_gd_gisl",
 ]
 
@@ -105,18 +101,6 @@ class OptimizationTrace:
         return self.rows[-1].j if self.rows else self.initial_j
 
 
-class LineSearchStall(RuntimeError):
-    """Raised when the backtracking cap is hit without sufficient decrease."""
-
-
-class ArmijoResult(NamedTuple):
-    mu: float
-    phi_next: np.ndarray
-    j_next: float
-    backtracks: int
-    mu_next: float
-
-
 def _direction(grad: np.ndarray, q_prev: np.ndarray, beta: float) -> tuple[np.ndarray, bool]:
     """Momentum direction -grad + beta * q_prev, reset to -grad (flag True) if it would ascend."""
     q = -grad + beta * q_prev
@@ -125,36 +109,20 @@ def _direction(grad: np.ndarray, q_prev: np.ndarray, beta: float) -> tuple[np.nd
     return q, False
 
 
-def armijo_backtrack(
-    phi: np.ndarray,
-    q: np.ndarray,
-    grad: np.ndarray,
-    mu_in: float,
-    opt: OptimizerConfig,
-    cost_fn: Callable[[np.ndarray], float],
-    j0: float | None = None,
-) -> ArmijoResult:
-    """Shrink the step until J(phi + mu q) <= J(phi) + c mu grad'q.
+def _armijo(cost, phi, q, slope: float, j0: float, mu: float, opt: OptimizerConfig):
+    """Shrink the step until J(phi + mu q) <= j0 + c mu slope, with slope = grad'q <= 0.
 
-    Returns the accepted step, the new point and cost, the number of
-    shrinkages performed, and the grown step seed for the next iteration.
-    Raises :class:`LineSearchStall` after ``opt.max_backtracks`` shrinkages.
+    Returns the accepted step, the new point, its cost and the number of
+    shrinkages, or None after ``opt.max_backtracks`` shrinkages without
+    sufficient decrease.
     """
-    slope = float(grad @ q)
-    if slope > 0.0:
-        raise ValueError("q is not a descent direction (grad'q > 0)")
-    if j0 is None:
-        j0 = cost_fn(phi)
-    mu = float(mu_in)
     for k in range(opt.max_backtracks + 1):
         trial = phi + mu * q
-        j = cost_fn(trial)
+        j = cost(trial)
         if j <= j0 + opt.c * mu * slope:
-            return ArmijoResult(mu, trial, j, k, min(mu * opt.rho_up, opt.mu_cap))
+            return mu, trial, j, k
         mu *= opt.rho_down
-    raise LineSearchStall(
-        f"no sufficient decrease after {opt.max_backtracks} backtracks"
-    )
+    return None
 
 
 def run_gd_gisl(
@@ -187,12 +155,12 @@ def run_gd_gisl(
     if opt is None:
         opt = OptimizerConfig()
     ws = GradientWorkspace(cfg, w, opt.p)
-    phi = as_phase_vector(phi0, cfg.L).copy()
+    phi = _phase_vector(phi0, cfg.L).copy()
     j, grad = ws.cost_and_gradient(phi)
     grad_norm = float(np.linalg.norm(grad))
     trace = OptimizationTrace(initial_j=j, initial_grad_norm=grad_norm)
     q = np.zeros(cfg.L)
-    mu = opt.mu0
+    mu = float(opt.mu0)
     backtracks = resets = 0
     for i in range(1, opt.max_iters + 1):
         if grad_norm <= opt.g_min:
@@ -200,14 +168,15 @@ def run_gd_gisl(
             break
         q, reset = _direction(grad, q, opt.beta)
         resets += reset
-        try:
-            res = armijo_backtrack(phi, q, grad, mu, opt, ws.cost, j0=j)
-        except LineSearchStall:
+        slope = float(grad @ q)
+        found = _armijo(ws.cost, phi, q, slope, j, mu, opt)
+        if found is None:
             backtracks += opt.max_backtracks
             trace.status = "line_search_stall"
             break
-        backtracks += res.backtracks
-        phi, j, mu = res.phi_next, res.j_next, res.mu_next
+        step, phi, j, shrinkages = found
+        backtracks += shrinkages
+        mu = min(step * opt.rho_up, opt.mu_cap)
         _, grad = ws.cost_and_gradient(phi)
         grad_norm = float(np.linalg.norm(grad))
         trace.rows.append(
@@ -216,8 +185,8 @@ def run_gd_gisl(
                 j=j,
                 j_db=db(j),
                 grad_norm=grad_norm,
-                mu=res.mu,
-                backtracks=res.backtracks,
+                mu=step,
+                backtracks=shrinkages,
                 reset=reset,
             )
         )

@@ -23,7 +23,6 @@ __all__ = [
     "SampledWaveform",
     "compute_modulation_index",
     "lfm_equivalent_tbp",
-    "as_phase_vector",
     "sample_phase",
     "sample_frequency",
     "synthesize",
@@ -163,7 +162,7 @@ class SampledWaveform:
     fs: float
 
 
-def as_phase_vector(phi, L: int) -> np.ndarray:
+def _phase_vector(phi, L: int) -> np.ndarray:
     """Validate and convert a phase-symbol sequence to a float array of shape (L,)."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (L,):
@@ -188,7 +187,7 @@ def sample_phase(phi, cfg: WaveformConfig) -> np.ndarray:
     Evaluates 2*pi*h * sum_l cos(2*pi*l*t/T - phi_l) as the real part of the
     harmonic series with coefficients exp(-j phi_l).
     """
-    phi = as_phase_vector(phi, cfg.L)
+    phi = _phase_vector(phi, cfg.L)
     return TWO_PI * cfg.h * _harmonic_sum(np.exp(-1j * phi), cfg.M)
 
 
@@ -199,7 +198,7 @@ def sample_frequency(phi, cfg: WaveformConfig) -> np.ndarray:
     the harmonic series with coefficients j l exp(-j phi_l); zero mean over a
     full pulse for any symbol vector.
     """
-    phi = as_phase_vector(phi, cfg.L)
+    phi = _phase_vector(phi, cfg.L)
     ell = np.arange(1, cfg.L + 1)
     return (TWO_PI * cfg.h / cfg.T) * _harmonic_sum(1j * ell * np.exp(-1j * phi), cfg.M)
 

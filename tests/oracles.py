@@ -128,6 +128,17 @@ def dense_dft_gisl_gradient(phi, cfg, weights, p: int) -> np.ndarray:
     return 8.0 * np.pi * cfg.h * cost * (dbar.T @ np.imag(np.conj(s_bar) * inner))
 
 
+def plain_isl(r: np.ndarray, weights) -> float:
+    """Sidelobe over mainlobe energy of a centred ACF: sum |r|^2 over both
+    signs of the sidelobe lags, over sum |r|^2 on -null_index..null_index,
+    with no peak normalisation."""
+    zero = (len(r) - 1) // 2
+    energy = np.abs(r) ** 2
+    sidelobe = energy[zero - weights.sl_lags].sum() + energy[zero + weights.sl_lags].sum()
+    mainlobe = energy[zero - weights.null_index : zero + weights.null_index + 1].sum()
+    return float(sidelobe / mainlobe)
+
+
 def smallest_5_smooth(target: int) -> int:
     """Smallest n >= target with no prime factor above 5, by trial division."""
     n = target

@@ -58,7 +58,7 @@ class TestExperimentConfig:
         assert config.waveform.mpsk == 32.0
         assert config.region.mode == "full"
         assert config.optimizer.p == 20
-        assert config.alphabets == (64.0, 32.0, 16.0, 8.0)
+        assert config.quantization.alphabets == (64.0, 32.0, 16.0, 8.0)
         assert config.run.seed == 1
 
     def test_file_and_overrides(self, tmp_path):
@@ -132,7 +132,7 @@ class TestExperimentConfig:
         assert again.waveform.mpsk == math.inf
         assert again.region == config.region
         assert again.optimizer == config.optimizer
-        assert again.alphabets == (math.inf, 32.0)
+        assert again.quantization.alphabets == (math.inf, 32.0)
         assert again.to_waveform_config() == config.to_waveform_config()
 
 
@@ -551,6 +551,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert str(opt / name) in err and "4 phases" in err and "L = 16" in err
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("row, line", [
+        ("2", 3),  # no comma: used to raise an uncaught IndexError
+        ("2,abc", 3),  # used to exit 3 without naming the file
+        ("2,nan", 3),  # used to exit 0 with nan in every report cell
+        (None, 1),  # no header: used to exit 3
+    ], ids=["no-comma", "not-a-number", "nan", "no-header"])
+    def test_malformed_phase_file_is_config_error(self, tmp_path, capsys, row, line):
+        opt = tmp_path / "opt"
+        args = ["--set", "waveform.L=8", "--set", "optimizer.max_iters=1"]
+        assert main(["optimize", "--out", str(opt), "--seed", "1"] + args) == 0
+        lines = (opt / "phi_final.csv").read_text().splitlines()
+        if row is None:
+            del lines[0]
+        else:
+            lines[line - 1] = row
+        (opt / "phi_final.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "q"
+        assert main(["quantize", "--out", str(out), "--input", str(opt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"{opt / 'phi_final.csv'}, line {line}:" in err
         assert not (out / "report.csv").exists()
 
 

@@ -11,7 +11,6 @@ from ceofdm import (
     build_weights,
     compute_acf,
     compute_gisl,
-    compute_isl,
     detect_mainlobe_null,
     random_psk,
     sample_phase,
@@ -155,12 +154,12 @@ class TestGradientAccuracy:
         assert np.all(grad == 0.0)
 
     def test_p2_matches_isl_ratio_gradient(self):
-        # independent route: finite differences of compute_isl on compute_acf
+        # independent route: finite differences of compute_gisl at p = 2 on compute_acf
         cfg, phi, w, ws = make_problem(6, 48, 2, seed=5)
         _, grad = ws.cost_and_gradient(phi)
 
         def isl_cost(x):
-            return compute_isl(compute_acf(synthesize(x, cfg)), w)
+            return compute_gisl(compute_acf(synthesize(x, cfg)), w, 2)
 
         fd = central_difference_gradient(isl_cost, phi)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-10 * np.abs(fd).max())

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from ceofdm import (
-    LineSearchStall,
     OptimizerConfig,
     WaveformConfig,
-    armijo_backtrack,
     build_weights,
     compute_acf,
     detect_mainlobe_null,
@@ -15,7 +13,7 @@ from ceofdm import (
     run_gd_gisl,
     synthesize,
 )
-from ceofdm.optimizer import _direction
+from ceofdm.optimizer import _armijo, _direction
 
 
 def small_problem(seed=0, L=8, samples=64):
@@ -77,53 +75,37 @@ class TestHeavyBallDirection:
 
 class TestArmijoBacktrack:
     def test_hand_checked_quadratic(self):
-        # J(x) = ||x||^2 from x = (1, 0) along q = -grad = (-2, 0):
+        # J(x) = ||x||^2 from x = (1, 0) along q = -grad = (-2, 0), slope -4:
         # mu=1 lands at (-1, 0) with J=1 > 1 - 4e-4, rejected;
         # mu=0.5 lands at (0, 0) with J=0 <= 1 - 2e-4, accepted.
-        opt = OptimizerConfig()
         cost = lambda x: float(x @ x)
         phi = np.array([1.0, 0.0])
         grad = np.array([2.0, 0.0])
-        res = armijo_backtrack(phi, -grad, grad, 1.0, opt, cost)
-        assert res.mu == 0.5
-        assert np.array_equal(res.phi_next, np.array([0.0, 0.0]))
-        assert res.j_next == 0.0
-        assert res.backtracks == 1
-        assert res.mu_next == 1.0  # 0.5 * rho_up
+        step, trial, j, shrinkages = _armijo(cost, phi, -grad, -4.0, 1.0, 1.0, OptimizerConfig())
+        assert step == 0.5
+        assert np.array_equal(trial, np.array([0.0, 0.0]))
+        assert j == 0.0
+        assert shrinkages == 1
 
     def test_accepts_first_decrease_when_c_tiny(self):
-        opt = OptimizerConfig(c=1e-15)
+        # q = -0.5 against grad = 2: slope -1
         cost = lambda x: float(x @ x)
         phi = np.array([1.0])
-        grad = np.array([2.0])
-        res = armijo_backtrack(phi, np.array([-0.5]), grad, 1.0, opt, cost)
-        assert res.backtracks == 0
-        assert res.j_next < cost(phi)
+        opt = OptimizerConfig(c=1e-15)
+        _, _, j, shrinkages = _armijo(cost, phi, np.array([-0.5]), -1.0, cost(phi), 1.0, opt)
+        assert shrinkages == 0
+        assert j < cost(phi)
 
-    def test_rejects_ascent_direction(self):
-        opt = OptimizerConfig()
-        cost = lambda x: float(x @ x)
-        with pytest.raises(ValueError, match="descent"):
-            armijo_backtrack(np.array([1.0]), np.array([2.0]), np.array([2.0]), 1.0, opt, cost)
-
-    def test_stall_raises(self):
+    def test_stall_returns_none(self):
         opt = OptimizerConfig(max_backtracks=5)
+        trials = []
 
         def cliff(x):  # no step along q ever decreases this
+            trials.append(x)
             return 1.0 if x[0] >= 1.0 else 2.0
 
-        with pytest.raises(LineSearchStall):
-            armijo_backtrack(
-                np.array([1.0]), np.array([-1.0]), np.array([1.0]), 1.0, opt, cliff, j0=1.0
-            )
-
-    def test_step_growth_is_capped(self):
-        opt = OptimizerConfig(mu_cap=1.5)
-        cost = lambda x: float(x @ x)
-        res = armijo_backtrack(
-            np.array([1.0]), np.array([-1.0]), np.array([2.0]), 1.0, opt, cost
-        )
-        assert res.mu_next == 1.5
+        assert _armijo(cliff, np.array([1.0]), np.array([-1.0]), -1.0, 1.0, 1.0, opt) is None
+        assert len(trials) == opt.max_backtracks + 1
 
 
 class TestRunGdGisl:
@@ -185,3 +167,32 @@ class TestRunGdGisl:
         assert row.iteration == 1
         assert row.j_db == pytest.approx(10.0 * math.log10(row.j))
         assert isinstance(row.reset, bool)
+
+    def test_step_follows_growth_rule(self):
+        # each search starts from the last accepted step grown by rho_up and
+        # capped at mu_cap, and each shrinkage multiplies it by rho_down
+        cfg, phi0, w = small_problem()
+        opt = OptimizerConfig(p=6, max_iters=40, mu_cap=5.0)
+        _, trace = run_gd_gisl(phi0, cfg, w, opt)
+        assert len(trace.rows) == 40
+        seed = opt.mu0
+        for row in trace.rows:
+            assert row.mu == seed * opt.rho_down**row.backtracks
+            seed = min(row.mu * opt.rho_up, opt.mu_cap)
+        # both the cap and the shrinkage are exercised
+        assert any(row.mu * opt.rho_up > opt.mu_cap for row in trace.rows)
+        assert any(row.backtracks > 0 for row in trace.rows)
+
+    def test_line_search_stall(self):
+        cfg, phi0, w = small_problem(seed=0)
+        opt = OptimizerConfig(p=6, max_backtracks=1, mu0=1e3)
+        _, trace = run_gd_gisl(phi0, cfg, w, opt)
+        assert trace.status == "line_search_stall"
+        counts, rows = trace.counts, trace.rows
+        # every accepted search plus the stalled one, which tries max_backtracks + 1 steps
+        cost_calls = sum(row.backtracks + 1 for row in rows) + opt.max_backtracks + 1
+        assert counts["gradient_passes"] == len(rows) + 1
+        assert counts["forward_passes"] + counts["cache_hits"] == cost_calls + len(rows) + 1
+        assert counts["backtracks"] == sum(row.backtracks for row in rows) + opt.max_backtracks
+        resets = sum(row.reset for row in rows)
+        assert resets <= counts["momentum_resets"] <= resets + 1
