@@ -76,43 +76,30 @@ _FOUR_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -
 _FOUR_DIGITS = _FOUR_DIGITS.view(np.uint32).ravel()
 # padding, sign, first digit and point, at 10 * signbit + first digit
 _LEADS = _words(f"\0{sign}{d}." for sign in ("\0", "-") for d in range(10))
-_EXPONENTS = _words(f"e{e:+03d}" for e in range(-10, 36))
+_EXPONENTS = _words(f"e{e:+03d}" for e in range(-10, 13))
 _COMMA, _NEWLINE = _words(["," + 3 * "\0", "\n" + 3 * "\0"])
-
-
-def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """a * 10**k in one correctly rounded operation, for |k| <= 22 (k is clipped)."""
-    m = a * _POW10[np.clip(k, 0, 22)]
-    down = np.nonzero(k < 0)
-    m[down] = a[down] / _POW10[np.minimum(-k[down], 22)]
-    return m
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 13-digit mantissa and the exponent that %.12e prints for each value,
     and where they are exact.
 
-    A finite |x| with decimal exponent e, 12 - e within +-22, has its mantissa
-    m = |x| * 10**(12 - e) in one rounding, and rint(m) is the printed digits
-    unless frac(m) lies within _TIE_BAND of 0.5. Zeros are exact as (0, 0);
-    every other value (near ties, tiny or huge exponents, inf, nan) is not.
+    With e = floor(log10 |x|) and k = 12 - e clipped to 0..22, the mantissa
+    m = |x| * 10**k is one correctly rounded multiply by an exact power of
+    ten. Where 10**12 <= m, rint(m) < 10**13 and frac(m) lies further than
+    _TIE_BAND from 0.5, rint(m) is the printed digits and 12 - k the printed
+    exponent. Zeros are exact as (0, 0); every other value (near ties, a
+    log10 miss next to a power of ten, a mantissa that rounds up to 10**13,
+    |x| >= 1e13 or below 1e-10, inf, nan) is not.
     """
-    zero = x == 0
-    nonzero = np.isfinite(x) & ~zero
-    a = np.where(nonzero, np.abs(x), 1.0)  # placeholder for zeros, inf and nan
-    e = np.floor(np.log10(a)).astype(np.int64)
-    m = _scaled(a, 12 - e)
-    # log10 can miss by one next to a power of ten
-    off = np.nonzero((m < 1e12) | (m >= 1e13))
-    e[off] += np.where(m[off] < 1e12, -1, 1)
-    m[off] = _scaled(a[off], 12 - e[off])
-    exact = nonzero & (np.abs(12 - e) <= 22) & (m >= 1e12) & (m < 1e13)
-    exact &= np.abs(m - np.floor(m) - 0.5) > _TIE_BAND
-    q = np.rint(np.where(exact, m, 0.0)).astype(np.int64)
-    exact |= zero
-    carry = q == 10**13
-    q[carry] = 10**12
-    return q, np.where(exact, e + carry, 0), exact
+    a = np.abs(x)
+    # zeros, inf and nan take placeholder exponents here, and fail the range test
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.clip(12 - np.floor(np.log10(a)).astype(np.int64), 0, 22)
+        m = a * _POW10[k]
+        q = np.rint(m)
+        exact = (m >= 1e12) & (q < 1e13) & (np.abs(m - q) < 0.5 - _TIE_BAND)
+    return np.where(exact, q, 0.0).astype(np.int64), np.where(exact, 12 - k, 0), exact | (x == 0)
 
 
 def _e_fields(x: np.ndarray, slots: np.ndarray) -> None:
@@ -120,13 +107,12 @@ def _e_fields(x: np.ndarray, slots: np.ndarray) -> None:
     without an exact mantissa from _decimal is formatted on its own."""
     q, e, exact = _decimal(x)
     words = slots.view(np.uint32)
-    lead = q // 10**12
+    top, mid = q // 10**8, q // 10**4  # the first 5 and the first 9 digits
+    lead = top // 10**4
     words[..., 0] = _LEADS[lead + 10 * np.signbit(x)]
-    q -= lead * 10**12
-    for w, scale in enumerate((10**8, 10**4, 1), start=1):
-        chunk = q // scale
-        words[..., w] = _FOUR_DIGITS[chunk]
-        q -= chunk * scale
+    words[..., 1] = _FOUR_DIGITS[top - lead * 10**4]
+    words[..., 2] = _FOUR_DIGITS[mid - top * 10**4]
+    words[..., 3] = _FOUR_DIGITS[q - mid * 10**4]
     words[..., 4] = _EXPONENTS[e + 10]
     words[..., 5] = _COMMA
 
@@ -210,13 +196,14 @@ def read_phi_csv(path) -> np.ndarray:
     if not rows or rows[0] != "ell,phi_rad":
         raise ValueError(f"{path}, line 1: expected the header 'ell,phi_rad'")
     phi = []
-    for n, line in enumerate(rows[1:], start=2):
+    for ell, line in enumerate(rows[1:], start=1):
+        index, _, text = line.partition(",")
         try:
-            value = float(line.split(",")[1])
-        except (IndexError, ValueError):
+            value = float(text) if index == str(ell) else math.nan
+        except ValueError:
             value = math.nan
         if not math.isfinite(value):
-            raise ValueError(f"{path}, line {n}: {line!r} is not 'ell,phi_rad' with a finite phase")
+            raise ValueError(f"{path}, line {ell + 1}: expected '{ell},<finite phase>', got {line!r}")
         phi.append(value)
     return np.array(phi)
 

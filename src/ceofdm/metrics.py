@@ -113,23 +113,6 @@ def _raw_index(m: int, n: int) -> np.ndarray:
     return np.arange(1 - m, m) % n
 
 
-def _crosscorr(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Centered linear cross-correlation sum_m u[m+k] v*[m] along the last axis.
-
-    u and v hold M samples per row; a 2-D pair is correlated row by row in
-    one batch of FFTs.
-    """
-    m = u.shape[-1]
-    n = _fft_length(m)
-    # in place where numpy >= 1.24 allows (fft's out= needs numpy 2): one
-    # (rows, n) array fewer in flight
-    spec = np.fft.fft(u, n)
-    other = np.fft.fft(v, n)
-    spec *= np.conj(other, out=other)
-    del other
-    return np.fft.ifft(spec)[..., _raw_index(m, n)]
-
-
 def compute_acf(s: SampledWaveform) -> CorrelationResult:
     """Discretized ACF over all 2M-1 delays.
 
@@ -137,12 +120,34 @@ def compute_acf(s: SampledWaveform) -> CorrelationResult:
     N >= 2M-1 points, which equals the direct lag sum sum_m s[m+k] s*[m].
     For unit-energy input the zero-delay sample is exactly 1.
     """
-    return CorrelationResult(r=_crosscorr(s.samples, s.samples), fs=s.fs)
+    m = s.samples.size
+    n = _fft_length(m)
+    spec = np.fft.fft(s.samples, n)
+    spec *= np.conj(spec)  # in place: numpy's out-of-place product can round differently
+    return CorrelationResult(r=np.fft.ifft(spec)[_raw_index(m, n)], fs=s.fs)
 
 
 # complex FFT points per Doppler block of compute_af: a block's few (rows, N)
 # arrays stay near the size of a core's cache, and a long pulse gets one row
 _AF_BLOCK_POINTS = 1 << 15
+
+
+def _doppler_pairs(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading rows in grid order, and each one's partner at exactly -nu or -1.
+
+    Only a row at nu > 0 takes a partner, one no other row has taken; every
+    other row (nu = 0, -0.0, nan, a -nu without its +nu) leads alone.
+    """
+    free: dict[float, list] = {}
+    for j in np.flatnonzero(nu < 0)[::-1]:
+        free.setdefault(-nu[j], []).append(j)
+    partner, leads = np.full(nu.size, -1), np.ones(nu.size, dtype=bool)
+    for i in np.flatnonzero(nu > 0):
+        if free.get(nu[i]):
+            partner[i] = free[nu[i]].pop()
+            leads[partner[i]] = False
+    lead = np.flatnonzero(leads)
+    return lead, partner[lead]
 
 
 def compute_af(s: SampledWaveform, doppler_grid) -> AmbiguitySurface:
@@ -151,21 +156,31 @@ def compute_af(s: SampledWaveform, doppler_grid) -> AmbiguitySurface:
     Each Doppler shift is split symmetrically between the two copies of the
     waveform before correlating, so the zero-Doppler row reproduces
     compute_acf exactly and the zero-delay cut is the Dirichlet-kernel sum
-    |sum_m |s[m]|^2 e^{j 2 pi nu t_m}|. The rows are correlated in blocks of
-    max(1, _AF_BLOCK_POINTS // N) rows, one batch of N-point FFTs per block,
-    and each block's |chi| goes straight into the surface; a row's values do
-    not depend on the block it is in.
+    |sum_m |s[m]|^2 e^{j 2 pi nu t_m}|. Rows at +nu and -nu share a phasor:
+    with A = fft(s e^{j pi nu t}) and B = fft(s e^{-j pi nu t}), they are
+    |ifft(A conj(B))| and |ifft(B conj(A))|, the products a row-by-row loop
+    forms. Pairs go in blocks of max(1, _AF_BLOCK_POINTS // N // 2), one
+    batch of N-point FFTs per block; a row's values do not depend on its block.
     """
     nu = np.asarray(doppler_grid, dtype=float).ravel()
     m = s.samples.size
-    step = max(1, _AF_BLOCK_POINTS // _fft_length(m))
+    n = _fft_length(m)
+    lags = _raw_index(m, n)
+    lead, partner = _doppler_pairs(nu)
+    step = max(1, _AF_BLOCK_POINTS // n // 2)
     values = np.empty((nu.size, 2 * m - 1))
-    for start in range(0, nu.size, step):
-        rows = slice(start, start + step)
+    for start in range(0, lead.size, step):
+        rows, mates = lead[start : start + step], partner[start : start + step]
         shift = np.exp((1j * np.pi * nu[rows])[:, None] * s.t)
-        u = s.samples * shift
-        v = s.samples * np.conj(shift, out=shift)
-        np.abs(_crosscorr(u, v), out=values[rows])
+        a = np.fft.fft(s.samples * shift, n)
+        b = np.fft.fft(s.samples * np.conj(shift, out=shift), n)
+        del shift
+        mirror = np.conj(b)
+        b *= np.conj(a)
+        a *= mirror  # both products in place, as in compute_acf
+        values[rows] = np.abs(np.fft.ifft(a)[:, lags])
+        paired = mates >= 0
+        values[mates[paired]] = np.abs(np.fft.ifft(b[paired])[:, lags])
     delays = np.arange(1 - m, m) / s.fs
     return AmbiguitySurface(values=values, delays=delays, dopplers=nu)
 

@@ -553,21 +553,20 @@ class TestExitCodes:
         assert str(opt / name) in err and "4 phases" in err and "L = 16" in err
         assert not (out / "report.csv").exists()
 
-    @pytest.mark.parametrize("row, line", [
-        ("2", 3),  # no comma: used to raise an uncaught IndexError
-        ("2,abc", 3),  # used to exit 3 without naming the file
-        ("2,nan", 3),  # used to exit 0 with nan in every report cell
-        (None, 1),  # no header: used to exit 3
-    ], ids=["no-comma", "not-a-number", "nan", "no-header"])
-    def test_malformed_phase_file_is_config_error(self, tmp_path, capsys, row, line):
+    @pytest.mark.parametrize("edit, line", [
+        (lambda rows: rows[:2] + ["2"] + rows[3:], 3),  # no comma: used to raise an uncaught IndexError
+        (lambda rows: rows[:2] + ["2,abc"] + rows[3:], 3),  # used to exit 3 without naming the file
+        (lambda rows: rows[:2] + ["2,nan"] + rows[3:], 3),  # used to exit 0 with nan in every report cell
+        (lambda rows: rows[1:], 1),  # no header: used to exit 3
+        # these two used to exit 0 and quantize the phases in file order
+        (lambda rows: [rows[0], rows[2], rows[1]] + rows[3:], 2),
+        (lambda rows: rows[:2] + [rows[2] + ",junk"] + rows[3:], 3),
+    ], ids=["no-comma", "not-a-number", "nan", "no-header", "swapped", "extra-field"])
+    def test_malformed_phase_file_is_config_error(self, tmp_path, capsys, edit, line):
         opt = tmp_path / "opt"
         args = ["--set", "waveform.L=8", "--set", "optimizer.max_iters=1"]
         assert main(["optimize", "--out", str(opt), "--seed", "1"] + args) == 0
-        lines = (opt / "phi_final.csv").read_text().splitlines()
-        if row is None:
-            del lines[0]
-        else:
-            lines[line - 1] = row
+        lines = edit((opt / "phi_final.csv").read_text().splitlines())
         (opt / "phi_final.csv").write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         out = tmp_path / "q"

@@ -191,6 +191,37 @@ def test_batched_af_matches_per_row_loop(cfg):
     assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, s.t, nu))
 
 
+# Doppler grids in units of 1/T; rows at +nu and -nu share their FFTs in compute_af
+AF_EDGE_GRIDS = {
+    "symmetric-even": [-3.0, -1.5, -0.5, 0.5, 1.5, 3.0],  # every row paired, no zero
+    "unpaired": [-3.0, 0.5, -0.5, 2.0, -7.0, 4.0],  # -3, 2, -7 and 4 lead alone
+    "duplicate-negative": [-1.0, -1.0, 1.0],  # one -1 pairs, the other must still be written
+    "negative-zero": [-0.0, -2.0, 0.0, 2.0],
+    "zero-only": [0.0],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(AF_EDGE_GRIDS))
+def test_paired_af_matches_per_row_loop_on_edge_grids(grid):
+    cfg = WaveformConfig(L=8, h=0.15, samples=70)
+    s = synthesize(random_psk(cfg.L, 32, seed=3), cfg)
+    nu = np.array(AF_EDGE_GRIDS[grid]) / cfg.T
+    assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, s.t, nu))
+
+
+def test_paired_af_blocks_match_per_row_loop():
+    # 17 pairs, zero and an unpaired row in shuffled order at tbp = 208
+    # (N = 2160, 7 pairs per block): blocks of 7, 7 and a partial one of 5
+    cfg = WaveformConfig(L=24, tbp=208.0)
+    s = synthesize(random_psk(cfg.L, 32, seed=3), cfg)
+    half = 0.75 * np.arange(1, 18) / cfg.T
+    nu = np.random.default_rng(6).permutation(np.concatenate([-half, [0.0], half, [-20.0 / cfg.T]]))
+    pairs_per_block = metrics._AF_BLOCK_POINTS // metrics._fft_length(cfg.M) // 2
+    leading = metrics._doppler_pairs(nu)[0].size
+    assert leading > 2 * pairs_per_block and leading % pairs_per_block
+    assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, s.t, nu))
+
+
 @pytest.fixture(scope="module")
 def survey_af():
     """The survey surface: 97 Doppler rows at tbp = 208 (M = 1040, N = 2160)."""
@@ -202,12 +233,10 @@ def survey_af():
 
 def test_blocked_af_csv_matches_per_value_format(tmp_path, survey_af):
     cfg, s, nu = survey_af
-    # several blocks of each kind, the last one partial: 15 rows per AF block,
-    # 3 rows (6240 values) per encoder block
-    af_rows = metrics._AF_BLOCK_POINTS // metrics._fft_length(cfg.M)
+    # several encoder blocks, the last one partial: 3 rows (6240 values) per
+    # block. The AF's own blocks are pinned by test_paired_af_blocks_match_per_row_loop
     encoder_rows = exports._BLOCK_VALUES // (2 * cfg.M)
-    for rows in (af_rows, encoder_rows):
-        assert 1 < rows < len(nu) // 2 and len(nu) % rows
+    assert 1 < encoder_rows < len(nu) // 2 and len(nu) % encoder_rows
     af = compute_af(s, nu)
     write_af_csv(tmp_path / "af.csv", af, cfg.T)
     assert (tmp_path / "af.csv").read_bytes() == expected_af(af, cfg.T)
@@ -247,14 +276,19 @@ def encoder_values() -> np.ndarray:
     subnormal = rng.integers(1, 2**52, 500, dtype=np.uint64).view(np.float64)
     powers = np.array([float(f"1e{e}") for e in range(-30, 31)])
     neighbours = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
-    # mantissas within rounding of a decimal tie, at every exponent of the fast path
+    # the fast path's edges: mantissas that carry to 1.000000000000e+(e+1) at
+    # each of its exponents, and the neighbours of its limits 1e-10 and 1e13
+    carries = np.array([float(f"9.9999999999997e{e}") for e in range(-10, 13)])
+    limits = np.array([1e-10, 1e13])
+    edges = np.concatenate([carries, np.nextafter(limits, 0.0), np.nextafter(limits, np.inf)])
+    # mantissas within rounding of a decimal tie, scaled by every power of ten up to 1e22 either way
     n = rng.integers(10**12, 10**13, 4000) + 0.5
     k = rng.integers(-22, 23, 4000)
     near_ties = np.where(k >= 0, n / 10.0 ** np.abs(k), n * 10.0 ** np.abs(k))
     ties = np.concatenate([[1234567890123.5, 2.5, 0.5, 9.9999999999995], 0.5 * 10.0 ** np.arange(-30, 31)])
     special = [0.0, -0.0, -999.0, -200.0, np.inf, -np.inf, np.nan, -np.nan]
     huge = [1e100, -3.7e150, 1.5e-200, 1.7976931348623157e308, -2.2250738585072014e-308]
-    values = np.concatenate([random, subnormal, neighbours, near_ties, ties, special, huge])
+    values = np.concatenate([random, subnormal, neighbours, edges, near_ties, ties, special, huge])
     return np.concatenate([values, -values])
 
 
