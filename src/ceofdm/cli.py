@@ -3,7 +3,8 @@
 All commands resolve an :class:`ExperimentConfig` from defaults, an optional
 INI file, and command-line overrides, then write their data products into the
 output directory together with a manifest echoing the resolved config. Exit
-codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+codes: 0 success, 2 config error, 3 numerical failure or out of memory,
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -335,6 +336,12 @@ def main(argv=None) -> int:
         return 4
     except (ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # whether a run fits depends on the machine, not on the config
+        if getattr(args, "input", None):  # quantize --input runs the input run's pulse
+            config = ExperimentConfig.from_sources(Path(args.input) / "manifest.ini")
+        print(f"out of memory at M = {config.to_waveform_config().M}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -55,15 +55,17 @@ def _write_lines(path, lines) -> None:
         out.writelines(f"{line}\n" for line in lines)
 
 
-_BLOCK_VALUES = 1 << 13  # float fields per block: about 80 bytes each in flight, under 1 MB
-_E_WIDTH = 20  # the longest %.12e text, e.g. "-1.234567890123e-308"
-# One field's slot: its text right-aligned in the first _E_WIDTH bytes, its
-# separator next, zero bytes everywhere else; six 4-byte words in all.
-_SLOT = 24
+_BLOCK_VALUES = 1 << 13  # float fields per block: about 60 bytes each in flight, under 1 MB
+# One field's slot: its text and separator right-aligned in five 4-byte
+# words, zero bytes before them. A negative %.12e field with a two-digit
+# exponent fills its slot exactly; a positive one leaves one zero byte.
+_SLOT = 20
+# A field longer than its slot leaves this byte last in it, zero bytes before;
+# its text takes the byte's place once the block is compacted
+_LONG = b"\x01"
 _POW10 = 10.0 ** np.arange(23)  # every power of ten up to 1e22 is exact in binary64
-# the 13-digit mantissa m is within 2**-10 of exact, so a fractional part
-# further than this from 0.5 rounds the way the exact value does
-_TIE_BAND = 0.002
+_INT_POW10 = 10 ** np.arange(19)
+_M_CARRY = 9999999999999.5  # a mantissa from here on rounds to 10**13: a carry into the exponent
 
 
 def _words(texts) -> np.ndarray:
@@ -72,82 +74,181 @@ def _words(texts) -> np.ndarray:
 
 
 # "0000" to "9999": the digits of i are its index into a 10 x 10 x 10 x 10 grid
-_FOUR_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
-_FOUR_DIGITS = _FOUR_DIGITS.view(np.uint32).ravel()
-# padding, sign, first digit and point, at 10 * signbit + first digit
-_LEADS = _words(f"\0{sign}{d}." for sign in ("\0", "-") for d in range(10))
-_EXPONENTS = _words(f"e{e:+03d}" for e in range(-10, 13))
-_COMMA, _NEWLINE = _words(["," + 3 * "\0", "\n" + 3 * "\0"])
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+
+
+def _digit_words(last: str = "", below=()) -> np.ndarray:
+    """The words "0000" to "9999", or with ``last`` "000" to "999" each
+    followed by it; character j of word i is a zero byte where i < below[j]."""
+    chars = _DIGITS[:: 10 if last else 1].copy()
+    if last:
+        chars[:, 3] = ord(last)
+    chars[:, : len(below)][np.arange(len(chars))[:, None] < np.array(below, dtype=int)] = 0
+    return chars.view(np.uint32).ravel()
+
+
+# The words of a %.12e field: padding or sign, first digit, point and second
+# digit at 100 * signbit + the first two digits; four digits twice; the last
+# three digits and the e; the exponent 12 - k and the separator at k.
+_LEADS = _words(f"{sign}{d // 10}.{d % 10}" for sign in ("\0", "-") for d in range(100))
+_FOUR_DIGITS = _digit_words()
+_TAILS = _digit_words("e")
+_EXP_COMMA = _words(f"{12 - k:+03d}," for k in range(23))
+_EXP_NEWLINE = _words(f"{12 - k:+03d}\n" for k in range(23))
+# The words of a %d field: the last three digits and a comma, then four digits
+# at a time. The second half of each table, at the value plus the first
+# half's size, holds the leading word: its leading zeros are blank, and a
+# word of no digits is blank throughout.
+_INT_TAILS = np.concatenate([_digit_words(","), _digit_words(",", below=[100, 10])])
+_INT_FOURS = np.concatenate([_FOUR_DIGITS, _digit_words(below=[1000, 100, 10, 1])])
+
+
+def _product_error(a: float, b: float, p: float) -> float:
+    """a * b - p, exactly, for p = fl(a * b) away from overflow and underflow (Dekker)."""
+
+    def split(v):  # v = hi + lo, each with at most 26 significant bits
+        c = 134217729.0 * v  # 2**27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    (ah, al), (bh, bl) = split(a), split(b)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 13-digit mantissa and the exponent that %.12e prints for each value,
-    and where they are exact.
+    """The 13-digit mantissa q and the power k for which q is the digits that
+    %.12e prints for each value of a C-ordered array and 12 - k its exponent,
+    and the flat indexes of the values where they are not.
 
-    With e = floor(log10 |x|) and k = 12 - e clipped to 0..22, the mantissa
-    m = |x| * 10**k is one correctly rounded multiply by an exact power of
-    ten. Where 10**12 <= m, rint(m) < 10**13 and frac(m) lies further than
-    _TIE_BAND from 0.5, rint(m) is the printed digits and 12 - k the printed
-    exponent. Zeros are exact as (0, 0); every other value (near ties, a
-    log10 miss next to a power of ten, a mantissa that rounds up to 10**13,
-    |x| >= 1e13 or below 1e-10, inf, nan) is not.
+    With e = floor(log10 |x|) and k = 12 - e, m = |x| * 10**k is one correctly
+    rounded multiply by an exact power of ten. k is read through
+    ``take(mode="clip")``, so a k outside 0..22 stands for 10**0 or 10**22,
+    both in m and in the exponent. The exact product lies within half an ulp
+    of m, and ulp(m) <= 2**-9 for m < 10**13, so each n + 0.5 is a whole
+    number of ulps away: rint(m) rounds the way the exact product does, except
+    where m is n + 0.5 itself. There the sign of the product's exact error
+    picks the side, and an error of 0 is a true tie, which rint breaks to even
+    as %.12e does. So q is exact where 10**12 <= m < _M_CARRY. Zeros are exact
+    as q = 0, k = 12. Every other value (a log10 miss next to a power of ten,
+    a mantissa that rounds up to 10**13, |x| >= 1e13 or below 1e-10, inf,
+    nan) is returned, with q = 0.
     """
     a = np.abs(x)
-    # zeros, inf and nan take placeholder exponents here, and fail the range test
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.clip(12 - np.floor(np.log10(a)).astype(np.int64), 0, 22)
-        m = a * _POW10[k]
+        # zeros, inf and nan get placeholder powers here, and fall out of range
+        m = np.log10(a)
+        np.floor(m, out=m)
+        k = m.astype(np.intp)
+        np.subtract(12, k, out=k)
+        np.take(_POW10, k, out=m, mode="clip")
+        m *= a
         q = np.rint(m)
-        exact = (m >= 1e12) & (q < 1e13) & (np.abs(m - q) < 0.5 - _TIE_BAND)
-    return np.where(exact, q, 0.0).astype(np.int64), np.where(exact, 12 - k, 0), exact | (x == 0)
+        half = m - q
+        half *= half
+    in_range = (m >= 1e12).ravel()
+    in_range &= (m < _M_CARRY).ravel()  # false for nan
+    again = np.nonzero((half == 0.25).ravel() | ~in_range)[0]
+    if not again.size:
+        return q, k, again
+    a, m, q_flat, k_flat = a.ravel(), m.ravel(), q.ravel(), k.ravel()
+    ties, slow = again[in_range[again]], again[~in_range[again]]
+    # a few per block: one at a time is cheaper than a dozen array calls
+    powers = _POW10.take(k_flat[ties], mode="clip")
+    for i, a_i, power, m_i in zip(ties.tolist(), a[ties].tolist(), powers.tolist(), m[ties].tolist()):
+        error = _product_error(a_i, power, m_i)
+        if error:
+            q_flat[i] = m_i + math.copysign(0.5, error)
+    if slow.size:
+        q_flat[slow] = 0.0
+        zero = a[slow] == 0
+        k_flat[slow[zero]] = 12
+        slow = slow[~zero]
+    return q, k, slow
 
 
-def _e_fields(x: np.ndarray, slots: np.ndarray) -> None:
-    """Write each value's %.12e text and a comma into its slot; a value
-    without an exact mantissa from _decimal is formatted on its own."""
-    q, e, exact = _decimal(x)
-    words = slots.view(np.uint32)
-    top, mid = q // 10**8, q // 10**4  # the first 5 and the first 9 digits
-    lead = top // 10**4
-    words[..., 0] = _LEADS[lead + 10 * np.signbit(x)]
-    words[..., 1] = _FOUR_DIGITS[top - lead * 10**4]
-    words[..., 2] = _FOUR_DIGITS[mid - top * 10**4]
-    words[..., 3] = _FOUR_DIGITS[q - mid * 10**4]
-    words[..., 4] = _EXPONENTS[e + 10]
-    words[..., 5] = _COMMA
+def _e_fields(x: np.ndarray, slots: np.ndarray, first: int, long: dict) -> None:
+    """Write each value's %.12e text and its separator, a comma or in the last
+    column a newline, into the slots from column ``first`` on. A value without
+    an exact mantissa from _decimal is formatted on its own; a text longer
+    than its slot goes into ``long`` at its (row, column)."""
+    x = np.ascontiguousarray(x)
+    q, k, slow = _decimal(x)
+    np.add(q, 1e13, out=q, where=np.signbit(x))
+    n = q.astype(np.int64)  # 10**13 for a minus sign, plus the 13 digits
+    head = n // 10**7
+    n -= head * 10**7
+    lead = head // 10**4
+    head -= lead * 10**4
+    mid = n // 1000
+    n -= mid * 1000
+    words = slots.view(np.uint32)[:, first:]
+    words[..., 0] = _LEADS.take(lead)
+    words[..., 1] = _FOUR_DIGITS.take(head)
+    words[..., 2] = _FOUR_DIGITS.take(mid)
+    words[..., 3] = _TAILS.take(n)
+    words[..., 4] = _EXP_COMMA.take(k, mode="clip")
+    words[:, -1, 4] = _EXP_NEWLINE.take(k[:, -1], mode="clip")
 
-    slow = np.nonzero(~exact)
-    if len(slow[0]):
-        padded = "".join(("%.12e" % v).rjust(_E_WIDTH, "\0") for v in x[slow].tolist())
-        text = np.frombuffer(padded.encode("ascii"), np.uint8).reshape(-1, _E_WIDTH)
-        slots[slow + (slice(0, _E_WIDTH),)] = text
+    if slow.size:
+        rows, cols = np.divmod(slow, x.shape[1])
+        texts = []
+        for row, col, value in zip(rows.tolist(), cols.tolist(), x.ravel()[slow].tolist()):
+            text = "%.12e%s" % (value, "\n" if col == x.shape[1] - 1 else ",")
+            if len(text) > _SLOT:
+                long[row, first + col] = text
+                text = _LONG.decode()
+            texts.append(text.rjust(_SLOT, "\0"))
+        slots[rows, first + cols] = np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(-1, _SLOT)
 
 
-def _d_fields(index: np.ndarray, slots: np.ndarray) -> None:
-    """Write each integer's %d text and a comma into its slot."""
+def _d_fields(index: np.ndarray, slots: np.ndarray, long: dict) -> None:
+    """Write each integer's %d text and a comma into its slot in column 0; an
+    integer of -10**18 or less is longer than its slot and goes into ``long``."""
     a = np.abs(index)
-    ndigits = np.maximum(1, np.searchsorted(10 ** np.arange(19), a, side="right"))
-    words = slots.view(np.uint32)
-    for w in range(4, 4 - (ndigits.max() + 3) // 4, -1):
-        words[:, w] = _FOUR_DIGITS[a % 10**4]
-        a = a // 10**4
-    words[:, 5] = _COMMA
-    slots[:, :_E_WIDTH][np.arange(_E_WIDTH) < _E_WIDTH - ndigits[:, None]] = 0
     negative = np.flatnonzero(index < 0)
-    slots[negative, _E_WIDTH - 1 - ndigits[negative]] = ord("-")
+    over = index[negative] <= -(10**18)
+    too_long, negative = negative[over], negative[~over]
+    for row in too_long.tolist():
+        long[row, 0] = f"{index[row]},"
+    a[too_long] = 0
+
+    slot = slots[:, 0]
+    words = slot.view(np.uint32)
+    for w in range(4, -1, -1):
+        table, unit = (_INT_TAILS, 1000) if w == 4 else (_INT_FOURS, 10**4)
+        high = a // unit
+        a -= high * unit
+        a += unit * (high == 0)  # the leading word's table half
+        words[:, w] = table.take(a)
+        a = high
+        if not a.any():
+            words[:, :w] = 0
+            break
+    digits = np.searchsorted(_INT_POW10, -index[negative], side="right")
+    slot[negative, _SLOT - 2 - digits] = ord("-")
+    slot[too_long] = np.frombuffer(_LONG.rjust(_SLOT, b"\0"), np.uint8)
 
 
-def _encode_block(table: np.ndarray, index=None) -> np.ndarray:
+def _encode_block(table: np.ndarray, index=None) -> bytes:
     """CSV bytes of a 2-D float table as %.12e fields, each row led by its
     ``index`` entry as %d when given, every row ending in a newline."""
     rows, cols = table.shape
     lead = 0 if index is None else 1
     slots = np.empty((rows, lead + cols, _SLOT), np.uint8)
-    _e_fields(table, slots[:, lead:])
+    long = {}  # (row, column) -> the text of a field longer than its slot
+    _e_fields(table, slots, lead, long)
     if index is not None:
-        _d_fields(index, slots[:, 0])
-    slots.view(np.uint32)[:, -1, 5] = _NEWLINE
-    return slots[slots != 0]
+        _d_fields(index, slots, long)
+    # bytes.replace drops zero bytes at a cost per zero byte, a masked copy at
+    # a cost per byte: about one zero byte per field is where they break even
+    if slots.size - np.count_nonzero(slots) <= slots.size // _SLOT:
+        data = slots.tobytes().replace(b"\0", b"")
+    else:
+        data = slots[slots != 0].tobytes()
+    if long:
+        parts = data.split(_LONG)
+        data = parts[0] + b"".join(long[key].encode("ascii") + part for key, part in zip(sorted(long), parts[1:]))
+    return data
 
 
 def _row_slices(rows: int, cols: int):
@@ -266,15 +367,30 @@ def write_acf_csv(path, r: CorrelationResult, T: float) -> None:
 def write_af_csv(path, af: AmbiguitySurface, T: float) -> None:
     """First column Doppler (times T); remaining columns |chi|^2 in dB per delay.
 
-    The dB table is built one encoder block of rows at a time, so no copy of
-    the whole surface is made.
+    The table is built one encoder block of rows at a time, so no copy of the
+    whole surface is made.
     """
     doppler, values = af.dopplers * T, af.values
     blocks = (
-        (np.column_stack([doppler[rows], encode_db(db(values[rows] ** 2))]), None)
+        (_af_rows(doppler[rows], values[rows]), None)
         for rows in _row_slices(len(values), values.shape[1] + 1)
     )
     _write_table(path, "doppler_times_T", blocks, header_values=af.delays / T)
+
+
+def _af_rows(doppler: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Rows of af.csv: each Doppler, then encode_db(db(values**2)), built in place."""
+    rows = np.empty((len(values), values.shape[1] + 1))
+    rows[:, 0] = doppler
+    power_db = rows[:, 1:]
+    np.square(values, out=power_db)
+    zero = power_db == 0.0  # -inf dB
+    with np.errstate(divide="ignore"):
+        np.log10(power_db, out=power_db)
+    power_db *= 10.0
+    np.maximum(power_db, DB_FLOOR, out=power_db)
+    power_db[zero] = DB_NEG_INF
+    return rows
 
 
 def write_trace_csv(path, trace: OptimizationTrace) -> None:

@@ -93,7 +93,6 @@ class OptimizationTrace:
     rows: list[TraceRow] = field(default_factory=list)
     status: str = "iteration_cap"
     initial_j: float = float("nan")
-    initial_grad_norm: float = float("nan")
     counts: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -158,7 +157,7 @@ def run_gd_gisl(
     phi = _phase_vector(phi0, cfg.L).copy()
     j, grad = ws.cost_and_gradient(phi)
     grad_norm = float(np.linalg.norm(grad))
-    trace = OptimizationTrace(initial_j=j, initial_grad_norm=grad_norm)
+    trace = OptimizationTrace(initial_j=j)
     q = np.zeros(cfg.L)
     mu = float(opt.mu0)
     backtracks = resets = 0

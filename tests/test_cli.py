@@ -11,7 +11,7 @@ import pytest
 import ceofdm
 from ceofdm.cli import main
 from ceofdm.expconfig import ConfigError, ExperimentConfig
-from ceofdm.exports import DB_NEG_INF
+from ceofdm.exports import DB_NEG_INF, write_phi_csv
 
 
 # the counts that optimize and sweep print on stdout
@@ -501,6 +501,20 @@ class TestExitCodes:
             "--set", "region.lo=0.9993", "--set", "region.hi=0.9997",
         ])
         assert code == 3
+
+    def test_out_of_memory_names_m(self, tmp_path, capsys):
+        # M = 5e12: numpy refuses the first M-sized array at once, so nothing large is allocated
+        code = main(["synth", "--out", str(tmp_path / "x"), "--seed", "1", "--set", "waveform.tbp=1e12"])
+        assert code == 3
+        assert "out of memory at M = 5000000000000:" in capsys.readouterr().err
+        # quantize --input names the input run's M, not its own default 1000
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "manifest.ini").write_text("[waveform]\ntbp = 1e12\n", encoding="utf-8")
+        for name in ("phi_initial.csv", "phi_final.csv"):
+            write_phi_csv(run / name, np.zeros(24))
+        assert main(["quantize", "--out", str(tmp_path / "q"), "--input", str(run)]) == 3
+        assert "out of memory at M = 5000000000000:" in capsys.readouterr().err
 
     def test_region_ending_inside_mainlobe_names_the_null(self, tmp_path, capsys):
         # lo defaults to the detected first null, 9 samples = 0.009 T here

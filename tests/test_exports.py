@@ -8,6 +8,7 @@ up as a byte difference.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -297,7 +298,32 @@ def expected_table(header, header_values, table, index) -> bytes:
     return csv_bytes(head, [[str(i), *map(fmt_e, row)] for i, row in zip(index, table)])
 
 
-def test_block_encoder_matches_per_value_format(tmp_path, monkeypatch):
+def exact_half_products() -> dict[int, list[float]]:
+    """Fast-path values whose product m = fl(|x| * 10**k) is exactly n + 0.5,
+    keyed by the sign of the exact product minus m: -1, 0 (a true tie) or +1."""
+    rng = np.random.default_rng(9)
+    found = {-1: [], 0: [], 1: []}
+    for n, k in zip(rng.integers(10**12, 10**13 - 1, 400).tolist(), rng.integers(1, 23, 400).tolist()):
+        x0 = (n + 0.5) / 10.0**k
+        for x in (np.nextafter(x0, 0.0), x0, np.nextafter(x0, np.inf)):
+            if float(x) * 10.0**k == n + 0.5:
+                side = Fraction(float(x)) * 10**k - Fraction(2 * n + 1, 2)
+                found[(side > 0) - (side < 0)].append(float(x))
+    return found
+
+
+def formatted(table, index=None) -> bytes:
+    """One block's bytes, each value formatted on its own."""
+    lead = [[] if index is None else [str(i)] for i in ([None] * len(table) if index is None else index)]
+    return csv_bytes("", [[*head, *map(fmt_e, row)] for head, row in zip(lead, table)])[1:]
+
+
+def encoded(table, index=None) -> bytes:
+    table = np.asarray(table, dtype=float)
+    return bytes(exports._encode_block(table, None if index is None else np.asarray(index, np.int64)))
+
+
+def test_block_encoder_matches_per_value_format(tmp_path):
     values = encoder_values()
     assert values.size > exports._BLOCK_VALUES
     table = values[: values.size // 7 * 7].reshape(-1, 7)
@@ -313,8 +339,60 @@ def test_block_encoder_matches_per_value_format(tmp_path, monkeypatch):
     exports._write_table(path, "i,x", exports._table_blocks(values[:7, None], wide))
     assert path.read_bytes() == expected_table("i,x", [], values[:7, None], wide)
 
-    # the inputs have power: without the near-tie fallback the bytes differ
-    monkeypatch.setattr(exports, "_TIE_BAND", -1.0)
-    blocks = exports._table_blocks(table, index)
-    exports._write_table(path, "i,a,b,c,d,e,f,g", blocks, header_values=header_values)
-    assert path.read_bytes() != expected
+
+def test_products_on_a_half_round_like_the_exact_value(monkeypatch):
+    found = exact_half_products()
+    # each side of n + 0.5 is reached, and a true tie breaks to even
+    assert min(len(found[-1]), len(found[1])) >= 50
+    assert encoded([[1234567890123.5, 9876543210124.5]]) == b"1.234567890124e+12,9.876543210124e+12\n"
+    table = np.array(found[-1][:50] + found[1][:50] + found[0][:2]).reshape(-1, 6)
+    expected = formatted(table)
+    assert encoded(table) == expected
+    assert encoded(-table) == formatted(-table)
+
+    # the inputs have power: without the exact product error the bytes differ
+    monkeypatch.setattr(exports, "_product_error", lambda a, b, p: 0.0)
+    assert encoded(table) != expected
+
+
+# fallbacks of 21 bytes with their separator, first and last in a row
+LONG_FIELDS = [-1.5e-300, -2.2250738585072014e-308, -1e100, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_fallbacks_longer_than_a_slot(column):
+    table = np.full((4, 3), -0.125)
+    table[:, column] = LONG_FIELDS[:4]
+    table[1] = LONG_FIELDS[1:4]
+    assert encoded(table) == formatted(table)
+    index = [-(10**18), 3, -7, 2**63 - 1]
+    assert encoded(table, index) == formatted(table, index)
+
+
+@pytest.mark.parametrize(
+    "index",
+    [
+        [-(10**18), -(10**18) + 1, 10**18, -(2**63), 2**63 - 1],  # 21, 20 and 20 bytes with the comma
+        [-(10**18)] * 3,  # every field too long
+        [10**18 - 1, -999, 0, 10**9, -(10**17)],
+    ],
+)
+def test_index_widths(index):
+    table = np.linspace(-1.0, 1.0, 2 * len(index)).reshape(-1, 2)
+    assert encoded(table, index) == formatted(table, index)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        -np.geomspace(1e-9, 1e12, 3000),  # every field fills its slot
+        np.geomspace(1e-9, 1e12, 3000),  # one zero byte in every slot
+        np.tile([np.nan, np.inf, -np.inf, 0.0, 1e300, -1e-300], 500),  # all fallback, most short
+    ],
+    ids=["negative", "positive", "fallback"],
+)
+def test_uniform_blocks(values):
+    table = values.reshape(-1, 6)
+    assert encoded(table) == formatted(table)
+    index = np.arange(len(table))
+    assert encoded(table, index) == formatted(table, index)
