@@ -228,6 +228,9 @@ def _sweep_worker(payload) -> tuple[int, dict | None, str, dict]:
     config, seed = payload
     try:
         res = _optimize_core(config.with_seed(seed))
+    except MemoryError:
+        # too large for this machine at every seed: main names M and exits 3
+        raise
     except Exception as exc:  # per-seed failures become rows, not aborts
         return seed, None, str(exc).replace(",", ";").replace("\n", " "), {}
     summary = res.summary()

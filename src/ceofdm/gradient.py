@@ -28,8 +28,10 @@ form. It is zero beyond lag K, so the linear convolution behind
 ifft(F * P) lives on -K..M-1+K, and the circular sample m adds the linear
 samples m-N and m+N, both outside that range for m = 0..M-1 once N >= M+K.
 The weights store each support as lags k >= 0 that select both -k and +k,
-so v is conjugate symmetric and P = hfft(v[0..N/2], N) is real by
-construction.
+so v is conjugate symmetric and P is real by construction. The half
+spectrum holds conj(r), so its bins times the coefficients are conj(v), and
+P = irfft(conj(v), N, norm="forward"), which is hfft(v, N) without
+conjugating twice.
 With the unnormalised forward pass, v comes out divided by N M and conj(s),
 F multiplied by sqrt(M) each, so the gradient's scale carries one factor N.
 Dbar, the phase-sample Jacobian divided by 2*pi*h, is never materialized.
@@ -38,6 +40,17 @@ t = m T / M harmonic l is DFT bin l, so Dbar' z = -Im{exp(j phi) * rfft(z)}
 on bins 1..L. The 2*pi*h factor is the Jacobian of the phase samples with
 respect to each symbol, on top of the 4*J_p factor from the quotient and
 modulus stages.
+
+Cost of one evaluation. The optimizer evaluates the cost about twice per
+gradient (rejected Armijo trials), so per-call overhead counts. The
+workspace owns every buffer an evaluation fills and writes them with ufunc
+``out=``: the harmonic bins and v (zeroed once, and only bins 1..L and the
+support bins are rewritten), the phasor, |F|^2, the F * P product, and the
+values gathered on the supports. The only per-call M- or N-point arrays
+are the ones the FFT functions return (FFT ``out=`` needs numpy 2). Both
+supports are gathered at once, as sidelobe bins then mainlobe bins, and one
+pass of ``metrics._gisl_ratio`` takes |r|, both peak normalisations, the
+powers and one dot product per support.
 """
 
 from __future__ import annotations
@@ -45,13 +58,13 @@ from __future__ import annotations
 import numpy as np
 
 from .metrics import GislWeights, _check_lags, _fft_length, _gisl_ratio, _validated_p
-from .waveform import TWO_PI, WaveformConfig, _harmonic_sum, _phase_vector
+from .waveform import WaveformConfig, _phase_samples, _phase_vector, _phasor
 
 __all__ = ["GradientWorkspace"]
 
 
 class GradientWorkspace:
-    """Cached weight supports and intermediates for repeated GISL evaluation.
+    """Cached weight supports, buffers and the last forward pass, for repeated GISL evaluation.
 
     One instance serves a fixed (config, weights, p) triple; the optimizer
     reuses it across every cost and gradient call of a run. Reuse never
@@ -69,64 +82,87 @@ class GradientWorkspace:
             raise ValueError("sidelobe weight support is empty; gradient undefined")
         self.cfg = cfg
         self.weights = weights
-        # lag k >= 0 sits at bin k of the half spectrum and also stands for
-        # lag -k, so it counts twice, except lag 0
         sl, ml = weights.sl_lags, weights.ml_lags
-        self._sl = sl, np.full(sl.size, 2.0)
-        self._ml = ml, np.where(ml == 0, 1.0, 2.0)
+        # both supports in one gather, sidelobe bins first; lag k >= 0 sits at
+        # bin k of the half spectrum and also stands for lag -k, so it counts
+        # twice, except lag 0
+        self._bins = np.concatenate((sl, ml))
+        self._split = sl.size
+        self._coef = np.concatenate((np.full(sl.size, 2.0), np.where(ml == 0, 1.0, 2.0)))
         # lags beyond the sidelobe lags, the largest, are never read, so
         # N >= M + K is exact and N > 2K keeps every support bin below the
         # Nyquist bin N/2
-        self._n = _fft_length(cfg.M, int(sl[-1]))
-        self._cache: dict | None = None
+        n = self._n = _fft_length(cfg.M, int(sl[-1]))
+        k = self._bins.size
+        self._spec = np.zeros(cfg.M // 2 + 1, dtype=complex)  # harmonic bins 1..L
+        self._s = np.empty(cfg.M, dtype=complex)  # phasor exp(j theta)
+        self._power = np.empty(n)  # |F|^2
+        self._prod = np.empty(n, dtype=complex)  # F * P, and scratch of both passes
+        self._v = np.zeros(n // 2 + 1, dtype=complex)  # conj(v) on the support bins
+        self._r = np.empty(k, dtype=complex)  # N M conj(r) on the support bins
+        self._x = np.empty(k)  # |r| / peak
+        self._pow = np.empty(k)  # (|r| / peak)^(p-2)
+        self._work = np.empty(k)
+        self._vbins = np.empty(k, dtype=complex)
+        # the last forward pass: its phase bytes, F, and the cost with its
+        # peaks and p-sums; the phasor and the gathered values live in the
+        # buffers above until the next forward pass
+        self._key: bytes | None = None
+        self._f: np.ndarray | None = None
+        self._cost = self._sl = self._ml = None
         self.counts = {"forward_passes": 0, "gradient_passes": 0, "cache_hits": 0}
 
-    def _forward(self, phi: np.ndarray) -> dict:
+    def _forward(self, phi: np.ndarray) -> float:
         key = phi.tobytes()
-        if self._cache is not None and self._cache["key"] == key:
+        if key == self._key:
             self.counts["cache_hits"] += 1
-            return self._cache
+            return self._cost
         self.counts["forward_passes"] += 1
-        theta = TWO_PI * self.cfg.h * _harmonic_sum(np.exp(-1j * phi), self.cfg.M)
-        s = np.exp(1j * theta)
+        self._key = self._f = None  # drop the stale F before the FFT allocates the new one
+        s = _phasor(_phase_samples(phi, self.cfg, self._spec), self._s)
         big_f = np.fft.fft(s, self._n)
-        # N M conj(r) on lags 0..N/2
-        r_half = np.fft.rfft(big_f.real**2 + big_f.imag**2)
-        (sl_idx, sl_coef), (ml_idx, ml_coef) = self._sl, self._ml
-        r_sl, r_ml = r_half[sl_idx], r_half[ml_idx]
-        cost, sl, ml = _gisl_ratio(np.abs(r_sl), sl_coef, np.abs(r_ml), ml_coef, self.p)
-        self._cache = {
-            "key": key,
-            "s": s,
-            "F": big_f,
-            "r": (r_sl, r_ml),
-            "psums": (sl, ml),
-            "cost": cost,
-        }
-        return self._cache
+        # |F|^2 as re^2 + im^2; the product buffer's first N doubles are free here
+        power, square = self._power, self._prod.view(float)[: self._n]
+        np.square(big_f.real, out=power)
+        np.square(big_f.imag, out=square)
+        power += square
+        # N M conj(r) on lags 0..N/2, gathered on both supports
+        np.fft.rfft(power).take(self._bins, out=self._r, mode="clip")
+        np.abs(self._r, out=self._x)
+        self._cost, self._sl, self._ml = _gisl_ratio(
+            self._x, self._coef, self._split, self.p, self._pow, self._work
+        )
+        self._key, self._f = key, big_f
+        return self._cost
 
     def cost(self, phi) -> float:
         """GISL value at ``phi`` (linear, not dB)."""
-        return self._forward(_phase_vector(phi, self.cfg.L))["cost"]
+        return self._forward(_phase_vector(phi, self.cfg.L))
 
     def cost_and_gradient(self, phi) -> tuple[float, np.ndarray]:
         """GISL value and its exact gradient with respect to the phase symbols."""
         phi = _phase_vector(phi, self.cfg.L)
-        state = self._forward(phi)
+        cost = self._forward(phi)
         self.counts["gradient_passes"] += 1
-        (sl_idx, _), (ml_idx, _) = self._sl, self._ml
-        (a, sl_sum, sl_pow), (b, ml_sum, ml_pow) = state["psums"]
-        r_sl, r_ml = state["r"]
-        # |r|^(p-2) r / sum |r|^p on each support in peak-normalised form;
-        # conj undoes the conj that rfft put on r
-        v = np.zeros(self._n // 2 + 1, dtype=complex)
-        v[sl_idx] = (sl_pow / (a * a * sl_sum)) * np.conj(r_sl)
-        v[ml_idx] = -(ml_pow / (b * b * ml_sum)) * np.conj(r_ml)
-        p_spec = np.fft.hfft(v, self._n)
-        g = np.fft.ifft(state["F"] * p_spec)[: self.cfg.M]
-        z = (np.conj(state["s"]) * g).imag
-        scale = 8.0 * np.pi * self.cfg.h * state["cost"] * self._n
-        grad = -scale * (np.exp(1j * phi) * np.fft.rfft(z)[1 : self.cfg.L + 1]).imag
-        if not np.all(np.isfinite(grad)):
+        m, split, work = self.cfg.M, self._split, self._work
+        (a, sl_sum), (b, ml_sum) = self._sl, self._ml
+        # |r|^(p-2) / sum |r|^p on each support in peak-normalised form, times
+        # the gathered conj(r): conj(v) on the support bins. x / -d is -(x / d)
+        # to the bit, since rounding to nearest is symmetric
+        np.divide(self._pow[:split], a * a * sl_sum, out=work[:split])
+        np.divide(self._pow[split:], -(b * b * ml_sum), out=work[split:])
+        np.multiply(work, self._r, out=self._vbins)
+        self._v[self._bins] = self._vbins
+        p_spec = np.fft.irfft(self._v, self._n, norm="forward")
+        prod = self._prod
+        np.multiply(self._f, p_spec, out=prod)
+        g = np.fft.ifft(prod)[:m]
+        # conj(s) * g, in the product buffer, which ifft no longer needs
+        z = prod[:m]
+        np.conjugate(self._s, out=z)
+        np.multiply(z, g, out=z)
+        scale = 8.0 * np.pi * self.cfg.h * cost * self._n
+        grad = -scale * (np.exp(1j * phi) * np.fft.rfft(z.imag)[1 : self.cfg.L + 1]).imag
+        if not np.isfinite(grad).all():
             raise FloatingPointError(f"GISL gradient is not finite at p={self.p}")
-        return state["cost"], grad
+        return cost, grad

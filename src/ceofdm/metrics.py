@@ -38,6 +38,8 @@ __all__ = [
 
 def db(x):
     """Power ratio in decibels; an exact zero maps to -inf."""
+    if isinstance(x, float) and x > 0.0:  # the optimizer's per-iteration path
+        return float(10.0 * np.log10(x))
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
         out = 10.0 * np.log10(x)
@@ -250,54 +252,54 @@ def _validated_p(p) -> int:
     return int(p)
 
 
-def _psum(mags: np.ndarray, coef: np.ndarray, p: int):
-    """Peak-normalised p-sum over one support: (a, coef'(mags/a)^p, (mags/a)^(p-2)).
-
-    ``mags`` and ``coef`` hold the support's entries only, and a is their
-    peak. Each term lies between 0 and its coefficient and the peak's term
-    equals its coefficient, so the sum neither underflows nor overflows at
-    any p. An empty or all-zero support gives a = 0 and a zero sum.
-    """
-    peak = float(mags.max(initial=0.0))
-    if peak == 0.0:
-        return 0.0, 0.0, mags
-    x = mags / peak
-    pow_p2 = x ** (p - 2)
-    return peak, float(coef @ (pow_p2 * x * x)), pow_p2
-
-
-def _gisl_ratio(sl_mags, sl_coef, ml_mags, ml_coef, p: int):
-    """GISL from the |r| values and coefficients on its sidelobe and mainlobe supports.
+def _gisl_ratio(mags, coef, split: int, p: int, pow_out=None, work=None):
+    """GISL from |r| on the sidelobe support, mags[:split], and the mainlobe support, mags[split:].
 
     With a, b the supports' peaks and S, B their peak-normalised p-sums
-    (``_psum``),
+    sum c (|r|/peak)^p,
 
         (sum_sl c |r|^p / sum_ml c |r|^p)^(2/p) = (a/b)^2 (S/B)^(2/p),
 
-    and no power of an unnormalised |r| is ever formed, so the value stays
-    finite at any even p and does not change when r is scaled. Works on any
-    lag layout: the centered ACF with unit coefficients, or the gradient's
-    half spectrum with each lag's fold count as its coefficient. Returns the ratio and the two
-    ``_psum`` triples; an empty or all-zero sidelobe support gives 0.
+    and no power of an unnormalised |r| is ever formed: each term lies
+    between 0 and its coefficient c, so the value stays finite at any even p
+    and does not change when r is scaled. Works on any lag layout: the
+    centered ACF with unit coefficients, or the gradient's half spectrum with
+    each lag's fold count as its coefficient.
+
+    One pass over both supports: each slice of ``mags`` is divided in place
+    by its peak, and (|r|/peak)^(p-2) goes to ``pow_out`` and the terms
+    (|r|/peak)^p to ``work`` (new arrays when None). Returns the ratio, (a, S)
+    and (b, B); an empty or all-zero sidelobe support gives a = S = 0 and a
+    ratio of 0.
     """
-    sl = _psum(sl_mags, sl_coef, p)
-    ml = _psum(ml_mags, ml_coef, p)
-    if sl[0] == 0.0:
-        return 0.0, sl, ml
-    return (sl[0] / ml[0]) ** 2 * (sl[1] / ml[1]) ** (2.0 / p), sl, ml
+    sl, ml = mags[:split], mags[split:]
+    # both peaks from one call, which would read mags[0] for an empty sl
+    a, b = np.maximum.reduceat(mags, (0, split)).tolist() if split else (0.0, float(ml.max()))
+    if a > 0.0:
+        sl /= a
+    if b > 0.0:
+        ml /= b
+    pow_out = np.power(mags, p - 2, out=pow_out)
+    work = np.multiply(pow_out, mags, out=work)
+    work *= mags
+    # vdot is the BLAS dot that @ calls, without matmul's dispatch
+    sl_sum = float(np.vdot(coef[:split], work[:split]))
+    ml_sum = float(np.vdot(coef[split:], work[split:]))
+    if a == 0.0:
+        return 0.0, (a, sl_sum), (b, ml_sum)
+    return (a / b) ** 2 * (sl_sum / ml_sum) ** (2.0 / p), (a, sl_sum), (b, ml_sum)
 
 
-def _region_mags(r: CorrelationResult, w: GislWeights):
-    """|r| on the sidelobe and the mainlobe support, each in ascending delay order.
+def _region_mags(r: CorrelationResult, w: GislWeights) -> tuple[np.ndarray, int]:
+    """|r| on the sidelobe support, then on the mainlobe support, and the split point.
 
-    Both -k and +k are read: the FFT-computed ACF is symmetric only to
-    rounding.
+    Both -k and +k are read, each support in ascending delay order: the
+    FFT-computed ACF is symmetric only to rounding.
     """
     _check_lags(w, len(r.r))
-    mags = np.abs(r.r)
-    zero = r.zero_index
-    sl = mags[zero + np.concatenate((-w.sl_lags[::-1], w.sl_lags))]
-    return sl, mags[zero - w.null_index : zero + w.null_index + 1]
+    sl, ml = w.sl_lags, w.ml_lags
+    delays = np.concatenate((-sl[::-1], sl, -ml[:0:-1], ml))
+    return np.abs(r.r[r.zero_index + delays]), 2 * sl.size
 
 
 def compute_gisl(r: CorrelationResult, w: GislWeights, p) -> float:
@@ -310,8 +312,8 @@ def compute_gisl(r: CorrelationResult, w: GislWeights, p) -> float:
     even p.
     """
     p = _validated_p(p)
-    sl, ml = _region_mags(r, w)
-    return _gisl_ratio(sl, np.ones(sl.size), ml, np.ones(ml.size), p)[0]
+    mags, split = _region_mags(r, w)
+    return _gisl_ratio(mags, np.ones(mags.size), split, p)[0]
 
 
 def compute_pslr(r: CorrelationResult, w: GislWeights) -> float:
@@ -320,7 +322,8 @@ def compute_pslr(r: CorrelationResult, w: GislWeights) -> float:
     The peak is taken over the sidelobe lags of ``w``. Returns -inf when the
     support is empty or identically zero.
     """
-    peak = float(_region_mags(r, w)[0].max(initial=0.0))
+    mags, split = _region_mags(r, w)
+    peak = float(mags[:split].max(initial=0.0))
     if peak == 0.0:
         return float("-inf")
     return db(peak * peak)

@@ -156,7 +156,7 @@ def run_gd_gisl(
     ws = GradientWorkspace(cfg, w, opt.p)
     phi = _phase_vector(phi0, cfg.L).copy()
     j, grad = ws.cost_and_gradient(phi)
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = math.sqrt(float(grad @ grad))
     trace = OptimizationTrace(initial_j=j)
     q = np.zeros(cfg.L)
     mu = float(opt.mu0)
@@ -177,7 +177,7 @@ def run_gd_gisl(
         backtracks += shrinkages
         mu = min(step * opt.rho_up, opt.mu_cap)
         _, grad = ws.cost_and_gradient(phi)
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = math.sqrt(float(grad @ grad))
         trace.rows.append(
             TraceRow(
                 iteration=i,

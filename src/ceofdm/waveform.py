@@ -170,15 +170,39 @@ def _phase_vector(phi, L: int) -> np.ndarray:
     return phi
 
 
-def _harmonic_sum(c: np.ndarray, m: int) -> np.ndarray:
+def _harmonic_sum(c: np.ndarray, m: int, spec: np.ndarray | None = None) -> np.ndarray:
     """Samples sum_l Re(c_l exp(j 2 pi l k / m)), k = 0..m-1, of coefficients c_1..c_L.
 
     On the grid t = k T / m harmonic l of 1/T is DFT bin l, and m >= 2L + 1
-    keeps bin L below Nyquist, so the sum is one inverse real FFT.
+    keeps bin L below Nyquist, so the sum is one inverse real FFT. ``spec``
+    is an optional reused buffer of m//2 + 1 bins, zero outside bins 1..L;
+    only those bins are written.
     """
-    spec = np.zeros(m // 2 + 1, dtype=complex)
+    if spec is None:
+        spec = np.zeros(m // 2 + 1, dtype=complex)
     spec[1 : len(c) + 1] = c
-    return (m / 2) * np.fft.irfft(spec, m)
+    y = np.fft.irfft(spec, m)
+    y *= m / 2
+    return y
+
+
+def _phase_samples(phi: np.ndarray, cfg: WaveformConfig, spec: np.ndarray | None = None):
+    """2*pi*h times the harmonic sum of exp(-j phi_l): the phase at the sample instants."""
+    theta = _harmonic_sum(np.exp(-1j * phi), cfg.M, spec)
+    theta *= TWO_PI * cfg.h
+    return theta
+
+
+def _phasor(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(j theta) written into the complex array ``out`` as cos + j sin.
+
+    Cheaper than np.exp(1j * theta), and bit for bit equal to it, except at
+    theta = -0, where the sine gives an imaginary part of -0 and the complex
+    exp one of +0. A signed zero changes no nonzero value downstream.
+    """
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def sample_phase(phi, cfg: WaveformConfig) -> np.ndarray:
@@ -187,8 +211,7 @@ def sample_phase(phi, cfg: WaveformConfig) -> np.ndarray:
     Evaluates 2*pi*h * sum_l cos(2*pi*l*t/T - phi_l) as the real part of the
     harmonic series with coefficients exp(-j phi_l).
     """
-    phi = _phase_vector(phi, cfg.L)
-    return TWO_PI * cfg.h * _harmonic_sum(np.exp(-1j * phi), cfg.M)
+    return _phase_samples(_phase_vector(phi, cfg.L), cfg)
 
 
 def sample_frequency(phi, cfg: WaveformConfig) -> np.ndarray:
@@ -209,8 +232,9 @@ def synthesize(phi, cfg: WaveformConfig) -> SampledWaveform:
     The 1/sqrt(M) normalization makes the sample energy exactly one, so the
     zero-delay autocorrelation value is exactly unity.
     """
-    theta = sample_phase(phi, cfg)
-    samples = np.exp(1j * theta) / math.sqrt(cfg.M)
+    samples = _phasor(sample_phase(phi, cfg), np.empty(cfg.M, dtype=complex))
+    samples.imag += 0.0  # the exported samples read +0, not -0, at theta = -0 (h = 0)
+    samples /= math.sqrt(cfg.M)
     return SampledWaveform(samples=samples, t=cfg.t, fs=cfg.fs)
 
 

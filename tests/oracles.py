@@ -97,6 +97,11 @@ def build_dbar(phi, bc: np.ndarray, bs: np.ndarray) -> np.ndarray:
     return dbar
 
 
+def _log_sum_exp(x: np.ndarray) -> float:
+    top = float(x.max())
+    return top + math.log(float(np.exp(x - top).sum()))
+
+
 def dense_dft_gisl_gradient(phi, cfg, weights, p: int) -> np.ndarray:
     """GISL gradient evaluated with explicit DFT matrices and dense products.
 
@@ -117,12 +122,18 @@ def dense_dft_gisl_gradient(phi, cfg, weights, p: int) -> np.ndarray:
     w_sl, w_ml = np.zeros(n), np.zeros(n)
     w_sl[weights.sl_lags] = w_sl[-weights.sl_lags] = 1.0
     w_ml[weights.ml_lags] = w_ml[-weights.ml_lags] = 1.0
-    mags = np.abs(r)
-    num = float(w_sl @ mags**p)
-    den = float(w_ml @ mags**p)
-    cost = (num / den) ** (2.0 / p)
-    u = w_sl / num - w_ml / den
-    p_vec = np.real(dft @ (mags ** (p - 2) * r * u))
+    # the p-sums in the log domain, so that |r|^p neither underflows nor
+    # overflows at large p; a zero |r| stands in as 1e-300, whose powers
+    # vanish for p > 2 and equal 1 for the exponent p - 2 = 0
+    log_mags = np.log(np.maximum(np.abs(r), 1e-300))
+    log_num = _log_sum_exp(p * log_mags[w_sl > 0])
+    log_den = _log_sum_exp(p * log_mags[w_ml > 0])
+    cost = math.exp((2.0 / p) * (log_num - log_den))
+    # |r|^(p-2) * (w_sl / num - w_ml / den), formed on each support only
+    coef = np.zeros(n)
+    for w, log_sum, sign in ((w_sl, log_num, 1.0), (w_ml, log_den, -1.0)):
+        coef[w > 0] = sign * np.exp((p - 2) * log_mags[w > 0] - log_sum)
+    p_vec = np.real(dft @ (coef * r))
     inner = np.conj(dft).T @ ((f_vec) * p_vec) / n
     dbar = build_dbar(phi, bc, bs)
     return 8.0 * np.pi * cfg.h * cost * (dbar.T @ np.imag(np.conj(s_bar) * inner))

@@ -516,6 +516,24 @@ class TestExitCodes:
         assert main(["quantize", "--out", str(tmp_path / "q"), "--input", str(run)]) == 3
         assert "out of memory at M = 5000000000000:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_out_of_memory_names_m(self, tmp_path, capsys, monkeypatch, threads):
+        # a seed that runs out of memory stops the sweep instead of becoming a
+        # failed row: the next seed has the same M. The patch stands in for a
+        # too-large M without allocating it, and forked workers inherit it
+        def out_of_memory(config):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr("ceofdm.cli._optimize_core", out_of_memory)
+        out = tmp_path / "x"
+        code = main([
+            "sweep", "--out", str(out), "--seed", "1", "--threads", threads,
+            "--set", "run.seed_count=2",
+        ])
+        assert code == 3
+        assert "out of memory at M = 1000: Unable to allocate" in capsys.readouterr().err
+        assert not (out / "seeds.csv").exists()
+
     def test_region_ending_inside_mainlobe_names_the_null(self, tmp_path, capsys):
         # lo defaults to the detected first null, 9 samples = 0.009 T here
         code = main([

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,76 @@ class TestGradientStructure:
         _, g3 = fresh.cost_and_gradient(phi)
         assert np.array_equal(g1, g2)
         assert np.array_equal(g1, g3)
+
+
+class TestWorkspaceBuffers:
+    """Owned buffers and the cached forward pass must not leak between calls."""
+
+    def test_repeated_gradient_is_one_cache_hit(self):
+        cfg, phi, w, ws = make_problem(8, 64, 6, seed=4)
+        c1, g1 = ws.cost_and_gradient(phi)
+        kept = g1.copy()
+        c2, g2 = ws.cost_and_gradient(phi)
+        assert ws.counts == {"forward_passes": 1, "gradient_passes": 2, "cache_hits": 1}
+        assert c1 == c2
+        assert np.array_equal(g1, g2)
+        assert np.array_equal(g1, kept)  # the second call did not write into the first result
+
+    @pytest.mark.parametrize("region", ["full", "sub"])
+    def test_cost_then_gradient_equals_fresh_workspace(self, region):
+        cfg, phi, w, ws = make_problem(8, 64, 20, seed=6, region=region)
+        cost = ws.cost(phi)
+        c, g = ws.cost_and_gradient(phi)
+        assert ws.counts == {"forward_passes": 1, "gradient_passes": 1, "cache_hits": 1}
+        fresh_c, fresh_g = GradientWorkspace(cfg, w, 20).cost_and_gradient(phi)
+        assert cost == c == fresh_c
+        assert np.array_equal(g, fresh_g)
+
+    @pytest.mark.parametrize("edge", ["p=1000", "M=2L+1", "h=0", "single lag"])
+    def test_edges_match_compute_gisl_and_dense_dft_oracle(self, edge):
+        p, L, samples, h = 6, 4, 32, 0.2
+        if edge == "p=1000":
+            p = 1000
+        elif edge == "M=2L+1":
+            samples = 2 * L + 1
+        elif edge == "h=0":
+            h = 0.0
+        cfg = WaveformConfig(L=L, h=h, samples=samples)
+        phi = random_psk(L, math.inf, seed=3)
+        r = compute_acf(synthesize(phi, cfg))
+        # the rectangular pulse (h = 0) has no null before its last lag
+        w = build_weights(detect_mainlobe_null(r) if h else 3, "full", cfg.M)
+        if edge == "single lag":
+            lag = w.null_index + 2
+            w = build_weights(w.null_index, [(lag / cfg.M, lag / cfg.M)], cfg.M)
+            assert w.sl_lags.tolist() == [lag]
+        ws = GradientWorkspace(cfg, w, p)
+        expected = compute_gisl(r, w, p)
+        assert abs(ws.cost(phi) - expected) <= 1e-12 * expected
+        _, grad = ws.cost_and_gradient(phi)
+        dense = dense_dft_gisl_gradient(phi, cfg, w, p)
+        assert np.all(np.isfinite(grad))
+        # at h = 0 both gradients are exactly zero
+        assert np.max(np.abs(grad - dense)) <= 1e-9 * np.abs(dense).max()
+
+    def test_cost_allocates_under_three_and_a_half_n_point_arrays(self):
+        # M = 20000 on the full band correlates at N = 40000. The FFTs return
+        # new arrays, but no other per-call scratch of M or N points is made,
+        # and the last pass's F is dropped before the next one allocates its own
+        cfg = WaveformConfig(L=24, h=0.2, samples=20000)
+        phi = random_psk(24, math.inf, seed=1)
+        null = detect_mainlobe_null(compute_acf(synthesize(phi, cfg)))
+        ws = GradientWorkspace(cfg, build_weights(null, "full", cfg.M), 20)
+        ws.cost(phi)  # warm-up: FFT plans
+        tracemalloc.start()
+        try:
+            ws.cost(phi + 0.1)  # the cached pass now holds traced arrays
+            tracemalloc.reset_peak()
+            ws.cost(phi + 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 16 * ws._n, f"peak {peak / (16 * ws._n):.2f} complex N-point arrays"
 
 
 class TestGradientValidation:
