@@ -38,8 +38,6 @@ __all__ = [
 
 def db(x):
     """Power ratio in decibels; an exact zero maps to -inf."""
-    if isinstance(x, float) and x > 0.0:  # the optimizer's per-iteration path
-        return float(10.0 * np.log10(x))
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
         out = 10.0 * np.log10(x)

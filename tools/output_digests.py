@@ -16,13 +16,12 @@ goes to stderr.
 Two runs of this script give the same lines when the program's outputs are
 byte-identical. Compare runs made with one numpy build on one machine only:
 FFT bits can differ between numpy versions and CPUs, so no digest here is a
-golden value. With ``--check-sweeps``, the script also exits 1 unless the
-``--threads 1`` and ``--threads 2`` sweeps wrote the same ``seeds.csv``.
+golden value. The script exits 1 when the ``--threads 1`` and ``--threads 2``
+sweeps wrote different ``seeds.csv`` files.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import sys
@@ -83,24 +82,16 @@ def digests(work: Path) -> dict[str, str]:
     return lines
 
 
-def main_digests(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--check-sweeps",
-        action="store_true",
-        help="exit 1 unless the --threads 1 and --threads 2 sweeps wrote the same seeds.csv",
-    )
-    args = parser.parse_args(argv)
+def main_digests() -> int:
     print(f"digests of ceofdm from {Path(ceofdm.__file__).parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="ceofdm-digests-") as tmp:
         lines = digests(Path(tmp))
     for key, value in lines.items():
         print(f"{value}  {key}")
-    if args.check_sweeps:
-        one, two = (lines[f"sweep_threads{n}/seeds.csv"] for n in (1, 2))
-        if one != two:
-            print("seeds.csv differs between --threads 1 and --threads 2", file=sys.stderr)
-            return 1
+    one, two = (lines[f"sweep_threads{n}/seeds.csv"] for n in (1, 2))
+    if one != two:
+        print("seeds.csv differs between --threads 1 and --threads 2", file=sys.stderr)
+        return 1
     return 0
 
 
