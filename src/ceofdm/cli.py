@@ -54,18 +54,14 @@ __all__ = ["main", "entry", "cmd_synth", "cmd_optimize", "cmd_quantize", "cmd_sw
 
 def _prepare(config: ExperimentConfig, phi0=None):
     """Initial waveform (seeded PSK unless given), its ACF, and the weights at its first null."""
-    cfg = config.to_waveform_config()
+    cfg = config.waveform
     if phi0 is None:
-        phi0 = random_psk(cfg.L, config.waveform.mpsk, config.run.seed)
+        phi0 = random_psk(cfg.L, cfg.mpsk, config.run.seed)
     s0 = synthesize(phi0, cfg)
     r0 = compute_acf(s0)
     null = detect_mainlobe_null(r0)
     weights = build_weights(null, config.region_descriptor(null, cfg.M), cfg.M)
     return cfg, phi0, s0, r0, weights
-
-
-def _default_doppler_grid(cfg) -> np.ndarray:
-    return np.linspace(-cfg.L / cfg.T, cfg.L / cfg.T, 97)
 
 
 def cmd_synth(config: ExperimentConfig) -> None:
@@ -82,7 +78,7 @@ def cmd_synth(config: ExperimentConfig) -> None:
             f"{weights.null_index}, last lag {cfg.M - 1}), so gisl_db and pslr_db are "
             "undefined and left out of summary.txt"
         )
-    summary.update(M=cfg.M, fs=cfg.fs)
+    summary.update(M=cfg.M, fs=cfg.M)  # samples per pulse duration
     config.write_manifest(out / "manifest.ini")
     write_phi_csv(out / "phi.csv", phi0)
     write_waveform_csv(out / "waveform.csv", s0)
@@ -90,9 +86,9 @@ def cmd_synth(config: ExperimentConfig) -> None:
     write_spectrum_csv(out / "spectrum.csv", s0, cfg)
     if config.run.write_spectrogram:
         write_spectrogram_csv(out / "spectrogram.csv", s0, cfg)
-    write_acf_csv(out / "acf.csv", r0, cfg.T)
+    write_acf_csv(out / "acf.csv", r0)
     if config.run.write_af:
-        write_af_csv(out / "af.csv", compute_af(s0, _default_doppler_grid(cfg)), cfg.T)
+        write_af_csv(out / "af.csv", compute_af(s0, np.linspace(-cfg.L, cfg.L, 97)))
     write_summary(out / "summary.txt", summary)
 
 
@@ -157,8 +153,8 @@ def cmd_optimize(config: ExperimentConfig) -> None:
     config.write_manifest(out / "manifest.ini")
     write_phi_csv(out / "phi_initial.csv", res.phi0)
     write_phi_csv(out / "phi_final.csv", res.phi_final)
-    write_acf_csv(out / "acf_initial.csv", res.r0, res.cfg.T)
-    write_acf_csv(out / "acf_final.csv", res.r_final, res.cfg.T)
+    write_acf_csv(out / "acf_initial.csv", res.r0)
+    write_acf_csv(out / "acf_final.csv", res.r_final)
     write_spectrum_csv(out / "spectrum_initial.csv", res.s0, res.cfg)
     write_spectrum_csv(out / "spectrum_final.csv", res.s_final, res.cfg)
     write_trace_csv(out / "trace.csv", res.trace)
@@ -205,7 +201,7 @@ def cmd_quantize(config: ExperimentConfig, input_dir: str | None = None) -> None
     write_quantization_csv(out / "report.csv", rows)
     for row in rows:
         label = "inf" if row.mpsk == math.inf else str(int(row.mpsk))
-        write_acf_csv(out / f"acf_mpsk_{label}.csv", row.acf, cfg.T)
+        write_acf_csv(out / f"acf_mpsk_{label}.csv", row.acf)
 
 
 # seeds.csv columns between seed,status and detail, each with its summary key;
@@ -344,7 +340,7 @@ def main(argv=None) -> int:
         # whether a run fits depends on the machine, not on the config
         if getattr(args, "input", None):  # quantize --input runs the input run's pulse
             config = ExperimentConfig.from_sources(Path(args.input) / "manifest.ini")
-        print(f"out of memory at M = {config.to_waveform_config().M}: {exc}", file=sys.stderr)
+        print(f"out of memory at M = {config.waveform.M}: {exc}", file=sys.stderr)
         return 3
 
 

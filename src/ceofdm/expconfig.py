@@ -1,11 +1,11 @@
 """Experiment configuration: INI parsing, validation, overrides, manifest echo.
 
 Config files are INI key-value text with the sections [waveform], [region],
-[optimizer], [quantization], and [run]. The fields of each section's
+[optimizer], [quantization], and [run]. The init fields of each section's
 dataclass are its keys, in manifest order, with their types and defaults;
-each dataclass validates its own values. Unknown sections or keys are
-rejected. Every run writes back a fully resolved manifest that parses to the
-identical configuration.
+each dataclass validates its own values and derives the rest. Unknown
+sections or keys are rejected. Every run writes back a fully resolved
+manifest that parses to the identical configuration.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .waveform import WaveformConfig
 
 __all__ = [
     "ConfigError",
-    "WaveformSpec",
     "RegionSpec",
     "QuantizationSpec",
     "RunSpec",
@@ -78,9 +77,14 @@ def _parse_lo(text: str, key: str) -> float | None:
     return None if text.strip().lower() == "null" else _parse_float(text, key)
 
 
-# parser per annotated type, with "| None" dropped; field metadata overrides it
+# parser per annotated type, with "| None" dropped, and the keys that type does not fit
 _PARSERS = {
     "int": _parse_int, "float": _parse_float, "bool": _parse_bool, "str": lambda text, key: text,
+}
+_KEY_PARSERS = {
+    "waveform.mpsk": _parse_mpsk,
+    "region.lo": _parse_lo,
+    "quantization.alphabets": _parse_alphabets,
 }
 
 
@@ -99,24 +103,9 @@ def _format_value(value) -> str:
 
 
 @dataclass(frozen=True)
-class WaveformSpec:
-    L: int = 24
-    tbp: float | None = None  # 200 when h is not given either
-    h: float | None = None
-    oversample: float = 5.0
-    mpsk: float = field(default=32.0, metadata={"parse": _parse_mpsk})
-    samples: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.tbp is None and self.h is None:
-            object.__setattr__(self, "tbp", 200.0)
-
-
-@dataclass(frozen=True)
 class RegionSpec:
     mode: str = "full"
-    # None means the detected first null, written as "null"
-    lo: float | None = field(default=None, metadata={"parse": _parse_lo})
+    lo: float | None = None  # None means the detected first null, written as "null"
     hi: float | None = None
 
     def __post_init__(self) -> None:
@@ -139,9 +128,7 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class QuantizationSpec:
-    alphabets: tuple[float, ...] = field(
-        default=(64.0, 32.0, 16.0, 8.0), metadata={"parse": _parse_alphabets}
-    )
+    alphabets: tuple[float, ...] = (64.0, 32.0, 16.0, 8.0)
 
 
 @dataclass(frozen=True)
@@ -162,17 +149,22 @@ class RunSpec:
             raise ValueError("threads must be >= 1")
 
 
+def _keys(spec) -> list:
+    """A section dataclass's INI keys: its init fields, not the derived ones."""
+    return [f for f in fields(spec) if f.init]
+
+
 def _parse_section(name: str, spec: type, block: dict[str, str]):
     """Build the dataclass ``spec`` of section ``name`` from its raw key-value text."""
-    known = {f.name: f for f in fields(spec)}
+    known = {f.name: f for f in _keys(spec)}
     unknown = set(block) - set(known)
     if unknown:
         raise ConfigError(f"unknown key(s) in [{name}]: {sorted(unknown)}")
     kwargs = {}
     for key, text in block.items():
-        f = known[key]
-        parse = f.metadata.get("parse") or _PARSERS[f.type.split(" | ")[0]]
-        kwargs[key] = parse(text, f"{name}.{key}")
+        label = f"{name}.{key}"
+        parse = _KEY_PARSERS.get(label) or _PARSERS[known[key].type.split(" | ")[0]]
+        kwargs[key] = parse(text, label)
     try:
         return spec(**kwargs)
     except ValueError as exc:
@@ -183,7 +175,7 @@ def _parse_section(name: str, spec: type, block: dict[str, str]):
 class ExperimentConfig:
     """One field per INI section, in manifest order."""
 
-    waveform: WaveformSpec = field(default_factory=WaveformSpec)
+    waveform: WaveformConfig = field(default_factory=WaveformConfig)
     region: RegionSpec = field(default_factory=RegionSpec)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     quantization: QuantizationSpec = field(default_factory=QuantizationSpec)
@@ -231,24 +223,10 @@ class ExperimentConfig:
         unknown = set(raw) - set(specs)
         if unknown:
             raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
-        config = cls(**{
+        return cls(**{
             name: _parse_section(name, spec, raw.get(name, {}))
             for name, spec in specs.items()
         })
-        config.to_waveform_config()  # the pulse parameters must also fit together
-        return config
-
-    def to_waveform_config(self) -> WaveformConfig:
-        try:
-            return WaveformConfig(
-                L=self.waveform.L,
-                h=self.waveform.h,
-                tbp=self.waveform.tbp,
-                oversample=self.waveform.oversample,
-                samples=self.waveform.samples,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"waveform: {exc}") from None
 
     def region_descriptor(self, null_index: int, M: int):
         """Resolve the region block to a build_weights descriptor."""
@@ -261,18 +239,16 @@ class ExperimentConfig:
         return replace(self, run=replace(self.run, seed=seed))
 
     def write_manifest(self, path: str | Path) -> None:
-        """Write every key, with the derived one of tbp and h filled in.
+        """Write every key, the derived one of tbp and h included.
 
         A key whose value is None is left out, apart from an interval's
         ``lo``, which is written as ``null``.
         """
-        cfg = self.to_waveform_config()
-        resolved = replace(self, waveform=replace(self.waveform, tbp=cfg.tbp, h=cfg.h))
         lines = []
-        for section in fields(resolved):
-            spec = getattr(resolved, section.name)
+        for section in fields(self):
+            spec = getattr(self, section.name)
             lines.append(f"[{section.name}]")
-            for f in fields(spec):
+            for f in _keys(spec):
                 value = getattr(spec, f.name)
                 if value is not None:
                     lines.append(f"{f.name} = {_format_value(value)}")

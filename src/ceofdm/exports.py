@@ -1,8 +1,9 @@
 """Deterministic CSV/text writers for all data products.
 
 Every writer formats numbers explicitly so that identical inputs produce
-byte-identical files. Magnitudes are exported in dB floored at -200; an
-exact -inf (zero magnitude or empty region) is encoded as -999.
+byte-identical files. Time and delay are in units of the pulse duration T,
+frequency and Doppler in cycles per T. Magnitudes are exported in dB floored
+at -200; an exact -inf (zero magnitude or empty region) is encoded as -999.
 """
 
 from __future__ import annotations
@@ -310,15 +311,15 @@ def read_phi_csv(path) -> np.ndarray:
 
 
 def write_waveform_csv(path, s: SampledWaveform) -> None:
-    t_norm = s.t * s.fs / len(s.samples)
-    table = np.column_stack([t_norm, s.samples.real, s.samples.imag])
+    m = len(s.samples)
+    table = np.column_stack([np.arange(m) / m, s.samples.real, s.samples.imag])
     blocks = _table_blocks(table, np.arange(len(table)))
     _write_table(path, "sample_index,t_over_T,real,imag", blocks)
 
 
 def write_inst_freq_csv(path, phi, cfg: WaveformConfig) -> None:
     freq = sample_frequency(phi, cfg)
-    table = np.column_stack([np.arange(cfg.M) / cfg.M, freq * cfg.T])
+    table = np.column_stack([np.arange(cfg.M) / cfg.M, freq])
     _write_table(path, "sample_index,t_over_T,freq_times_T", _table_blocks(table, np.arange(cfg.M)))
 
 
@@ -326,11 +327,11 @@ def write_spectrum_csv(path, s: SampledWaveform, cfg: WaveformConfig, pad_factor
     """Peak-normalized power spectrum on a zero-padded grid."""
     nfft = pad_factor * cfg.M
     spec = np.fft.fftshift(np.fft.fft(s.samples, nfft))
-    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / cfg.fs))
+    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / cfg.M))
     power = np.abs(spec) ** 2
     power_db = db(power / power.max())
-    over_df = freqs / cfg.df if cfg.df > 0 else np.zeros(nfft)
-    table = np.column_stack([freqs * cfg.T, over_df, encode_db(power_db)])
+    over_df = freqs / cfg.tbp if cfg.tbp > 0 else np.zeros(nfft)
+    table = np.column_stack([freqs, over_df, encode_db(power_db)])
     _write_table(path, "freq_times_T,freq_over_df,magnitude_db", _table_blocks(table))
 
 
@@ -349,33 +350,33 @@ def write_spectrogram_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None
     nperseg = min(128, max(8, cfg.M // 8), cfg.M)
     hop = max(1, nperseg // 4)
     frames, centers = _stft(s.samples, nperseg, hop)
-    freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / cfg.fs))
+    freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / cfg.M))
     power = np.abs(frames) ** 2
     power_db = db(power / power.max())
-    table = np.column_stack([freqs * cfg.T, encode_db(power_db)])
+    table = np.column_stack([freqs, encode_db(power_db)])
     _write_table(path, "freq_times_T", _table_blocks(table), header_values=centers / cfg.M)
 
 
-def write_acf_csv(path, r: CorrelationResult, T: float) -> None:
+def write_acf_csv(path, r: CorrelationResult) -> None:
     """Columns: delay_samples, delay_over_T, magnitude_db."""
     mag = r.magnitude()
     u = np.arange(len(mag)) - r.zero_index
-    table = np.column_stack([u / (r.fs * T), encode_db(db(mag * mag))])
+    table = np.column_stack([r.delays, encode_db(db(mag * mag))])
     _write_table(path, "delay_samples,delay_over_T,magnitude_db", _table_blocks(table, u))
 
 
-def write_af_csv(path, af: AmbiguitySurface, T: float) -> None:
+def write_af_csv(path, af: AmbiguitySurface) -> None:
     """First column Doppler (times T); remaining columns |chi|^2 in dB per delay.
 
     The table is built one encoder block of rows at a time, so no copy of the
     whole surface is made.
     """
-    doppler, values = af.dopplers * T, af.values
+    doppler, values = af.dopplers, af.values
     blocks = (
         (_af_rows(doppler[rows], values[rows]), None)
         for rows in _row_slices(len(values), values.shape[1] + 1)
     )
-    _write_table(path, "doppler_times_T", blocks, header_values=af.delays / T)
+    _write_table(path, "doppler_times_T", blocks, header_values=af.delays)
 
 
 def _af_rows(doppler: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -398,7 +399,7 @@ def write_trace_csv(path, trace: OptimizationTrace) -> None:
     lines = ["iter,J_p_db,grad_norm,mu,backtracks,reset_flag"]
     for row in trace.rows:
         lines.append(
-            f"{row.iteration},{_fmt_full(row.j_db)},{_fmt_full(row.grad_norm)},"
+            f"{row.iteration},{_fmt_full(db(row.j))},{_fmt_full(row.grad_norm)},"
             f"{_fmt_full(row.mu)},{row.backtracks},{int(row.reset)}"
         )
     _write_lines(path, lines)

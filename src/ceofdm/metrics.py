@@ -1,8 +1,9 @@
 """Autocorrelation, ambiguity surface, and the PSLR / ISL / GISL metric family.
 
 All correlation vectors have length 2M-1 and are centered: index M-1 holds
-zero delay, index k holds delay (k - (M-1)) / fs. Sidelobe metrics operate on
-binary mainlobe and sidelobe supports, each stored once as non-negative lags.
+zero delay, index k holds delay (k - (M-1)) / M in units of the pulse
+duration. Sidelobe metrics operate on binary mainlobe and sidelobe supports,
+each stored once as non-negative lags.
 
 This module owns the correlation layout. Every correlation, here and in the
 gradient, is an N-point circular FFT correlation with N the smallest
@@ -46,10 +47,9 @@ def db(x):
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Centered ACF samples r (length 2M-1) and the sampling rate they live on."""
+    """Centered ACF samples r (length 2M-1) of a pulse of M samples."""
 
     r: np.ndarray
-    fs: float
 
     @property
     def zero_index(self) -> int:
@@ -57,8 +57,8 @@ class CorrelationResult:
 
     @property
     def delays(self) -> np.ndarray:
-        """Delay of each sample in seconds."""
-        return (np.arange(len(self.r)) - self.zero_index) / self.fs
+        """Delay of each sample in fractions of the pulse duration, lag / M."""
+        return (np.arange(len(self.r)) - self.zero_index) / (self.zero_index + 1)
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.r)
@@ -124,7 +124,7 @@ def compute_acf(s: SampledWaveform) -> CorrelationResult:
     n = _fft_length(m)
     spec = np.fft.fft(s.samples, n)
     spec *= np.conj(spec)  # in place: numpy's out-of-place product can round differently
-    return CorrelationResult(r=np.fft.ifft(spec)[_raw_index(m, n)], fs=s.fs)
+    return CorrelationResult(r=np.fft.ifft(spec)[_raw_index(m, n)])
 
 
 # complex FFT points per Doppler block of compute_af: a block's few (rows, N)
@@ -151,7 +151,7 @@ def _doppler_pairs(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compute_af(s: SampledWaveform, doppler_grid) -> AmbiguitySurface:
-    """Ambiguity surface over a grid of Doppler shifts (Hz), one row per shift.
+    """Ambiguity surface over a grid of Doppler shifts (cycles per T), one row per shift.
 
     Each Doppler shift is split symmetrically between the two copies of the
     waveform before correlating, so the zero-Doppler row reproduces
@@ -164,6 +164,7 @@ def compute_af(s: SampledWaveform, doppler_grid) -> AmbiguitySurface:
     """
     nu = np.asarray(doppler_grid, dtype=float).ravel()
     m = s.samples.size
+    t = np.arange(m) / m
     n = _fft_length(m)
     lags = _raw_index(m, n)
     lead, partner = _doppler_pairs(nu)
@@ -171,7 +172,7 @@ def compute_af(s: SampledWaveform, doppler_grid) -> AmbiguitySurface:
     values = np.empty((nu.size, 2 * m - 1))
     for start in range(0, lead.size, step):
         rows, mates = lead[start : start + step], partner[start : start + step]
-        shift = np.exp((1j * np.pi * nu[rows])[:, None] * s.t)
+        shift = np.exp((1j * np.pi * nu[rows])[:, None] * t)
         a = np.fft.fft(s.samples * shift, n)
         b = np.fft.fft(s.samples * np.conj(shift, out=shift), n)
         del shift
@@ -181,7 +182,7 @@ def compute_af(s: SampledWaveform, doppler_grid) -> AmbiguitySurface:
         values[rows] = np.abs(np.fft.ifft(a)[:, lags])
         paired = mates >= 0
         values[mates[paired]] = np.abs(np.fft.ifft(b[paired])[:, lags])
-    delays = np.arange(1 - m, m) / s.fs
+    delays = np.arange(1 - m, m) / m
     return AmbiguitySurface(values=values, delays=delays, dopplers=nu)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradient import GradientWorkspace
-from .metrics import GislWeights, _validated_p, db
+from .metrics import GislWeights, _validated_p
 from .waveform import WaveformConfig, _phase_vector
 
 __all__ = [
@@ -75,7 +75,6 @@ class TraceRow:
 
     iteration: int
     j: float
-    j_db: float
     grad_norm: float
     mu: float
     backtracks: int
@@ -182,7 +181,6 @@ def run_gd_gisl(
             TraceRow(
                 iteration=i,
                 j=j,
-                j_db=db(j),
                 grad_norm=grad_norm,
                 mu=step,
                 backtracks=shrinkages,

@@ -74,22 +74,21 @@ def lfm_equivalent_tbp(h: float, L: int) -> float:
 
 @dataclass(frozen=True)
 class WaveformConfig:
-    """Pulse parameters plus the derived sampling grid.
+    """The [waveform] keys, in manifest order, and the derived sample count M.
 
-    Provide ``h`` or ``tbp`` (or both, if mutually consistent); the missing
-    one is derived from the equal-RMS-bandwidth relation. The sample count is
-    M = round(oversample * tbp), ``oversample`` times the equivalent LFM
-    bandwidth ``tbp / T`` over one pulse. Pass ``samples`` to pin M
-    directly, which is required for h = 0 pulses that have no bandwidth to
-    derive a count from. Either way the grid is t = m T / M and fs = M / T,
-    so harmonic l of 1/T sits exactly on DFT bin l of the pulse.
+    Time is in units of the pulse duration T = 1. Give ``h`` or ``tbp`` (or
+    both, if mutually consistent); the other follows from the equal-RMS-
+    bandwidth relation, and with neither, tbp = 200. ``mpsk`` is the initial
+    symbol alphabet. M = round(oversample * tbp), unless ``samples`` pins it,
+    as h = 0 pulses need. The grid is t = m / M, so harmonic l sits exactly
+    on DFT bin l of the pulse.
     """
 
-    L: int
-    h: float | None = None
+    L: int = 24
     tbp: float | None = None
-    T: float = 1.0
+    h: float | None = None
     oversample: float = 5.0
+    mpsk: float = 32.0
     samples: int | None = None
     M: int = field(init=False)
 
@@ -97,8 +96,6 @@ class WaveformConfig:
         if self.L < 1 or int(self.L) != self.L:
             raise ValueError("L must be a positive integer")
         object.__setattr__(self, "L", int(self.L))
-        if self.T <= 0:
-            raise ValueError("T must be positive")
         for name in ("h", "tbp", "oversample"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -106,16 +103,15 @@ class WaveformConfig:
         if self.oversample <= 0:
             raise ValueError("oversample must be positive")
         h, tbp = self.h, self.tbp
-        if h is None and tbp is None:
-            raise ValueError("either h or tbp must be given")
         if h is not None and h < 0:
             raise ValueError("h must be nonnegative")
         if tbp is not None and tbp < 0:
             raise ValueError("tbp must be nonnegative")
-        if tbp is None:
-            tbp = lfm_equivalent_tbp(h, self.L)
-        elif h is None:
+        if h is None:
+            tbp = 200.0 if tbp is None else tbp
             h = compute_modulation_index(tbp, self.L)
+        elif tbp is None:
+            tbp = lfm_equivalent_tbp(h, self.L)
         else:
             ref = compute_modulation_index(tbp, self.L)
             if abs(h - ref) > 1e-9 * max(abs(ref), abs(h)):
@@ -128,8 +124,10 @@ class WaveformConfig:
             if self.samples < 1 or int(self.samples) != self.samples:
                 raise ValueError("samples must be a positive integer")
             m = int(self.samples)
-        else:
+        elif math.isfinite(self.oversample * tbp):
             m = int(round(self.oversample * tbp))
+        else:
+            raise ValueError(f"M = oversample * tbp = {self.oversample!r} * {tbp!r} is not finite")
         if m < 2 * self.L + 1:
             raise ValueError(
                 f"M={m} samples cannot resolve L={self.L} phase harmonics "
@@ -138,19 +136,9 @@ class WaveformConfig:
         object.__setattr__(self, "M", m)
 
     @property
-    def fs(self) -> float:
-        """Sampling rate M / T."""
-        return self.M / self.T
-
-    @property
-    def df(self) -> float:
-        """Bandwidth of the equal-RMS LFM reference (tbp / T)."""
-        return self.tbp / self.T
-
-    @property
     def t(self) -> np.ndarray:
-        """Sample instants m / fs, left-aligned on [0, T)."""
-        return np.arange(self.M) / self.fs
+        """Sample instants m / M, left-aligned on [0, 1)."""
+        return np.arange(self.M) / self.M
 
 
 @dataclass(frozen=True)
@@ -158,8 +146,6 @@ class SampledWaveform:
     """Unit-energy complex baseband samples: length M, constant modulus 1/sqrt(M)."""
 
     samples: np.ndarray
-    t: np.ndarray
-    fs: float
 
 
 def _phase_vector(phi, L: int) -> np.ndarray:
@@ -173,7 +159,7 @@ def _phase_vector(phi, L: int) -> np.ndarray:
 def _harmonic_sum(c: np.ndarray, m: int, spec: np.ndarray | None = None) -> np.ndarray:
     """Samples sum_l Re(c_l exp(j 2 pi l k / m)), k = 0..m-1, of coefficients c_1..c_L.
 
-    On the grid t = k T / m harmonic l of 1/T is DFT bin l, and m >= 2L + 1
+    On the grid t = k / m harmonic l is DFT bin l, and m >= 2L + 1
     keeps bin L below Nyquist, so the sum is one inverse real FFT. ``spec``
     is an optional reused buffer of m//2 + 1 bins, zero outside bins 1..L;
     only those bins are written.
@@ -208,7 +194,7 @@ def _phasor(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
 def sample_phase(phi, cfg: WaveformConfig) -> np.ndarray:
     """Instantaneous phase of the subcarrier sum at the sample instants.
 
-    Evaluates 2*pi*h * sum_l cos(2*pi*l*t/T - phi_l) as the real part of the
+    Evaluates 2*pi*h * sum_l cos(2*pi*l*t - phi_l) as the real part of the
     harmonic series with coefficients exp(-j phi_l).
     """
     return _phase_samples(_phase_vector(phi, cfg.L), cfg)
@@ -217,13 +203,13 @@ def sample_phase(phi, cfg: WaveformConfig) -> np.ndarray:
 def sample_frequency(phi, cfg: WaveformConfig) -> np.ndarray:
     """Instantaneous frequency, the phase derivative divided by 2*pi.
 
-    Equals -(2*pi*h/T) * sum_l l * sin(2*pi*l*t/T - phi_l), the real part of
-    the harmonic series with coefficients j l exp(-j phi_l); zero mean over a
-    full pulse for any symbol vector.
+    Equals -(2*pi*h) * sum_l l * sin(2*pi*l*t - phi_l) cycles per pulse, the
+    real part of the harmonic series with coefficients j l exp(-j phi_l);
+    zero mean over a full pulse for any symbol vector.
     """
     phi = _phase_vector(phi, cfg.L)
     ell = np.arange(1, cfg.L + 1)
-    return (TWO_PI * cfg.h / cfg.T) * _harmonic_sum(1j * ell * np.exp(-1j * phi), cfg.M)
+    return (TWO_PI * cfg.h) * _harmonic_sum(1j * ell * np.exp(-1j * phi), cfg.M)
 
 
 def synthesize(phi, cfg: WaveformConfig) -> SampledWaveform:
@@ -235,7 +221,7 @@ def synthesize(phi, cfg: WaveformConfig) -> SampledWaveform:
     samples = _phasor(sample_phase(phi, cfg), np.empty(cfg.M, dtype=complex))
     samples.imag += 0.0  # the exported samples read +0, not -0, at theta = -0 (h = 0)
     samples /= math.sqrt(cfg.M)
-    return SampledWaveform(samples=samples, t=cfg.t, fs=cfg.fs)
+    return SampledWaveform(samples=samples)
 
 
 def random_psk(L: int, mpsk, seed: int) -> np.ndarray:

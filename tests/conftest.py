@@ -6,7 +6,7 @@ from ceofdm import WaveformConfig
 
 @pytest.fixture(scope="session")
 def reference_cfg():
-    """L=24 subcarriers, TBP-200 equivalent bandwidth, fs = 5*df, M=1000."""
+    """L=24 subcarriers, TBP-200 equivalent bandwidth, M = 5 * tbp = 1000 samples."""
     return WaveformConfig(L=24, tbp=200.0)
 
 

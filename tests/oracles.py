@@ -47,7 +47,7 @@ def rms_bandwidth(samples: np.ndarray, fs: float) -> float:
 def bisect_modulation_index(tbp: float, L: int, oversample: float = 10.0) -> float:
     """Find h such that the measured RMS bandwidth matches an LFM pulse of ``tbp``.
 
-    The LFM reference with bandwidth B = tbp/T has RMS bandwidth B/sqrt(12).
+    The LFM reference with bandwidth B = tbp (T = 1) has RMS bandwidth B/sqrt(12).
     The waveform's RMS bandwidth is independent of the symbols, so a fixed
     all-zero symbol vector is used. Pure bisection; no closed forms.
     """
@@ -56,7 +56,7 @@ def bisect_modulation_index(tbp: float, L: int, oversample: float = 10.0) -> flo
 
     def measured(h: float) -> float:
         cfg = WaveformConfig(L=L, h=h, samples=int(round(oversample * tbp)))
-        return rms_bandwidth(synthesize(phi, cfg).samples, cfg.fs)
+        return rms_bandwidth(synthesize(phi, cfg).samples, cfg.M)
 
     lo, hi = 1e-9, 2.0
     assert measured(lo) < target < measured(hi)
@@ -79,8 +79,8 @@ def central_difference_gradient(cost, phi: np.ndarray, eps: float = 1e-5) -> np.
 
 
 def harmonic_basis(cfg) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (M, L) bases cos and sin(2*pi*l*t/T) on the config's sample instants."""
-    args = TWO_PI * np.outer(cfg.t, np.arange(1, cfg.L + 1)) / cfg.T
+    """Dense (M, L) bases cos and sin(2*pi*l*t) on the config's sample instants."""
+    args = TWO_PI * np.outer(cfg.t, np.arange(1, cfg.L + 1))
     return np.cos(args), np.sin(args)
 
 

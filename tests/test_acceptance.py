@@ -213,7 +213,7 @@ def test_criterion_08_rms_bandwidth_invariance():
     cfg = WaveformConfig(L=24, h=0.1856)
     values = np.array(
         [
-            rms_bandwidth(synthesize(random_psk(24, math.inf, seed=seed), cfg).samples, cfg.fs)
+            rms_bandwidth(synthesize(random_psk(24, math.inf, seed=seed), cfg).samples, cfg.M)
             for seed in range(20)
         ]
     )

@@ -83,9 +83,8 @@ class TestExperimentConfig:
         ini = tmp_path / "exp.ini"
         ini.write_text("[waveform]\nh = 0.1856\n")
         config = ExperimentConfig.from_sources(path=ini)
-        assert config.waveform.tbp is None
-        cfg = config.to_waveform_config()
-        assert cfg.tbp == pytest.approx(199.95, abs=0.1)
+        assert config.waveform.h == 0.1856
+        assert config.waveform.tbp == pytest.approx(199.95, abs=0.1)
 
     @pytest.mark.parametrize("body,match", [
         ("[waveform]\nbogus = 1\n", "unknown key"),
@@ -104,6 +103,10 @@ class TestExperimentConfig:
         ("[waveform]\ntbp = inf\n", "finite"),
         ("[waveform]\nh = inf\n", "finite"),
         ("[waveform]\noversample = inf\n", "finite"),
+        ("[waveform]\ntbp = 1e308\n", "M = oversample"),
+        ("[waveform]\noversample = 1e308\n", "M = oversample"),
+        ("[waveform]\nM = 5\n", "unknown key"),
+        ("[waveform]\nT = 2\n", "unknown key"),
         ("[run]\nseed = -1\n", "seed must be >= 0"),
     ])
     def test_rejects_malformed(self, tmp_path, body, match):
@@ -134,7 +137,7 @@ class TestExperimentConfig:
         assert again.region == config.region
         assert again.optimizer == config.optimizer
         assert again.quantization.alphabets == (math.inf, 32.0)
-        assert again.to_waveform_config() == config.to_waveform_config()
+        assert again.waveform == config.waveform
 
 
 class TestSynthCommand:

@@ -39,7 +39,7 @@ from oracles import csv_bytes, fmt_db, fmt_e, per_frame_stft, per_row_af
 CONFIGS = {
     # ordinary pulse; M = 200
     "psk": WaveformConfig(L=8, tbp=40.0),
-    # h = 0 over 24 subcarriers: df = 0, so the spectrum's over_df column is 0
+    # h = 0 over 24 subcarriers: tbp = 0, so the spectrum's over_df column is 0
     "h0": WaveformConfig(L=24, h=0.0, samples=300),
     # rectangular pulse: exact spectral zeros (-inf -> -999) and a floored AF
     "rect": WaveformConfig(L=1, h=0.0, samples=128),
@@ -64,9 +64,8 @@ def test_encode_db_scalar_and_array():
 
 def test_waveform_csv(tmp_path, pulse):
     cfg, _, s = pulse
-    t_norm = s.t * s.fs / len(s.samples)
     rows = [
-        [str(i), fmt_e(t_norm[i]), fmt_e(s.samples[i].real), fmt_e(s.samples[i].imag)]
+        [str(i), fmt_e(i / cfg.M), fmt_e(s.samples[i].real), fmt_e(s.samples[i].imag)]
         for i in range(cfg.M)
     ]
     write_waveform_csv(tmp_path / "w.csv", s)
@@ -76,7 +75,7 @@ def test_waveform_csv(tmp_path, pulse):
 def test_inst_freq_csv(tmp_path, pulse):
     cfg, phi, _ = pulse
     freq = sample_frequency(phi, cfg)
-    rows = [[str(i), fmt_e(i / cfg.M), fmt_e(freq[i] * cfg.T)] for i in range(cfg.M)]
+    rows = [[str(i), fmt_e(i / cfg.M), fmt_e(freq[i])] for i in range(cfg.M)]
     write_inst_freq_csv(tmp_path / "f.csv", phi, cfg)
     assert (tmp_path / "f.csv").read_bytes() == csv_bytes("sample_index,t_over_T,freq_times_T", rows)
 
@@ -86,9 +85,9 @@ def test_spectrum_csv(tmp_path, pulse):
     nfft = 4 * cfg.M
     power = np.abs(np.fft.fftshift(np.fft.fft(s.samples, nfft))) ** 2
     power_db = db(power / power.max())
-    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / cfg.fs))
+    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / cfg.M))
     rows = [
-        [fmt_e(freqs[i] * cfg.T), fmt_e(freqs[i] / cfg.df if cfg.df > 0 else 0.0), fmt_db(power_db[i])]
+        [fmt_e(freqs[i]), fmt_e(freqs[i] / cfg.tbp if cfg.tbp > 0 else 0.0), fmt_db(power_db[i])]
         for i in range(nfft)
     ]
     write_spectrum_csv(tmp_path / "s.csv", s, cfg)
@@ -102,9 +101,9 @@ def test_spectrogram_csv(tmp_path, pulse):
     frames, centers = per_frame_stft(s.samples, nperseg, hop)
     power = np.abs(frames) ** 2
     power_db = db(power / power.max())
-    freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / cfg.fs))
+    freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / cfg.M))
     header = "freq_times_T," + ",".join(fmt_e(c / cfg.M) for c in centers)
-    rows = [[fmt_e(freqs[i] * cfg.T)] + [fmt_db(v) for v in power_db[i]] for i in range(nperseg)]
+    rows = [[fmt_e(freqs[i])] + [fmt_db(v) for v in power_db[i]] for i in range(nperseg)]
     write_spectrogram_csv(tmp_path / "g.csv", s, cfg)
     assert (tmp_path / "g.csv").read_bytes() == csv_bytes(header, rows)
 
@@ -122,21 +121,22 @@ def test_batched_stft_matches_per_frame_loop(M):
     assert np.array_equal(centers, expected_centers)
 
 
-def expected_acf(r: CorrelationResult, T: float) -> bytes:
+def expected_acf(r: CorrelationResult) -> bytes:
     mag_db = db(r.magnitude() ** 2)
+    m = (len(r.r) + 1) // 2
     rows = []
     for k in range(len(r.r)):
         u = k - r.zero_index
-        rows.append([str(u), fmt_e(u / (r.fs * T)), fmt_db(mag_db[k])])
+        rows.append([str(u), fmt_e(u / m), fmt_db(mag_db[k])])
     return csv_bytes("delay_samples,delay_over_T,magnitude_db", rows)
 
 
-def expected_af(af: AmbiguitySurface, T: float) -> bytes:
+def expected_af(af: AmbiguitySurface) -> bytes:
     with np.errstate(divide="ignore"):
         values_db = 10.0 * np.log10(af.values**2)
-    header = "doppler_times_T," + ",".join(fmt_e(d / T) for d in af.delays)
+    header = "doppler_times_T," + ",".join(fmt_e(d) for d in af.delays)
     rows = [
-        [fmt_e(af.dopplers[i] * T)] + [fmt_db(v) for v in values_db[i]]
+        [fmt_e(af.dopplers[i])] + [fmt_db(v) for v in values_db[i]]
         for i in range(len(af.dopplers))
     ]
     return csv_bytes(header, rows)
@@ -145,51 +145,51 @@ def expected_af(af: AmbiguitySurface, T: float) -> bytes:
 def test_acf_csv(tmp_path, pulse):
     cfg, _, s = pulse
     r = compute_acf(s)
-    write_acf_csv(tmp_path / "a.csv", r, cfg.T)
-    assert (tmp_path / "a.csv").read_bytes() == expected_acf(r, cfg.T)
+    write_acf_csv(tmp_path / "a.csv", r)
+    assert (tmp_path / "a.csv").read_bytes() == expected_acf(r)
 
 
 def test_af_csv(tmp_path, pulse):
     cfg, _, s = pulse
-    af = compute_af(s, np.linspace(-cfg.L / cfg.T, cfg.L / cfg.T, 9))
-    write_af_csv(tmp_path / "af.csv", af, cfg.T)
-    assert (tmp_path / "af.csv").read_bytes() == expected_af(af, cfg.T)
+    af = compute_af(s, np.linspace(-cfg.L, cfg.L, 9))
+    write_af_csv(tmp_path / "af.csv", af)
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(af)
 
 
 def test_rectangular_af_reaches_floor(tmp_path):
     cfg = CONFIGS["rect"]
     s = synthesize(np.zeros(1), cfg)
     af = compute_af(s, np.linspace(-3.0, 3.0, 13))
-    write_af_csv(tmp_path / "af.csv", af, cfg.T)
+    write_af_csv(tmp_path / "af.csv", af)
     text = (tmp_path / "af.csv").read_text()
     assert "-2.000000000000e+02" in text
-    assert (tmp_path / "af.csv").read_bytes() == expected_af(af, cfg.T)
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(af)
 
 
 def test_exact_zeros_and_tiny_values(tmp_path):
     # |r| = 0 is -inf dB (written -999); |r| = 1e-120 is -2400 dB (written -200)
-    r = CorrelationResult(r=np.array([0.0, 1e-120, 0.5j, 1.0, -0.5, 1e-120, 0.0]), fs=4.0)
-    write_acf_csv(tmp_path / "a.csv", r, 1.0)
+    r = CorrelationResult(r=np.array([0.0, 1e-120, 0.5j, 1.0, -0.5, 1e-120, 0.0]), )
+    write_acf_csv(tmp_path / "a.csv", r)
     text = (tmp_path / "a.csv").read_text()
     assert text.count("-9.990000000000e+02") == 2
     assert text.count("-2.000000000000e+02") == 2
-    assert (tmp_path / "a.csv").read_bytes() == expected_acf(r, 1.0)
+    assert (tmp_path / "a.csv").read_bytes() == expected_acf(r)
 
     values = np.array([[0.0, 1e-120, 1.0], [0.25, 0.0, 1e-150]])
     af = AmbiguitySurface(values=values, delays=np.array([-0.25, 0.0, 0.25]), dopplers=np.array([-1.0, 0.0]))
-    write_af_csv(tmp_path / "af.csv", af, 2.0)
+    write_af_csv(tmp_path / "af.csv", af)
     text = (tmp_path / "af.csv").read_text()
     assert text.count("-9.990000000000e+02") == 2
     assert text.count("-2.000000000000e+02") == 2
-    assert (tmp_path / "af.csv").read_bytes() == expected_af(af, 2.0)
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(af)
 
 
 @pytest.mark.parametrize("cfg", [WaveformConfig(L=8, h=0.15, samples=70), WaveformConfig(L=24, tbp=208.0)])
 def test_batched_af_matches_per_row_loop(cfg):
     assert cfg.M in (70, 1040)
     s = synthesize(random_psk(cfg.L, 32, seed=2), cfg)
-    nu = np.linspace(-cfg.L / cfg.T, cfg.L / cfg.T, 97)
-    assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, s.t, nu))
+    nu = np.linspace(-cfg.L, cfg.L, 97)
+    assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, cfg.t, nu))
 
 
 # Doppler grids in units of 1/T; rows at +nu and -nu share their FFTs in compute_af
@@ -206,8 +206,8 @@ AF_EDGE_GRIDS = {
 def test_paired_af_matches_per_row_loop_on_edge_grids(grid):
     cfg = WaveformConfig(L=8, h=0.15, samples=70)
     s = synthesize(random_psk(cfg.L, 32, seed=3), cfg)
-    nu = np.array(AF_EDGE_GRIDS[grid]) / cfg.T
-    assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, s.t, nu))
+    nu = np.array(AF_EDGE_GRIDS[grid])
+    assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, cfg.t, nu))
 
 
 def test_paired_af_blocks_match_per_row_loop():
@@ -215,12 +215,12 @@ def test_paired_af_blocks_match_per_row_loop():
     # (N = 2160, 7 pairs per block): blocks of 7, 7 and a partial one of 5
     cfg = WaveformConfig(L=24, tbp=208.0)
     s = synthesize(random_psk(cfg.L, 32, seed=3), cfg)
-    half = 0.75 * np.arange(1, 18) / cfg.T
-    nu = np.random.default_rng(6).permutation(np.concatenate([-half, [0.0], half, [-20.0 / cfg.T]]))
+    half = 0.75 * np.arange(1, 18)
+    nu = np.random.default_rng(6).permutation(np.concatenate([-half, [0.0], half, [-20.0]]))
     pairs_per_block = metrics._AF_BLOCK_POINTS // metrics._fft_length(cfg.M) // 2
     leading = metrics._doppler_pairs(nu)[0].size
     assert leading > 2 * pairs_per_block and leading % pairs_per_block
-    assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, s.t, nu))
+    assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, cfg.t, nu))
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +228,7 @@ def survey_af():
     """The survey surface: 97 Doppler rows at tbp = 208 (M = 1040, N = 2160)."""
     cfg = WaveformConfig(L=24, tbp=208.0)
     s = synthesize(random_psk(cfg.L, 32, seed=4), cfg)
-    nu = np.linspace(-cfg.L / cfg.T, cfg.L / cfg.T, 97)
+    nu = np.linspace(-cfg.L, cfg.L, 97)
     return cfg, s, nu
 
 
@@ -239,8 +239,8 @@ def test_blocked_af_csv_matches_per_value_format(tmp_path, survey_af):
     encoder_rows = exports._BLOCK_VALUES // (2 * cfg.M)
     assert 1 < encoder_rows < len(nu) // 2 and len(nu) % encoder_rows
     af = compute_af(s, nu)
-    write_af_csv(tmp_path / "af.csv", af, cfg.T)
-    assert (tmp_path / "af.csv").read_bytes() == expected_af(af, cfg.T)
+    write_af_csv(tmp_path / "af.csv", af)
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(af)
 
 
 def test_af_transient_memory_is_block_sized(tmp_path, survey_af):
@@ -252,7 +252,7 @@ def test_af_transient_memory_is_block_sized(tmp_path, survey_af):
         af_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        write_af_csv(tmp_path / "af.csv", af, cfg.T)
+        write_af_csv(tmp_path / "af.csv", af)
         csv_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()

@@ -22,7 +22,7 @@ from ceofdm.metrics import _fft_length
 from oracles import brute_force_acf, plain_isl
 
 # frozen regression: first null of the reference waveform (seed 1, Mpsk=32);
-# null * df / fs = 1.8, within a factor of two of the LFM null at 1/df
+# null * tbp / M = 1.8, within a factor of two of the LFM null at 1/tbp
 REFERENCE_NULL = 9
 
 
@@ -39,7 +39,7 @@ def synthetic_corr(values, zero_value=1.0):
     for k, v in enumerate(values, start=1):
         r[m - 1 + k] = v
         r[m - 1 - k] = np.conj(v)
-    return CorrelationResult(r=r, fs=float(m))
+    return CorrelationResult(r=r)
 
 
 def is_5_smooth(n):
@@ -116,7 +116,7 @@ class TestComputeAcf:
         s = synthesize(TWO_PI * rng.random(small_cfg.L), small_cfg)
         r = compute_acf(s)
         assert r.delays[r.zero_index] == 0.0
-        assert r.delays[-1] == pytest.approx((small_cfg.M - 1) / small_cfg.fs)
+        assert r.delays[-1] == pytest.approx((small_cfg.M - 1) / small_cfg.M)
 
 
 class TestComputeAf:
@@ -132,7 +132,7 @@ class TestComputeAf:
         af = compute_af(s, grid)
         zero = (af.values.shape[1] - 1) // 2
         expected = np.array(
-            [abs(np.sum(np.abs(s.samples) ** 2 * np.exp(1j * TWO_PI * nu * s.t))) for nu in grid]
+            [abs(np.sum(np.abs(s.samples) ** 2 * np.exp(1j * TWO_PI * nu * small_cfg.t))) for nu in grid]
         )
         assert np.max(np.abs(af.values[:, zero] - expected)) < 1e-12
 
@@ -169,7 +169,7 @@ class TestDetectMainlobeNull:
         r = compute_acf(synthesize(phi, reference_cfg))
         null = detect_mainlobe_null(r)
         assert null == REFERENCE_NULL
-        lfm_null_samples = reference_cfg.fs / reference_cfg.df
+        lfm_null_samples = reference_cfg.M / reference_cfg.tbp
         assert lfm_null_samples / 2 <= null <= 2 * lfm_null_samples
 
 

@@ -13,6 +13,7 @@ from ceofdm import (
     run_gd_gisl,
     synthesize,
 )
+from ceofdm.exports import write_trace_csv
 from ceofdm.optimizer import _armijo, _direction
 
 
@@ -160,13 +161,16 @@ class TestRunGdGisl:
         phi, trace = run_gd_gisl(phi0, cfg, w)
         assert trace.final_j <= trace.initial_j
 
-    def test_trace_row_fields(self):
+    def test_trace_row_fields(self, tmp_path):
         cfg, phi0, w = small_problem(seed=4)
         _, trace = run_gd_gisl(phi0, cfg, w, OptimizerConfig(p=6, max_iters=5))
         row = trace.rows[0]
         assert row.iteration == 1
-        assert row.j_db == pytest.approx(10.0 * math.log10(row.j))
         assert isinstance(row.reset, bool)
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        header, first, *_ = (tmp_path / "trace.csv").read_text().splitlines()
+        j_p_db = float(dict(zip(header.split(","), first.split(",")))["J_p_db"])
+        assert j_p_db == pytest.approx(10.0 * math.log10(row.j))
 
     def test_step_follows_growth_rule(self):
         # each search starts from the last accepted step grown by rho_up and

@@ -26,7 +26,7 @@ def direct_phase(phi, cfg):
     """Straightforward per-term evaluation of the subcarrier sum."""
     out = np.zeros(cfg.M)
     for ell in range(1, cfg.L + 1):
-        out += np.cos(TWO_PI * ell * cfg.t / cfg.T - phi[ell - 1])
+        out += np.cos(TWO_PI * ell * cfg.t - phi[ell - 1])
     return TWO_PI * cfg.h * out
 
 
@@ -34,8 +34,8 @@ def direct_frequency(phi, cfg):
     """Straightforward per-term evaluation of the phase derivative over 2*pi."""
     out = np.zeros(cfg.M)
     for ell in range(1, cfg.L + 1):
-        out -= ell * np.sin(TWO_PI * ell * cfg.t / cfg.T - phi[ell - 1])
-    return TWO_PI * cfg.h / cfg.T * out
+        out -= ell * np.sin(TWO_PI * ell * cfg.t - phi[ell - 1])
+    return TWO_PI * cfg.h * out
 
 
 # the smallest grids M = 2L+1 and 2L+2, where harmonic L is the highest DFT
@@ -67,9 +67,8 @@ class TestModulationIndex:
 class TestWaveformConfig:
     def test_derived_from_tbp(self, reference_cfg):
         assert reference_cfg.M == 1000
-        assert reference_cfg.fs == 1000.0
         assert reference_cfg.h == pytest.approx(0.1856, abs=5e-4)
-        assert reference_cfg.df == 200.0
+        assert reference_cfg.tbp == 200.0
 
     def test_derived_from_h(self):
         cfg = WaveformConfig(L=24, h=0.1856)
@@ -84,9 +83,14 @@ class TestWaveformConfig:
         with pytest.raises(ValueError, match="inconsistent"):
             WaveformConfig(L=24, h=0.2, tbp=200.0)
 
-    def test_requires_h_or_tbp(self):
-        with pytest.raises(ValueError):
-            WaveformConfig(L=24)
+    def test_neither_h_nor_tbp_means_tbp_200(self):
+        cfg = WaveformConfig(L=24)
+        assert cfg.tbp == 200.0
+        assert cfg.h == compute_modulation_index(200.0, 24)
+        assert cfg == WaveformConfig(L=24, tbp=200.0)
+
+    def test_pinned_samples_ignore_overflowing_tbp(self):
+        assert WaveformConfig(L=24, tbp=1e308, samples=64).M == 64
 
     def test_nyquist_floor(self):
         with pytest.raises(ValueError, match="harmonics"):
@@ -97,7 +101,7 @@ class TestWaveformConfig:
     def test_explicit_samples(self):
         cfg = WaveformConfig(L=1, h=0.0, samples=128)
         assert cfg.M == 128
-        assert cfg.fs == 128.0
+        assert cfg.t[1] == 1.0 / 128
 
     @pytest.mark.parametrize("kwargs", [
         dict(L=8, h=0.15, samples=64),
@@ -106,13 +110,13 @@ class TestWaveformConfig:
         dict(L=24, tbp=200.3),
     ], ids=["samples", "tbp", "h", "tbp200.3"])
     def test_one_sample_grid(self, kwargs, rng, tmp_path):
-        # oversample * tbp need not be an integer; the grid is t = m T / M
+        # oversample * tbp need not be an integer; the grid is t = m / M
         # all the same, which the ACF delays and the weights' |k| / M share
         cfg = WaveformConfig(**kwargs)
-        assert cfg.fs * cfg.T == cfg.M
+        assert np.array_equal(cfg.t, np.arange(cfg.M) / cfg.M)
         phi = TWO_PI * rng.random(cfg.L)
         assert np.max(np.abs(sample_phase(phi, cfg) - direct_phase(phi, cfg))) < 1e-10
-        write_acf_csv(tmp_path / "acf.csv", compute_acf(synthesize(phi, cfg)), cfg.T)
+        write_acf_csv(tmp_path / "acf.csv", compute_acf(synthesize(phi, cfg)))
         rows = [line.split(",") for line in (tmp_path / "acf.csv").read_text().splitlines()[1:]]
         assert len(rows) == 2 * cfg.M - 1
         assert [row[1] for row in rows] == [f"{int(row[0]) / cfg.M:.12e}" for row in rows]
@@ -121,18 +125,19 @@ class TestWaveformConfig:
         t = small_cfg.t
         assert len(t) == small_cfg.M
         assert t[0] == 0.0
-        assert t[1] == pytest.approx(1.0 / small_cfg.fs)
+        assert t[1] == pytest.approx(1.0 / small_cfg.M)
 
     @pytest.mark.parametrize("kwargs", [
         dict(L=0, h=0.1),
         dict(L=8, h=-0.1),
         dict(L=8, tbp=-5.0),
-        dict(L=8, h=0.1, T=0.0),
+        dict(L=8, tbp=1e308),  # M = oversample * tbp overflows
         dict(L=8, h=0.1, oversample=0.0),
         dict(L=8, h=math.inf),
         dict(L=8, h=math.nan),
         dict(L=8, tbp=math.inf),
         dict(L=8, h=0.1, oversample=math.inf),
+        dict(L=24, h=1e306),  # the derived tbp overflows, and so does M
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -186,14 +191,14 @@ class TestSampleFrequency:
         assert abs(freq.mean()) < 1e-9 * np.abs(freq).max()
 
     def test_finite_difference_of_phase(self, rng):
-        # central differences of the phase samples converge at O(fs^-2)
+        # central differences of the phase samples converge at O(M^-2)
         phi = TWO_PI * rng.random(24)
         errs = []
         for oversample in (5.0, 10.0):
             cfg = WaveformConfig(L=24, tbp=200.0, oversample=oversample)
             theta = sample_phase(phi, cfg)
             freq = sample_frequency(phi, cfg)
-            fd = (theta[2:] - theta[:-2]) * cfg.fs / (2.0 * TWO_PI)
+            fd = (theta[2:] - theta[:-2]) * cfg.M / (2.0 * TWO_PI)
             errs.append(np.max(np.abs(fd - freq[1:-1])))
         scale = np.abs(sample_frequency(phi, WaveformConfig(L=24, tbp=200.0))).max()
         assert errs[0] < 0.05 * scale
@@ -223,12 +228,12 @@ class TestSynthesize:
             assert np.max(np.abs(np.abs(s.samples) ** 2 * small_cfg.M - 1.0)) < 1e-12
 
     def test_spectral_concentration(self, reference_cfg):
-        # frozen seed; measured 97.1% of energy within +-0.75 * df
+        # frozen seed; measured 97.1% of energy within +-0.75 * tbp
         phi = random_psk(reference_cfg.L, math.inf, seed=1)
         s = synthesize(phi, reference_cfg)
         power = np.abs(np.fft.fft(s.samples)) ** 2
-        freqs = np.fft.fftfreq(reference_cfg.M, d=1.0 / reference_cfg.fs)
-        frac = power[np.abs(freqs) <= 0.75 * reference_cfg.df].sum() / power.sum()
+        freqs = np.fft.fftfreq(reference_cfg.M, d=1.0 / reference_cfg.M)
+        frac = power[np.abs(freqs) <= 0.75 * reference_cfg.tbp].sum() / power.sum()
         assert frac >= 0.95
 
     def test_nyquist_margin(self, reference_cfg):
@@ -236,8 +241,8 @@ class TestSynthesize:
             phi = random_psk(reference_cfg.L, math.inf, seed=seed)
             s = synthesize(phi, reference_cfg)
             power = np.abs(np.fft.fft(s.samples)) ** 2
-            freqs = np.fft.fftfreq(reference_cfg.M, d=1.0 / reference_cfg.fs)
-            tail = power[np.abs(freqs) > 0.45 * reference_cfg.fs].sum() / power.sum()
+            freqs = np.fft.fftfreq(reference_cfg.M, d=1.0 / reference_cfg.M)
+            tail = power[np.abs(freqs) > 0.45 * reference_cfg.M].sum() / power.sum()
             assert tail < 1e-3
 
 
@@ -247,7 +252,7 @@ class TestRmsBandwidthInvariance:
         values = []
         for seed in range(20):
             phi = random_psk(24, math.inf, seed=seed)
-            values.append(rms_bandwidth(synthesize(phi, cfg).samples, cfg.fs))
+            values.append(rms_bandwidth(synthesize(phi, cfg).samples, cfg.M))
         values = np.array(values)
         assert (values.max() - values.min()) / values.mean() < 0.01
 
