@@ -11,7 +11,6 @@ from .waveform import (
     synthesize,
 )
 from .metrics import (
-    AmbiguitySurface,
     CorrelationResult,
     GislWeights,
     build_weights,
@@ -40,7 +39,6 @@ __all__ = [
     "WaveformConfig",
     "CorrelationResult",
     "GislWeights",
-    "AmbiguitySurface",
     "OptimizerConfig",
     "GradientWorkspace",
     "compute_modulation_index",

@@ -60,7 +60,7 @@ def _prepare(config: ExperimentConfig, phi0=None):
     s0 = synthesize(phi0, cfg)
     r0 = compute_acf(s0)
     null = detect_mainlobe_null(r0)
-    weights = build_weights(null, config.region_descriptor(null, cfg.M), cfg.M)
+    weights = build_weights(null, cfg.M, config.region.lo, config.region.hi)
     return cfg, phi0, s0, r0, weights
 
 
@@ -88,7 +88,8 @@ def cmd_synth(config: ExperimentConfig) -> None:
         write_spectrogram_csv(out / "spectrogram.csv", s0, cfg)
     write_acf_csv(out / "acf.csv", r0)
     if config.run.write_af:
-        write_af_csv(out / "af.csv", compute_af(s0, np.linspace(-cfg.L, cfg.L, 97)))
+        nu = np.linspace(-cfg.L, cfg.L, 97)
+        write_af_csv(out / "af.csv", compute_af(s0, nu), nu)
     write_summary(out / "summary.txt", summary)
 
 
@@ -180,15 +181,12 @@ def _read_phases(path: Path, L: int) -> np.ndarray:
 def cmd_quantize(config: ExperimentConfig, input_dir: str | None = None) -> None:
     """Truncate optimized phases onto each alphabet and export the damage report.
 
-    With ``input_dir``, reuse a finished optimize run (its manifest and phase
-    vectors); otherwise optimize in place first. The manifest written echoes
-    the pulse actually quantized: the input run's waveform, region and
-    optimizer sections, with this command's quantization and run sections.
+    With ``input_dir``, reuse the phases of a finished optimize run, whose
+    pulse ``config`` already describes (``main`` reads it from that run's
+    manifest); otherwise optimize in place first.
     """
     out = Path(config.run.out)
     if input_dir is not None:
-        base = ExperimentConfig.from_sources(Path(input_dir) / "manifest.ini")
-        config = replace(base, quantization=config.quantization, run=config.run)
         phi0 = _read_phases(Path(input_dir) / "phi_initial.csv", config.waveform.L)
         cfg, _, _, _, weights = _prepare(config, phi0)
         phi_final = _read_phases(Path(input_dir) / "phi_final.csv", config.waveform.L)
@@ -315,6 +313,10 @@ def main(argv=None) -> int:
             out=args.out,
             threads=args.threads,
         )
+        input_dir = getattr(args, "input", None)
+        if input_dir is not None:  # quantize --input runs and echoes the input run's pulse
+            base = ExperimentConfig.from_sources(Path(input_dir) / "manifest.ini")
+            config = replace(base, quantization=config.quantization, run=config.run)
         out = Path(config.run.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "synth":
@@ -322,7 +324,7 @@ def main(argv=None) -> int:
         elif args.command == "optimize":
             cmd_optimize(config)
         elif args.command == "quantize":
-            cmd_quantize(config, input_dir=getattr(args, "input", None))
+            cmd_quantize(config, input_dir=input_dir)
         elif args.command == "sweep":
             cmd_sweep(config)
         print(f"wrote {out}")
@@ -338,8 +340,6 @@ def main(argv=None) -> int:
         return 3
     except MemoryError as exc:
         # whether a run fits depends on the machine, not on the config
-        if getattr(args, "input", None):  # quantize --input runs the input run's pulse
-            config = ExperimentConfig.from_sources(Path(args.input) / "manifest.ini")
         print(f"out of memory at M = {config.waveform.M}: {exc}", file=sys.stderr)
         return 3
 

@@ -228,13 +228,6 @@ class ExperimentConfig:
             for name, spec in specs.items()
         })
 
-    def region_descriptor(self, null_index: int, M: int):
-        """Resolve the region block to a build_weights descriptor."""
-        if self.region.mode == "full":
-            return "full"
-        lo = self.region.lo if self.region.lo is not None else null_index / M
-        return [(lo, self.region.hi)]
-
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, run=replace(self.run, seed=seed))
 

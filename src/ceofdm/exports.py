@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import AmbiguitySurface, CorrelationResult, db
+from .metrics import CorrelationResult, db
 from .optimizer import OptimizationTrace
 from .quantize import QuantizationRow
 from .waveform import SampledWaveform, WaveformConfig, sample_frequency
@@ -21,7 +21,6 @@ from .waveform import SampledWaveform, WaveformConfig, sample_frequency
 __all__ = [
     "DB_FLOOR",
     "DB_NEG_INF",
-    "encode_db",
     "write_phi_csv",
     "read_phi_csv",
     "write_waveform_csv",
@@ -39,11 +38,21 @@ DB_FLOOR = -200.0
 DB_NEG_INF = -999.0
 
 
-def encode_db(x):
-    """Export encoding of dB values, elementwise: -inf -> -999, else floored at -200."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x == -np.inf, DB_NEG_INF, np.maximum(x, DB_FLOOR))
-    return float(out) if out.ndim == 0 else out
+def _power_db(power: np.ndarray) -> np.ndarray:
+    """Export dB of a power array, in place: 10 log10, floored at DB_FLOOR,
+    and DB_NEG_INF where the power is exactly zero."""
+    zero = power == 0.0
+    with np.errstate(divide="ignore"):
+        np.log10(power, out=power)
+    power *= 10.0
+    np.maximum(power, DB_FLOOR, out=power)
+    power[zero] = DB_NEG_INF
+    return power
+
+
+def _db_cell(x: float) -> float:
+    """Export encoding of one dB value: -inf -> DB_NEG_INF, else floored at DB_FLOOR."""
+    return DB_NEG_INF if x == -math.inf else max(float(x), DB_FLOOR)
 
 
 def _fmt_full(x) -> str:
@@ -323,15 +332,15 @@ def write_inst_freq_csv(path, phi, cfg: WaveformConfig) -> None:
     _write_table(path, "sample_index,t_over_T,freq_times_T", _table_blocks(table, np.arange(cfg.M)))
 
 
-def write_spectrum_csv(path, s: SampledWaveform, cfg: WaveformConfig, pad_factor: int = 4) -> None:
-    """Peak-normalized power spectrum on a zero-padded grid."""
-    nfft = pad_factor * cfg.M
+def write_spectrum_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None:
+    """Peak-normalized power spectrum on a 4x zero-padded grid."""
+    nfft = 4 * cfg.M
     spec = np.fft.fftshift(np.fft.fft(s.samples, nfft))
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / cfg.M))
     power = np.abs(spec) ** 2
-    power_db = db(power / power.max())
+    power /= power.max()
     over_df = freqs / cfg.tbp if cfg.tbp > 0 else np.zeros(nfft)
-    table = np.column_stack([freqs, over_df, encode_db(power_db)])
+    table = np.column_stack([freqs, over_df, _power_db(power)])
     _write_table(path, "freq_times_T,freq_over_df,magnitude_db", _table_blocks(table))
 
 
@@ -352,46 +361,37 @@ def write_spectrogram_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None
     frames, centers = _stft(s.samples, nperseg, hop)
     freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / cfg.M))
     power = np.abs(frames) ** 2
-    power_db = db(power / power.max())
-    table = np.column_stack([freqs, encode_db(power_db)])
+    power /= power.max()
+    table = np.column_stack([freqs, _power_db(power)])
     _write_table(path, "freq_times_T", _table_blocks(table), header_values=centers / cfg.M)
 
 
 def write_acf_csv(path, r: CorrelationResult) -> None:
     """Columns: delay_samples, delay_over_T, magnitude_db."""
-    mag = r.magnitude()
-    u = np.arange(len(mag)) - r.zero_index
-    table = np.column_stack([r.delays, encode_db(db(mag * mag))])
+    power = r.magnitude()
+    power *= power
+    u = np.arange(len(power)) - r.zero_index
+    table = np.column_stack([r.delays, _power_db(power)])
     _write_table(path, "delay_samples,delay_over_T,magnitude_db", _table_blocks(table, u))
 
 
-def write_af_csv(path, af: AmbiguitySurface) -> None:
+def write_af_csv(path, values: np.ndarray, dopplers) -> None:
     """First column Doppler (times T); remaining columns |chi|^2 in dB per delay.
 
-    The table is built one encoder block of rows at a time, so no copy of the
-    whole surface is made.
+    ``values`` holds compute_af's rows, each over the 2M-1 centered delays
+    of the header; it is encoded a block of rows at a time, never copied whole.
     """
-    doppler, values = af.dopplers, af.values
-    blocks = (
-        (_af_rows(doppler[rows], values[rows]), None)
-        for rows in _row_slices(len(values), values.shape[1] + 1)
-    )
-    _write_table(path, "doppler_times_T", blocks, header_values=af.delays)
+    m = (values.shape[1] + 1) // 2
+    delays = np.arange(1 - m, m) / m
+    _write_table(path, "doppler_times_T", _af_blocks(values, dopplers), header_values=delays)
 
 
-def _af_rows(doppler: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Rows of af.csv: each Doppler, then encode_db(db(values**2)), built in place."""
-    rows = np.empty((len(values), values.shape[1] + 1))
-    rows[:, 0] = doppler
-    power_db = rows[:, 1:]
-    np.square(values, out=power_db)
-    zero = power_db == 0.0  # -inf dB
-    with np.errstate(divide="ignore"):
-        np.log10(power_db, out=power_db)
-    power_db *= 10.0
-    np.maximum(power_db, DB_FLOOR, out=power_db)
-    power_db[zero] = DB_NEG_INF
-    return rows
+def _af_blocks(values: np.ndarray, dopplers):
+    """The rows of af.csv a block at a time: each Doppler, then its |chi|^2 in dB."""
+    for rows in _row_slices(len(values), values.shape[1] + 1):
+        block = np.column_stack([dopplers[rows], np.square(values[rows])])
+        _power_db(block[:, 1:])
+        yield block, None
 
 
 def write_trace_csv(path, trace: OptimizationTrace) -> None:
@@ -414,11 +414,11 @@ def write_quantization_csv(path, rows: tuple[QuantizationRow, ...]) -> None:
         mpsk = "inf" if row.mpsk == math.inf else str(int(row.mpsk))
         lines.append(
             f"{mpsk},{_fmt_full(row.max_perturbation)},"
-            f"{_fmt_full(encode_db(row.gisl_before_db))},"
-            f"{_fmt_full(encode_db(row.gisl_after_db))},"
+            f"{_fmt_full(_db_cell(row.gisl_before_db))},"
+            f"{_fmt_full(_db_cell(row.gisl_after_db))},"
             f"{_fmt_full(row.gisl_degradation_db)},"
-            f"{_fmt_full(encode_db(row.pslr_before_db))},"
-            f"{_fmt_full(encode_db(row.pslr_after_db))}"
+            f"{_fmt_full(_db_cell(row.pslr_before_db))},"
+            f"{_fmt_full(_db_cell(row.pslr_after_db))}"
         )
     _write_lines(path, lines)
 

@@ -27,7 +27,6 @@ from .waveform import SampledWaveform
 __all__ = [
     "CorrelationResult",
     "GislWeights",
-    "AmbiguitySurface",
     "db",
     "compute_acf",
     "compute_af",
@@ -82,15 +81,6 @@ class GislWeights:
     @property
     def ml_lags(self) -> np.ndarray:
         return np.arange(self.null_index + 1)
-
-
-@dataclass(frozen=True)
-class AmbiguitySurface:
-    """|chi(tau, nu)| over a delay/Doppler grid; values[i] is the row at dopplers[i]."""
-
-    values: np.ndarray
-    delays: np.ndarray
-    dopplers: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -150,8 +140,9 @@ def _doppler_pairs(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lead, partner[lead]
 
 
-def compute_af(s: SampledWaveform, doppler_grid) -> AmbiguitySurface:
-    """Ambiguity surface over a grid of Doppler shifts (cycles per T), one row per shift.
+def compute_af(s: SampledWaveform, doppler_grid) -> np.ndarray:
+    """|chi| over a grid of Doppler shifts (cycles per T): one row per shift,
+    each over the 2M-1 centered delays of compute_acf.
 
     Each Doppler shift is split symmetrically between the two copies of the
     waveform before correlating, so the zero-Doppler row reproduces
@@ -182,8 +173,7 @@ def compute_af(s: SampledWaveform, doppler_grid) -> AmbiguitySurface:
         values[rows] = np.abs(np.fft.ifft(a)[:, lags])
         paired = mates >= 0
         values[mates[paired]] = np.abs(np.fft.ifft(b[paired])[:, lags])
-    delays = np.arange(1 - m, m) / m
-    return AmbiguitySurface(values=values, delays=delays, dopplers=nu)
+    return values
 
 
 def detect_mainlobe_null(r: CorrelationResult) -> int:
@@ -205,35 +195,32 @@ def detect_mainlobe_null(r: CorrelationResult) -> int:
     raise ValueError("no null found: |r| has no local minimum at positive delays")
 
 
-def build_weights(null_index: int, region, M: int) -> GislWeights:
-    """Sidelobe lags of a region, beyond the mainlobe that ends at null_index.
+def build_weights(null_index: int, M: int, lo=None, hi=None) -> GislWeights:
+    """Sidelobe lags of a delay region, beyond the mainlobe that ends at null_index.
 
-    ``region`` is either the string ``"full"`` (every lag beyond the first
-    null) or a sequence of (lo, hi) delay-magnitude intervals in fractions of
-    the pulse duration; lag k maps to |tau|/T = k / M, and an interval takes
-    the lags within 1e-9 M samples of it. Intervals may touch the mainlobe
-    edge but must not reach inside it; the null itself counts as mainlobe.
+    Without ``hi`` the region is every lag beyond the first null. Otherwise
+    it is the delay magnitudes lo <= |tau|/T <= hi, with ``lo`` defaulting to
+    the null; lag k maps to |tau|/T = k / M, and the region takes the lags
+    within 1e-9 M samples of it. It may touch the mainlobe edge but must not
+    reach inside it; the null itself counts as mainlobe.
     """
     if null_index < 1 or null_index > M - 1:
         raise ValueError(f"null_index must be in [1, {M - 1}], got {null_index}")
     lags = np.arange(null_index + 1, M)
-    if isinstance(region, str):
-        if region != "full":
-            raise ValueError(f"unknown region descriptor {region!r}")
+    if hi is None:
+        if lo is not None:
+            raise ValueError(f"a region with lo = {lo} needs hi")
         return GislWeights(sl_lags=lags, null_index=int(null_index), M=int(M))
-    selected = np.zeros(lags.size, dtype=bool)
-    tol = 1e-9 * M
+    lo, hi = float(null_index / M if lo is None else lo), float(hi)
+    lo_s, hi_s, tol = lo * M, hi * M, 1e-9 * M
     null_text = f"first null at {null_index} samples = {null_index / M:.6g} T"
-    for lo, hi in region:
-        lo, hi = float(lo), float(hi)
-        lo_s, hi_s = lo * M, hi * M
-        if 0.0 <= hi_s < null_index - tol:
-            raise ValueError(f"region interval ({lo}, {hi}) ends inside the mainlobe ({null_text})")
-        if not (0.0 <= lo <= hi):
-            raise ValueError(f"invalid region interval ({lo}, {hi})")
-        if lo_s < null_index - tol:
-            raise ValueError(f"region interval ({lo}, {hi}) overlaps the mainlobe ({null_text})")
-        selected |= (lags >= lo_s - tol) & (lags <= hi_s + tol)
+    if 0.0 <= hi_s < null_index - tol:
+        raise ValueError(f"region interval ({lo}, {hi}) ends inside the mainlobe ({null_text})")
+    if not (0.0 <= lo <= hi):
+        raise ValueError(f"invalid region interval ({lo}, {hi})")
+    if lo_s < null_index - tol:
+        raise ValueError(f"region interval ({lo}, {hi}) overlaps the mainlobe ({null_text})")
+    selected = (lags >= lo_s - tol) & (lags <= hi_s + tol)
     return GislWeights(sl_lags=lags[selected], null_index=int(null_index), M=int(M))
 
 

@@ -120,19 +120,23 @@ class WaveformConfig:
                 )
         object.__setattr__(self, "h", float(h))
         object.__setattr__(self, "tbp", float(tbp))
+        limit = np.iinfo(np.intp).max // 16  # the most samples one complex array can hold
         if self.samples is not None:
-            if self.samples < 1 or int(self.samples) != self.samples:
-                raise ValueError("samples must be a positive integer")
+            if not 1 <= self.samples <= limit or int(self.samples) != self.samples:
+                raise ValueError(f"samples = M must be an integer in [1, {limit}]")
             m = int(self.samples)
-        elif math.isfinite(self.oversample * tbp):
+        elif self.oversample * tbp <= limit:  # false for inf
             m = int(round(self.oversample * tbp))
         else:
-            raise ValueError(f"M = oversample * tbp = {self.oversample!r} * {tbp!r} is not finite")
+            raise ValueError(f"M = oversample * tbp = {self.oversample!r} * {tbp!r} is above {limit}")
         if m < 2 * self.L + 1:
             raise ValueError(
                 f"M={m} samples cannot resolve L={self.L} phase harmonics "
                 f"(need M >= {2 * self.L + 1}); raise tbp/oversample or set samples"
             )
+        # tbp goes to the manifest, and |frequency| up to 2 pi h L (L+1) / 2 to inst_freq.csv
+        if not math.isfinite(max(tbp, TWO_PI * h * (self.L * (self.L + 1) // 2))):
+            raise ValueError(f"h={h!r} (tbp={tbp!r}) overflows tbp or the frequency at L={self.L}")
         object.__setattr__(self, "M", m)
 
     @property

@@ -76,8 +76,7 @@ def campaigns():
             phi0 = random_psk(cfg.L, math.inf, seed=seed)
             r0 = compute_acf(synthesize(phi0, cfg))
             null0 = detect_mainlobe_null(r0)
-            region = "full" if mode == "full" else [(null0 / cfg.M, 0.1)]
-            weights = build_weights(null0, region, cfg.M)
+            weights = build_weights(null0, cfg.M, hi=None if mode == "full" else 0.1)
             phi_final, trace = run_gd_gisl(phi0, cfg, weights, OptimizerConfig())
             r_final = compute_acf(synthesize(phi_final, cfg))
             runs.append(
@@ -112,7 +111,7 @@ def test_criterion_01_gradient_correctness():
         for seed in range(20):
             phi = random_psk(L, math.inf, seed=seed)
             r = compute_acf(synthesize(phi, cfg))
-            weights = build_weights(detect_mainlobe_null(r), "full", cfg.M)
+            weights = build_weights(detect_mainlobe_null(r), cfg.M)
             ws = GradientWorkspace(cfg, weights, p)
             _, grad = ws.cost_and_gradient(phi)
             fd = central_difference_gradient(ws.cost, phi, eps=1e-5)
@@ -226,7 +225,7 @@ def test_criterion_09_gisl_isl_identity():
     worst = 0.0
     for seed in range(20):
         r = compute_acf(synthesize(random_psk(24, math.inf, seed=seed), cfg))
-        weights = build_weights(detect_mainlobe_null(r), "full", cfg.M)
+        weights = build_weights(detect_mainlobe_null(r), cfg.M)
         isl = plain_isl(r.r, weights)
         gisl = compute_gisl(r, weights, 2)
         worst = max(worst, abs(gisl - isl) / abs(isl))

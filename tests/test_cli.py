@@ -104,6 +104,7 @@ class TestExperimentConfig:
         ("[waveform]\nh = inf\n", "finite"),
         ("[waveform]\noversample = inf\n", "finite"),
         ("[waveform]\ntbp = 1e308\n", "M = oversample"),
+        ("[waveform]\nh = 1e306\nsamples = 64\n", r"h=1e\+306 \(tbp=inf\) overflows"),
         ("[waveform]\noversample = 1e308\n", "M = oversample"),
         ("[waveform]\nM = 5\n", "unknown key"),
         ("[waveform]\nT = 2\n", "unknown key"),
@@ -541,6 +542,13 @@ class TestExitCodes:
         assert code == 3
         assert "out of memory at M = 1000: Unable to allocate" in capsys.readouterr().err
         assert not (out / "seeds.csv").exists()
+
+    @pytest.mark.parametrize("tbp", ["1e18", "1e300"])
+    def test_too_many_samples_is_config_error(self, tmp_path, capsys, tbp):
+        # numpy refuses arrays of these sizes with messages that do not name M
+        code = main(["synth", "--out", str(tmp_path / "x"), "--set", f"waveform.tbp={tbp}"])
+        assert code == 2
+        assert f"M = oversample * tbp = 5.0 * {float(tbp)!r} is above" in capsys.readouterr().err
 
     def test_region_ending_inside_mainlobe_names_the_null(self, tmp_path, capsys):
         # lo defaults to the detected first null, 9 samples = 0.009 T here

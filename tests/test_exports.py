@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from ceofdm import (
-    AmbiguitySurface,
     CorrelationResult,
     WaveformConfig,
     compute_acf,
@@ -26,7 +25,6 @@ from ceofdm import (
 )
 from ceofdm import exports, metrics
 from ceofdm.exports import (
-    encode_db,
     write_acf_csv,
     write_af_csv,
     write_inst_freq_csv,
@@ -54,12 +52,23 @@ def pulse(request):
 
 
 def test_encode_db_scalar_and_array():
-    x = np.array([-np.inf, -1e4, -200.0, -199.5, -0.0, 3.0, np.inf])
-    expected = [-999.0, -200.0, -200.0, -199.5, -0.0, 3.0, np.inf]
-    assert type(encode_db(-np.inf)) is float
-    assert encode_db(-np.inf) == -999.0
-    assert [encode_db(v) for v in x] == expected
-    assert encode_db(x).tolist() == expected
+    # the scalar form encodes a dB cell of the quantization report
+    x = np.array([-np.inf, -1e4, -200.0, -199.5, -0.0, 3.0, np.inf, np.nan])
+    expected = np.array([-999.0, -200.0, -200.0, -199.5, -0.0, 3.0, np.inf, np.nan])
+    assert type(exports._db_cell(np.float64(-np.inf))) is float
+    assert exports._db_cell(-np.inf) == -999.0
+    cells = np.array([exports._db_cell(v) for v in x])
+    assert np.array_equal(cells, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(cells), np.signbit(expected))  # -0.0 stays -0.0
+    # the array form takes powers, in place, and agrees with the scalar form of their dB
+    power = np.array([[7.0, 0.0, 1e-30, 10**-19.95, 5e-324, 1.0, np.inf, np.nan]] * 2)
+    with np.errstate(divide="ignore"):
+        cells = [[exports._db_cell(v) for v in row[1:]] for row in 10.0 * np.log10(power)]
+    view = power[:, 1:]  # strided, as af.csv's dB columns are
+    assert exports._power_db(view) is view
+    assert np.array_equal(view, cells, equal_nan=True)
+    assert view[0, :5].tolist() == [-999.0, -200.0, 10.0 * np.log10(10**-19.95), -200.0, 0.0]
+    assert power[:, 0].tolist() == [7.0, 7.0]  # outside the view: untouched
 
 
 def test_waveform_csv(tmp_path, pulse):
@@ -131,13 +140,14 @@ def expected_acf(r: CorrelationResult) -> bytes:
     return csv_bytes("delay_samples,delay_over_T,magnitude_db", rows)
 
 
-def expected_af(af: AmbiguitySurface) -> bytes:
+def expected_af(values: np.ndarray, dopplers) -> bytes:
     with np.errstate(divide="ignore"):
-        values_db = 10.0 * np.log10(af.values**2)
-    header = "doppler_times_T," + ",".join(fmt_e(d) for d in af.delays)
+        values_db = 10.0 * np.log10(values**2)
+    m = (values.shape[1] + 1) // 2
+    header = "doppler_times_T," + ",".join(fmt_e(u / m) for u in range(1 - m, m))
     rows = [
-        [fmt_e(af.dopplers[i])] + [fmt_db(v) for v in values_db[i]]
-        for i in range(len(af.dopplers))
+        [fmt_e(dopplers[i])] + [fmt_db(v) for v in values_db[i]]
+        for i in range(len(dopplers))
     ]
     return csv_bytes(header, rows)
 
@@ -151,19 +161,21 @@ def test_acf_csv(tmp_path, pulse):
 
 def test_af_csv(tmp_path, pulse):
     cfg, _, s = pulse
-    af = compute_af(s, np.linspace(-cfg.L, cfg.L, 9))
-    write_af_csv(tmp_path / "af.csv", af)
-    assert (tmp_path / "af.csv").read_bytes() == expected_af(af)
+    nu = np.linspace(-cfg.L, cfg.L, 9)
+    af = compute_af(s, nu)
+    write_af_csv(tmp_path / "af.csv", af, nu)
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(af, nu)
 
 
 def test_rectangular_af_reaches_floor(tmp_path):
     cfg = CONFIGS["rect"]
     s = synthesize(np.zeros(1), cfg)
-    af = compute_af(s, np.linspace(-3.0, 3.0, 13))
-    write_af_csv(tmp_path / "af.csv", af)
+    nu = np.linspace(-3.0, 3.0, 13)
+    af = compute_af(s, nu)
+    write_af_csv(tmp_path / "af.csv", af, nu)
     text = (tmp_path / "af.csv").read_text()
     assert "-2.000000000000e+02" in text
-    assert (tmp_path / "af.csv").read_bytes() == expected_af(af)
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(af, nu)
 
 
 def test_exact_zeros_and_tiny_values(tmp_path):
@@ -176,12 +188,12 @@ def test_exact_zeros_and_tiny_values(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == expected_acf(r)
 
     values = np.array([[0.0, 1e-120, 1.0], [0.25, 0.0, 1e-150]])
-    af = AmbiguitySurface(values=values, delays=np.array([-0.25, 0.0, 0.25]), dopplers=np.array([-1.0, 0.0]))
-    write_af_csv(tmp_path / "af.csv", af)
+    nu = np.array([-1.0, 0.0])
+    write_af_csv(tmp_path / "af.csv", values, nu)
     text = (tmp_path / "af.csv").read_text()
     assert text.count("-9.990000000000e+02") == 2
     assert text.count("-2.000000000000e+02") == 2
-    assert (tmp_path / "af.csv").read_bytes() == expected_af(af)
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(values, nu)
 
 
 @pytest.mark.parametrize("cfg", [WaveformConfig(L=8, h=0.15, samples=70), WaveformConfig(L=24, tbp=208.0)])
@@ -189,7 +201,7 @@ def test_batched_af_matches_per_row_loop(cfg):
     assert cfg.M in (70, 1040)
     s = synthesize(random_psk(cfg.L, 32, seed=2), cfg)
     nu = np.linspace(-cfg.L, cfg.L, 97)
-    assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, cfg.t, nu))
+    assert np.array_equal(compute_af(s, nu), per_row_af(s.samples, cfg.t, nu))
 
 
 # Doppler grids in units of 1/T; rows at +nu and -nu share their FFTs in compute_af
@@ -207,7 +219,7 @@ def test_paired_af_matches_per_row_loop_on_edge_grids(grid):
     cfg = WaveformConfig(L=8, h=0.15, samples=70)
     s = synthesize(random_psk(cfg.L, 32, seed=3), cfg)
     nu = np.array(AF_EDGE_GRIDS[grid])
-    assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, cfg.t, nu))
+    assert np.array_equal(compute_af(s, nu), per_row_af(s.samples, cfg.t, nu))
 
 
 def test_paired_af_blocks_match_per_row_loop():
@@ -220,7 +232,7 @@ def test_paired_af_blocks_match_per_row_loop():
     pairs_per_block = metrics._AF_BLOCK_POINTS // metrics._fft_length(cfg.M) // 2
     leading = metrics._doppler_pairs(nu)[0].size
     assert leading > 2 * pairs_per_block and leading % pairs_per_block
-    assert np.array_equal(compute_af(s, nu).values, per_row_af(s.samples, cfg.t, nu))
+    assert np.array_equal(compute_af(s, nu), per_row_af(s.samples, cfg.t, nu))
 
 
 @pytest.fixture(scope="module")
@@ -239,8 +251,8 @@ def test_blocked_af_csv_matches_per_value_format(tmp_path, survey_af):
     encoder_rows = exports._BLOCK_VALUES // (2 * cfg.M)
     assert 1 < encoder_rows < len(nu) // 2 and len(nu) % encoder_rows
     af = compute_af(s, nu)
-    write_af_csv(tmp_path / "af.csv", af)
-    assert (tmp_path / "af.csv").read_bytes() == expected_af(af)
+    write_af_csv(tmp_path / "af.csv", af, nu)
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(af, nu)
 
 
 def test_af_transient_memory_is_block_sized(tmp_path, survey_af):
@@ -252,11 +264,11 @@ def test_af_transient_memory_is_block_sized(tmp_path, survey_af):
         af_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        write_af_csv(tmp_path / "af.csv", af)
+        write_af_csv(tmp_path / "af.csv", af, nu)
         csv_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    surface = af.values.nbytes  # 1.5 MiB
+    surface = af.nbytes  # 1.5 MiB
     # compute_af: the surface it returns, and the scratch of one Doppler block:
     # its shifted copies, two spectra, the inverse FFT and the gathered lags,
     # each at most _AF_BLOCK_POINTS complex values (0.5 MiB). Six of them leave

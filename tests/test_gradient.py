@@ -31,9 +31,7 @@ def make_problem(L, samples, p, seed, h=0.2, region="full"):
     phi = random_psk(L, math.inf, seed=seed)
     r = compute_acf(synthesize(phi, cfg))
     null = detect_mainlobe_null(r)
-    if region == "sub":
-        region = [(null / cfg.M, 0.25)]
-    w = build_weights(null, region, cfg.M)
+    w = build_weights(null, cfg.M, hi=0.25 if region == "sub" else None)
     return cfg, phi, w, GradientWorkspace(cfg, w, p)
 
 
@@ -106,7 +104,7 @@ class TestGradientAccuracy:
         for samples in (64, 13):
             cfg, phi, w, ws = make_problem(4, samples, 6, seed=3, region="sub")
             lag = w.null_index + 2
-            narrow = build_weights(w.null_index, [(lag / cfg.M, lag / cfg.M)], cfg.M)
+            narrow = build_weights(w.null_index, cfg.M, lag / cfg.M, lag / cfg.M)
             assert narrow.sl_lags.tolist() == [lag]
             for weights in (w, narrow):
                 _, grad = GradientWorkspace(cfg, weights, 6).cost_and_gradient(phi)
@@ -124,7 +122,7 @@ class TestGradientAccuracy:
         cfg, phi, _, _ = make_problem(L, samples, 6, seed=3)
         r = compute_acf(synthesize(phi, cfg))
         null = detect_mainlobe_null(r)
-        w = build_weights(null, [(null / cfg.M, max_lag / cfg.M)], cfg.M)
+        w = build_weights(null, cfg.M, null / cfg.M, max_lag / cfg.M)
         assert w.sl_lags[-1] == max_lag
         ws = GradientWorkspace(cfg, w, 6)
         assert ws._n == _fft_length(cfg.M, max_lag) < _fft_length(cfg.M)
@@ -149,7 +147,7 @@ class TestGradientAccuracy:
     def test_zero_modulation_index_gives_zero_gradient(self):
         # h = 0 is the rectangular pulse, whose phase no symbol can move
         cfg = WaveformConfig(L=4, h=0.0, samples=32)
-        w = build_weights(3, "full", cfg.M)
+        w = build_weights(3, cfg.M)
         cost, grad = GradientWorkspace(cfg, w, 20).cost_and_gradient(random_psk(4, 8, seed=0))
         assert 0.0 < cost < 1.0
         assert np.all(grad == 0.0)
@@ -227,10 +225,10 @@ class TestWorkspaceBuffers:
         phi = random_psk(L, math.inf, seed=3)
         r = compute_acf(synthesize(phi, cfg))
         # the rectangular pulse (h = 0) has no null before its last lag
-        w = build_weights(detect_mainlobe_null(r) if h else 3, "full", cfg.M)
+        w = build_weights(detect_mainlobe_null(r) if h else 3, cfg.M)
         if edge == "single lag":
             lag = w.null_index + 2
-            w = build_weights(w.null_index, [(lag / cfg.M, lag / cfg.M)], cfg.M)
+            w = build_weights(w.null_index, cfg.M, lag / cfg.M, lag / cfg.M)
             assert w.sl_lags.tolist() == [lag]
         ws = GradientWorkspace(cfg, w, p)
         expected = compute_gisl(r, w, p)
@@ -248,7 +246,7 @@ class TestWorkspaceBuffers:
         cfg = WaveformConfig(L=24, h=0.2, samples=20000)
         phi = random_psk(24, math.inf, seed=1)
         null = detect_mainlobe_null(compute_acf(synthesize(phi, cfg)))
-        ws = GradientWorkspace(cfg, build_weights(null, "full", cfg.M), 20)
+        ws = GradientWorkspace(cfg, build_weights(null, cfg.M), 20)
         ws.cost(phi)  # warm-up: FFT plans
         tracemalloc.start()
         try:

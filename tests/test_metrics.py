@@ -124,30 +124,30 @@ class TestComputeAf:
         s = synthesize(TWO_PI * rng.random(small_cfg.L), small_cfg)
         r = compute_acf(s)
         af = compute_af(s, [-4.0, 0.0, 4.0])
-        assert np.array_equal(af.values[1], np.abs(r.r))
+        assert np.array_equal(af[1], np.abs(r.r))
 
     def test_zero_delay_cut_is_dirichlet(self, small_cfg, rng):
         s = synthesize(TWO_PI * rng.random(small_cfg.L), small_cfg)
         grid = np.linspace(-6.0, 6.0, 13)
         af = compute_af(s, grid)
-        zero = (af.values.shape[1] - 1) // 2
+        zero = (af.shape[1] - 1) // 2
         expected = np.array(
             [abs(np.sum(np.abs(s.samples) ** 2 * np.exp(1j * TWO_PI * nu * small_cfg.t))) for nu in grid]
         )
-        assert np.max(np.abs(af.values[:, zero] - expected)) < 1e-12
+        assert np.max(np.abs(af[:, zero] - expected)) < 1e-12
 
     def test_thumbtack_shape(self, reference_cfg):
         # frozen seed; measured peak-to-median ratio is about 28 dB
         s = synthesize(random_psk(reference_cfg.L, math.inf, seed=1), reference_cfg)
         af = compute_af(s, np.linspace(-24.0, 24.0, 49))
-        ratio = db(af.values.max() ** 2) - db(np.median(af.values) ** 2)
+        ratio = db(af.max() ** 2) - db(np.median(af) ** 2)
         assert ratio > 20.0
 
     def test_origin_is_unity(self, small_cfg, rng):
         s = synthesize(TWO_PI * rng.random(small_cfg.L), small_cfg)
         af = compute_af(s, [0.0])
-        zero = (af.values.shape[1] - 1) // 2
-        assert af.values[0, zero] == pytest.approx(1.0, abs=1e-10)
+        zero = (af.shape[1] - 1) // 2
+        assert af[0, zero] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestDetectMainlobeNull:
@@ -177,37 +177,36 @@ def dense_mask_reference(null, region, m):
     """Sidelobe and mainlobe masks over the 2M-1 centered lags, by the dense rule.
 
     The mainlobe is every |k| <= null; the sidelobe is every |k| beyond the
-    null, restricted to samples within 1e-9 M of some interval when the
-    region is a list of intervals.
+    null, restricted to samples within 1e-9 M of the interval (lo, hi) when
+    the region is one, with lo = None standing for the null.
     """
     offsets = np.abs(np.arange(2 * m - 1) - (m - 1))
-    if region == "full":
-        w_sl = offsets > null
-    else:
+    w_sl = offsets > null
+    if region != "full":
+        lo, hi = region
+        lo = null / m if lo is None else lo
         tol = 1e-9 * m
-        w_sl = np.zeros(2 * m - 1, dtype=bool)
-        for lo, hi in region:
-            w_sl |= (offsets >= lo * m - tol) & (offsets <= hi * m + tol)
-        w_sl &= offsets > null
+        w_sl &= (offsets >= lo * m - tol) & (offsets <= hi * m + tol)
     return w_sl, offsets <= null
 
 
 class TestBuildWeights:
+    # region: "full" (no bounds) or the bounds (lo, hi)
     @pytest.mark.parametrize("null,region,m", [
         (5, "full", 100),
-        (9, [(9 / 1000, 0.1)], 1000),  # starts exactly at the null
-        (9, [(0.009, 0.1)], 1000),  # the null as a rounded fraction
-        (3, [(7 / 50, 7 / 50)], 50),  # lo == hi on a sample
-        (3, [(0.2, (10 + 1e-9 * 50) / 50)], 50),  # hi one tolerance beyond a sample
-        (3, [(0.1, (10 - 2e-9 * 50) / 50)], 50),  # hi two tolerances short of one
-        (3, [(0.1, 0.3), (0.3, 0.5)], 50),  # two touching intervals
-        (3, [(0.5, 0.9), (0.1, 0.2)], 50),  # out of order
+        (9, (9 / 1000, 0.1), 1000),  # starts exactly at the null
+        (9, (0.009, 0.1), 1000),  # the null as a rounded fraction
+        (3, (7 / 50, 7 / 50), 50),  # lo == hi on a sample
+        (3, (0.2, (10 + 1e-9 * 50) / 50), 50),  # hi one tolerance beyond a sample
+        (3, (0.1, (10 - 2e-9 * 50) / 50), 50),  # hi two tolerances short of one
         (2, "full", 9),  # M = 2L + 1 at L = 4
-        (2, [(3 / 9, 5 / 9)], 9),
         (8, "full", 9),  # the null at the last lag: empty sidelobe region
+        (9, (None, 0.1), 1000),  # lo defaults to the null
+        (2, (3 / 9, 5 / 9), 9),
+        (8, (None, 1.0), 9),  # the null at the last lag: no lag in any interval
     ])
     def test_matches_dense_mask_reference(self, null, region, m):
-        w = build_weights(null, region, m)
+        w = build_weights(null, m, *((None, None) if region == "full" else region))
         w_sl, w_ml = dense_mask_reference(null, region, m)
         offsets = np.abs(np.arange(2 * m - 1) - (m - 1))
         assert np.array_equal(np.isin(offsets, w.sl_lags), w_sl)
@@ -216,42 +215,42 @@ class TestBuildWeights:
         assert w.null_index == null and w.M == m
 
     def test_full_band_partitions_delay_axis(self):
-        w = build_weights(5, "full", 100)
+        w = build_weights(5, 100)
         lags = np.concatenate((w.ml_lags, w.sl_lags))
         assert np.array_equal(lags, np.arange(100))
 
     def test_interval_support_count(self):
         null, m = 9, 1000
-        w = build_weights(null, [(null / m, 0.1)], m)
+        w = build_weights(null, m, null / m, 0.1)
         assert w.sl_lags.tolist() == list(range(null + 1, 101))
 
     def test_mainlobe_support(self):
-        w = build_weights(3, "full", 50)
+        w = build_weights(3, 50)
         assert w.ml_lags.tolist() == [0, 1, 2, 3]
         assert w.sl_lags.tolist() == list(range(4, 50))
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlaps the mainlobe"):
-            build_weights(9, [(0.0, 0.1)], 1000)
+            build_weights(9, 1000, 0.0, 0.1)
 
     def test_interval_ending_inside_mainlobe_names_the_null(self):
         # the region's lo defaults to the detected null, here 9 samples = 0.009 T
         with pytest.raises(ValueError, match=r"ends inside the mainlobe \(first null at 9 samples"):
-            build_weights(9, [(0.009, 0.005)], 1000)
+            build_weights(9, 1000, 0.009, 0.005)
         # an interval that ends on the null touches the mainlobe and selects no lag
-        assert build_weights(9, [(0.009, 0.009)], 1000).sl_lags.size == 0
+        assert build_weights(9, 1000, 0.009, 0.009).sl_lags.size == 0
 
     def test_bad_null_index(self):
         with pytest.raises(ValueError):
-            build_weights(0, "full", 100)
+            build_weights(0, 100)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError, match="invalid region interval"):
-            build_weights(5, [(0.3, 0.2)], 100)
+            build_weights(5, 100, 0.3, 0.2)
 
-    def test_unknown_descriptor(self):
-        with pytest.raises(ValueError, match="unknown region"):
-            build_weights(5, "everything", 100)
+    def test_lo_without_hi_rejected(self):
+        with pytest.raises(ValueError, match="needs hi"):
+            build_weights(5, 100, lo=0.1)
 
 
 def single_sample_weights(m, offset):
@@ -274,7 +273,7 @@ class TestComputeGisl:
             phi = random_psk(reference_cfg.L, math.inf, seed=seed)
             r = compute_acf(synthesize(phi, reference_cfg))
             null = detect_mainlobe_null(r)
-            w = build_weights(null, "full", reference_cfg.M)
+            w = build_weights(null, reference_cfg.M)
             isl = plain_isl(r.r, w)
             gisl = compute_gisl(r, w, 2)
             assert abs(gisl - isl) <= 1e-12 * abs(isl)
@@ -285,7 +284,7 @@ class TestComputeGisl:
             db(
                 compute_gisl(
                     (r := compute_acf(synthesize(random_psk(24, math.inf, seed=s), reference_cfg))),
-                    build_weights(detect_mainlobe_null(r), "full", reference_cfg.M),
+                    build_weights(detect_mainlobe_null(r), reference_cfg.M),
                     20,
                 )
             )
@@ -324,23 +323,23 @@ class TestComputePslr:
     def test_triangle_has_no_sidelobes(self):
         cfg, s = rect_waveform(32)
         r = compute_acf(s)
-        assert compute_pslr(r, build_weights(detect_mainlobe_null(r), "full", 32)) == float("-inf")
+        assert compute_pslr(r, build_weights(detect_mainlobe_null(r), 32)) == float("-inf")
 
     def test_synthetic_peak(self):
         r = synthetic_corr([0.0, 0.05, 0.1, 0.02])
-        assert compute_pslr(r, build_weights(1, "full", 5)) == pytest.approx(-20.0, abs=1e-9)
+        assert compute_pslr(r, build_weights(1, 5)) == pytest.approx(-20.0, abs=1e-9)
 
     def test_weights_restrict_search(self):
         r = synthetic_corr([0.0, 0.5, 0.1, 0.02])
         w = single_sample_weights(5, 3)  # only the 0.1 sample is selected
         assert compute_pslr(r, w) == pytest.approx(-20.0, abs=1e-9)
-        assert compute_pslr(r, build_weights(1, "full", 5)) == pytest.approx(db(0.25), abs=1e-9)
+        assert compute_pslr(r, build_weights(1, 5)) == pytest.approx(db(0.25), abs=1e-9)
 
     def test_typical_level_band(self, reference_cfg):
         values = []
         for seed in range(20):
             r = compute_acf(synthesize(random_psk(24, math.inf, seed=seed), reference_cfg))
-            w = build_weights(detect_mainlobe_null(r), "full", reference_cfg.M)
+            w = build_weights(detect_mainlobe_null(r), reference_cfg.M)
             values.append(compute_pslr(r, w))
         assert -17.2 <= float(np.median(values)) <= -13.2
 
@@ -350,7 +349,7 @@ class TestGislApproachesPslr:
         for seed in range(6):
             r = compute_acf(synthesize(random_psk(24, math.inf, seed=seed), reference_cfg))
             null = detect_mainlobe_null(r)
-            w = build_weights(null, "full", reference_cfg.M)
+            w = build_weights(null, reference_cfg.M)
             pslr = compute_pslr(r, w)
             ps = (2, 6, 10, 20, 100, 400, 1000, 10000)
             gaps = [abs(db(compute_gisl(r, w, p)) - pslr) for p in ps]

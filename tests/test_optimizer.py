@@ -22,7 +22,7 @@ def small_problem(seed=0, L=8, samples=64):
     phi0 = random_psk(L, math.inf, seed=seed)
     r = compute_acf(synthesize(phi0, cfg))
     null = detect_mainlobe_null(r)
-    w = build_weights(null, "full", cfg.M)
+    w = build_weights(null, cfg.M)
     return cfg, phi0, w
 
 

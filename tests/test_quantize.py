@@ -26,7 +26,7 @@ def optimized_subregion():
     phi0 = random_psk(24, math.inf, seed=2)
     r0 = compute_acf(synthesize(phi0, cfg))
     null = detect_mainlobe_null(r0)
-    w = build_weights(null, [(null / cfg.M, 0.1)], cfg.M)
+    w = build_weights(null, cfg.M, null / cfg.M, 0.1)
     phi_opt, _ = run_gd_gisl(phi0, cfg, w, OptimizerConfig())
     return cfg, w, phi_opt
 

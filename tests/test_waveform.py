@@ -138,6 +138,10 @@ class TestWaveformConfig:
         dict(L=8, tbp=math.inf),
         dict(L=8, h=0.1, oversample=math.inf),
         dict(L=24, h=1e306),  # the derived tbp overflows, and so does M
+        dict(L=24, h=1e306, samples=64),  # M is pinned, but the derived tbp overflows
+        dict(L=1000, tbp=1.79e308, samples=2001),  # tbp is finite, the frequency can overflow
+        dict(L=8, tbp=1.2e17),  # M = 6e17: more samples than one complex array can hold
+        dict(L=8, samples=2**59),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):

@@ -43,7 +43,10 @@ RUNS = [
                     "--set", "waveform.samples=128"]),
     ("synth_short", ["synth", "--seed", "1", "--set", "waveform.L=1",
                      "--set", "waveform.samples=7"]),
+    ("synth_interval", ["synth", "--seed", "1", *SUB_REGION]),
     ("design", ["optimize", "--seed", "1", "--set", "waveform.mpsk=inf", *SUB_REGION]),
+    ("design_lo", ["optimize", "--seed", "1", "--set", "waveform.mpsk=inf", *SUB_REGION,
+                   "--set", "region.lo=0.04"]),
     ("full_band", ["optimize", "--seed", "1"]),
     ("p400", ["optimize", "--seed", "1", "--set", "optimizer.p=400",
               "--set", "optimizer.max_iters=20"]),
