@@ -70,9 +70,6 @@ _BLOCK_VALUES = 1 << 13  # float fields per block: about 60 bytes each in flight
 # words, zero bytes before them. A negative %.12e field with a two-digit
 # exponent fills its slot exactly; a positive one leaves one zero byte.
 _SLOT = 20
-# A field longer than its slot leaves this byte last in it, zero bytes before;
-# its text takes the byte's place once the block is compacted
-_LONG = b"\x01"
 _POW10 = 10.0 ** np.arange(23)  # every power of ten up to 1e22 is exact in binary64
 _INT_POW10 = 10 ** np.arange(19)
 _M_CARRY = 9999999999999.5  # a mantissa from here on rounds to 10**13: a carry into the exponent
@@ -113,18 +110,6 @@ _INT_TAILS = np.concatenate([_digit_words(","), _digit_words(",", below=[100, 10
 _INT_FOURS = np.concatenate([_FOUR_DIGITS, _digit_words(below=[1000, 100, 10, 1])])
 
 
-def _product_error(a: float, b: float, p: float) -> float:
-    """a * b - p, exactly, for p = fl(a * b) away from overflow and underflow (Dekker)."""
-
-    def split(v):  # v = hi + lo, each with at most 26 significant bits
-        c = 134217729.0 * v  # 2**27 + 1
-        hi = c - (c - v)
-        return hi, v - hi
-
-    (ah, al), (bh, bl) = split(a), split(b)
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 13-digit mantissa q and the power k for which q is the digits that
     %.12e prints for each value of a C-ordered array and 12 - k its exponent,
@@ -136,12 +121,12 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     both in m and in the exponent. The exact product lies within half an ulp
     of m, and ulp(m) <= 2**-9 for m < 10**13, so each n + 0.5 is a whole
     number of ulps away: rint(m) rounds the way the exact product does, except
-    where m is n + 0.5 itself. There the sign of the product's exact error
-    picks the side, and an error of 0 is a true tie, which rint breaks to even
-    as %.12e does. So q is exact where 10**12 <= m < _M_CARRY. Zeros are exact
-    as q = 0, k = 12. Every other value (a log10 miss next to a power of ten,
-    a mantissa that rounds up to 10**13, |x| >= 1e13 or below 1e-10, inf,
-    nan) is returned, with q = 0.
+    where m is n + 0.5 itself. There the sign of |x| * 10**k - m, taken in
+    integers, picks the side, and a zero is a true tie, which rint breaks to
+    even as %.12e does. So q is exact where 10**12 <= m < _M_CARRY. Zeros
+    are exact as q = 0, k = 12. Every other value (a log10 miss next to a
+    power of ten, a mantissa that rounds up to 10**13, |x| >= 1e13 or below
+    1e-10, inf, nan) is returned, with q = 0.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -165,9 +150,10 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # a few per block: one at a time is cheaper than a dozen array calls
     powers = _POW10.take(k_flat[ties], mode="clip")
     for i, a_i, power, m_i in zip(ties.tolist(), a[ties].tolist(), powers.tolist(), m[ties].tolist()):
-        error = _product_error(a_i, power, m_i)
-        if error:
-            q_flat[i] = m_i + math.copysign(0.5, error)
+        num, den = a_i.as_integer_ratio()
+        side = 2 * num * int(power) - int(2 * m_i) * den
+        if side:
+            q_flat[i] = m_i + (0.5 if side > 0 else -0.5)
     if slow.size:
         q_flat[slow] = 0.0
         zero = a[slow] == 0
@@ -176,11 +162,11 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, k, slow
 
 
-def _e_fields(x: np.ndarray, slots: np.ndarray, first: int, long: dict) -> None:
+def _e_fields(x: np.ndarray, slots: np.ndarray, first: int) -> bool:
     """Write each value's %.12e text and its separator, a comma or in the last
     column a newline, into the slots from column ``first`` on. A value without
-    an exact mantissa from _decimal is formatted on its own; a text longer
-    than its slot goes into ``long`` at its (row, column)."""
+    an exact mantissa from _decimal is formatted on its own. Returns True,
+    with the slots left unfinished, at the first text longer than its slot."""
     x = np.ascontiguousarray(x)
     q, k, slow = _decimal(x)
     np.add(q, 1e13, out=q, where=np.signbit(x))
@@ -202,26 +188,20 @@ def _e_fields(x: np.ndarray, slots: np.ndarray, first: int, long: dict) -> None:
     if slow.size:
         rows, cols = np.divmod(slow, x.shape[1])
         texts = []
-        for row, col, value in zip(rows.tolist(), cols.tolist(), x.ravel()[slow].tolist()):
+        for col, value in zip(cols.tolist(), x.ravel()[slow].tolist()):
             text = "%.12e%s" % (value, "\n" if col == x.shape[1] - 1 else ",")
             if len(text) > _SLOT:
-                long[row, first + col] = text
-                text = _LONG.decode()
+                return True
             texts.append(text.rjust(_SLOT, "\0"))
         slots[rows, first + cols] = np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(-1, _SLOT)
+    return False
 
 
-def _d_fields(index: np.ndarray, slots: np.ndarray, long: dict) -> None:
-    """Write each integer's %d text and a comma into its slot in column 0; an
-    integer of -10**18 or less is longer than its slot and goes into ``long``."""
+def _d_fields(index: np.ndarray, slots: np.ndarray) -> None:
+    """Write each integer's %d text and a comma into its slot in column 0;
+    every integer is above -10**18, so each text fits its slot."""
     a = np.abs(index)
     negative = np.flatnonzero(index < 0)
-    over = index[negative] <= -(10**18)
-    too_long, negative = negative[over], negative[~over]
-    for row in too_long.tolist():
-        long[row, 0] = f"{index[row]},"
-    a[too_long] = 0
-
     slot = slots[:, 0]
     words = slot.view(np.uint32)
     for w in range(4, -1, -1):
@@ -236,7 +216,6 @@ def _d_fields(index: np.ndarray, slots: np.ndarray, long: dict) -> None:
             break
     digits = np.searchsorted(_INT_POW10, -index[negative], side="right")
     slot[negative, _SLOT - 2 - digits] = ord("-")
-    slot[too_long] = np.frombuffer(_LONG.rjust(_SLOT, b"\0"), np.uint8)
 
 
 def _encode_block(table: np.ndarray, index=None) -> bytes:
@@ -245,20 +224,19 @@ def _encode_block(table: np.ndarray, index=None) -> bytes:
     rows, cols = table.shape
     lead = 0 if index is None else 1
     slots = np.empty((rows, lead + cols, _SLOT), np.uint8)
-    long = {}  # (row, column) -> the text of a field longer than its slot
-    _e_fields(table, slots, lead, long)
+    # a field longer than its slot (a negative value with a three-digit
+    # exponent, or an index of -10**18 or less) is rare: format the block whole
+    if _e_fields(table, slots, lead) or (index is not None and index.min() <= -(10**18)):
+        template = "%d," * lead + ",".join(["%.12e"] * cols) + "\n"
+        values = table.tolist() if index is None else [[i, *row] for i, row in zip(index.tolist(), table.tolist())]
+        return "".join(template % tuple(row) for row in values).encode("ascii")
     if index is not None:
-        _d_fields(index, slots, long)
+        _d_fields(index, slots)
     # bytes.replace drops zero bytes at a cost per zero byte, a masked copy at
     # a cost per byte: about one zero byte per field is where they break even
     if slots.size - np.count_nonzero(slots) <= slots.size // _SLOT:
-        data = slots.tobytes().replace(b"\0", b"")
-    else:
-        data = slots[slots != 0].tobytes()
-    if long:
-        parts = data.split(_LONG)
-        data = parts[0] + b"".join(long[key].encode("ascii") + part for key, part in zip(sorted(long), parts[1:]))
-    return data
+        return slots.tobytes().replace(b"\0", b"")
+    return slots[slots != 0].tobytes()
 
 
 def _row_slices(rows: int, cols: int):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import CorrelationResult, GislWeights, compute_acf, compute_gisl, compute_pslr, db
-from .waveform import TWO_PI, WaveformConfig, synthesize
+from .waveform import TWO_PI, WaveformConfig, _psk_order, synthesize
 
 __all__ = [
     "QuantizationRow",
@@ -33,9 +33,7 @@ def quantize_psk(phi, mpsk) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     if mpsk == math.inf:
         return phi.copy()
-    m = int(mpsk)
-    if m != mpsk or m < 2:
-        raise ValueError("mpsk must be an integer >= 2 or math.inf")
+    m = _psk_order(mpsk)
     wrapped = np.mod(phi, TWO_PI)
     # ceil(x - 1/2) rounds halfway cases down, unlike round-half-even
     idx = np.mod(np.ceil(wrapped * m / TWO_PI - 0.5), m)

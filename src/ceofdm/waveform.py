@@ -30,6 +30,21 @@ __all__ = [
 ]
 
 
+def _check_L(L) -> int:
+    """L as an int; a ValueError unless it is a positive integer."""
+    if L < 1 or int(L) != L:
+        raise ValueError("L must be a positive integer")
+    return int(L)
+
+
+def _psk_order(mpsk) -> int:
+    """A finite ``mpsk`` as an int; a ValueError unless it is an integer >= 2."""
+    m = int(mpsk)
+    if m != mpsk or m < 2:
+        raise ValueError("mpsk must be an integer >= 2 or math.inf")
+    return m
+
+
 def _harmonic_norm(L: int) -> float:
     # sqrt(2L^3 + 3L^2 + L) = sqrt(6 * sum_{l=1..L} l^2)
     return math.sqrt(2.0 * L**3 + 3.0 * L**2 + L)
@@ -56,20 +71,18 @@ def compute_modulation_index(tbp: float, L: int) -> float:
     h : float
         Modulation index.
     """
-    if L < 1 or int(L) != L:
-        raise ValueError("L must be a positive integer")
+    L = _check_L(L)
     if tbp < 0:
         raise ValueError("tbp must be nonnegative")
-    return tbp / (TWO_PI * _harmonic_norm(int(L)))
+    return tbp / (TWO_PI * _harmonic_norm(L))
 
 
 def lfm_equivalent_tbp(h: float, L: int) -> float:
     """Time-bandwidth product of the LFM pulse with the same RMS bandwidth."""
-    if L < 1 or int(L) != L:
-        raise ValueError("L must be a positive integer")
+    L = _check_L(L)
     if h < 0:
         raise ValueError("h must be nonnegative")
-    return h * TWO_PI * _harmonic_norm(int(L))
+    return h * TWO_PI * _harmonic_norm(L)
 
 
 @dataclass(frozen=True)
@@ -93,9 +106,7 @@ class WaveformConfig:
     M: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.L < 1 or int(self.L) != self.L:
-            raise ValueError("L must be a positive integer")
-        object.__setattr__(self, "L", int(self.L))
+        object.__setattr__(self, "L", _check_L(self.L))
         for name in ("h", "tbp", "oversample"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -234,12 +245,9 @@ def random_psk(L: int, mpsk, seed: int) -> np.ndarray:
     Finite ``mpsk`` draws uniformly from the grid {2*pi*m/mpsk, m=0..mpsk-1};
     ``mpsk=math.inf`` draws uniformly from the continuum [0, 2*pi).
     """
-    if L < 1 or int(L) != L:
-        raise ValueError("L must be a positive integer")
+    L = _check_L(L)
     rng = np.random.default_rng(seed)
     if mpsk == math.inf:
-        return TWO_PI * rng.random(int(L))
-    m = int(mpsk)
-    if m != mpsk or m < 2:
-        raise ValueError("mpsk must be an integer >= 2 or math.inf")
-    return TWO_PI * rng.integers(0, m, size=int(L)) / m
+        return TWO_PI * rng.random(L)
+    m = _psk_order(mpsk)
+    return TWO_PI * rng.integers(0, m, size=L) / m

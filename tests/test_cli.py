@@ -1,6 +1,5 @@
 import itertools
 import math
-import multiprocessing
 import re
 import subprocess
 import sys
@@ -522,25 +521,17 @@ class TestExitCodes:
         assert "out of memory at M = 5000000000000:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_sweep_out_of_memory_names_m(self, tmp_path, capsys, monkeypatch, threads):
+    def test_sweep_out_of_memory_names_m(self, tmp_path, capsys, threads):
         # a seed that runs out of memory stops the sweep instead of becoming a
-        # failed row: the next seed has the same M. The patch stands in for a
-        # too-large M without allocating it; only forked pool workers inherit
-        # it (forkserver and spawn workers import an unpatched ceofdm)
-        if threads == "2" and multiprocessing.get_start_method() != "fork":
-            pytest.skip("pool workers inherit the patch only under the fork start method")
-
-        def out_of_memory(config):
-            raise MemoryError("Unable to allocate")
-
-        monkeypatch.setattr("ceofdm.cli._optimize_core", out_of_memory)
+        # failed row: the next seed has the same M. As in the synth case, numpy
+        # refuses M = 5e12 at once, so nothing large is allocated
         out = tmp_path / "x"
         code = main([
             "sweep", "--out", str(out), "--seed", "1", "--threads", threads,
-            "--set", "run.seed_count=2",
+            "--set", "run.seed_count=2", "--set", "waveform.tbp=1e12",
         ])
         assert code == 3
-        assert "out of memory at M = 1000: Unable to allocate" in capsys.readouterr().err
+        assert "out of memory at M = 5000000000000: Unable to allocate" in capsys.readouterr().err
         assert not (out / "seeds.csv").exists()
 
     @pytest.mark.parametrize("tbp", ["1e18", "1e300"])

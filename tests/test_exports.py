@@ -352,7 +352,7 @@ def test_block_encoder_matches_per_value_format(tmp_path):
     assert path.read_bytes() == expected_table("i,x", [], values[:7, None], wide)
 
 
-def test_products_on_a_half_round_like_the_exact_value(monkeypatch):
+def test_products_on_a_half_round_like_the_exact_value():
     found = exact_half_products()
     # each side of n + 0.5 is reached, and a true tie breaks to even
     assert min(len(found[-1]), len(found[1])) >= 50
@@ -362,9 +362,15 @@ def test_products_on_a_half_round_like_the_exact_value(monkeypatch):
     assert encoded(table) == expected
     assert encoded(-table) == formatted(-table)
 
-    # the inputs have power: without the exact product error the bytes differ
-    monkeypatch.setattr(exports, "_product_error", lambda a, b, p: 0.0)
-    assert encoded(table) != expected
+    # the inputs have power: on each side some m = n + 0.5 rounds half to even,
+    # as np.rint alone would, to other digits than %.12e prints
+    def digits(x):  # %.12e's 13 digits, and those of rint(m)
+        text = f"{x:.12e}"
+        m = x * 10.0 ** (12 - int(text[-3:]))
+        return text[:14].replace(".", ""), "%d" % np.rint(m)
+
+    for side in (-1, 1):
+        assert any(exact != rint for exact, rint in map(digits, found[side][:50]))
 
 
 # fallbacks of 21 bytes with their separator, first and last in a row

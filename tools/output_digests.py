@@ -44,6 +44,10 @@ RUNS = [
     ("synth_short", ["synth", "--seed", "1", "--set", "waveform.L=1",
                      "--set", "waveform.samples=7"]),
     ("synth_interval", ["synth", "--seed", "1", *SUB_REGION]),
+    # inst_freq.csv holds negative fields with three-digit exponents, wider
+    # than the encoder's 20-byte slots
+    ("synth_huge_h", ["synth", "--seed", "1", "--set", "waveform.h=1e200",
+                      "--set", "waveform.samples=64"]),
     ("design", ["optimize", "--seed", "1", "--set", "waveform.mpsk=inf", *SUB_REGION]),
     ("design_lo", ["optimize", "--seed", "1", "--set", "waveform.mpsk=inf", *SUB_REGION,
                    "--set", "region.lo=0.04"]),
