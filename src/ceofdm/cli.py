@@ -14,7 +14,7 @@ import functools
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +35,6 @@ from .exports import (
     write_waveform_csv,
 )
 from .metrics import (
-    CorrelationResult,
-    GislWeights,
     build_weights,
     compute_acf,
     compute_af,
@@ -45,9 +43,9 @@ from .metrics import (
     db,
     detect_mainlobe_null,
 )
-from .optimizer import OptimizationTrace, run_gd_gisl
+from .optimizer import run_gd_gisl
 from .quantize import degradation_sweep
-from .waveform import SampledWaveform, WaveformConfig, random_psk, synthesize
+from .waveform import random_psk, synthesize
 
 __all__ = ["main", "entry", "cmd_synth", "cmd_optimize", "cmd_quantize", "cmd_sweep"]
 
@@ -93,47 +91,35 @@ def cmd_synth(config: ExperimentConfig) -> None:
     write_summary(out / "summary.txt", summary)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """One optimization run: the initial pulse, the frozen weights, the result."""
+def _descend(config: ExperimentConfig, phi0, r0, weights):
+    """Descend from the prepared pulse, then synthesize the final pulse and take its ACF.
 
-    cfg: WaveformConfig
-    weights: GislWeights
-    p: int
-    phi0: np.ndarray
-    s0: SampledWaveform
-    r0: CorrelationResult
-    phi_final: np.ndarray
-    s_final: SampledWaveform
-    r_final: CorrelationResult
-    trace: OptimizationTrace
-
-    def summary(self) -> dict:
-        """GISL and PSLR before and after, null indexes, iterations and status."""
-        gisl_initial = db(compute_gisl(self.r0, self.weights, self.p))
-        gisl_final = db(compute_gisl(self.r_final, self.weights, self.p))
-        return {
-            "gisl_initial_db": gisl_initial,
-            "gisl_final_db": gisl_final,
-            "gisl_improvement_db": gisl_initial - gisl_final,
-            "pslr_initial_db": compute_pslr(self.r0, self.weights),
-            "pslr_final_db": compute_pslr(self.r_final, self.weights),
-            "null_index_initial": self.weights.null_index,
-            "null_index_final": detect_mainlobe_null(self.r_final),
-            "iterations": len(self.trace.rows),
-            "status": self.trace.status,
-            "p": self.p,
-        }
-
-
-def _optimize_core(config: ExperimentConfig) -> RunResult:
-    cfg, phi0, s0, r0, weights = _prepare(config)
+    Returns the final phases, pulse and ACF, the trace, the summary (GISL and
+    PSLR before and after, null indexes, iterations, status and p) and the
+    seconds that the descent and the final ACF took.
+    """
+    cfg = config.waveform
+    started = time.perf_counter()
     phi_final, trace = run_gd_gisl(phi0, cfg, weights, config.optimizer)
     s_final = synthesize(phi_final, cfg)
-    return RunResult(
-        cfg, weights, config.optimizer.p, phi0, s0, r0,
-        phi_final, s_final, compute_acf(s_final), trace,
-    )
+    r_final = compute_acf(s_final)
+    seconds = time.perf_counter() - started
+    p = config.optimizer.p
+    gisl_initial = db(compute_gisl(r0, weights, p))
+    gisl_final = db(compute_gisl(r_final, weights, p))
+    summary = {
+        "gisl_initial_db": gisl_initial,
+        "gisl_final_db": gisl_final,
+        "gisl_improvement_db": gisl_initial - gisl_final,
+        "pslr_initial_db": compute_pslr(r0, weights),
+        "pslr_final_db": compute_pslr(r_final, weights),
+        "null_index_initial": weights.null_index,
+        "null_index_final": detect_mainlobe_null(r_final),
+        "iterations": len(trace.rows),
+        "status": trace.status,
+        "p": p,
+    }
+    return phi_final, s_final, r_final, trace, summary, seconds
 
 
 _COUNT_NAMES = ("forward_passes", "gradient_passes", "cache_hits", "backtracks", "momentum_resets")
@@ -145,25 +131,34 @@ def _counts_text(counts: dict) -> str:
 
 
 def cmd_optimize(config: ExperimentConfig) -> None:
-    """Run the descent loop and export initial/final waveform data plus the trace."""
+    """Run the descent loop and export initial/final waveform data plus the trace.
+
+    The initial products are written before the descent, which then starts
+    without the initial pulse; its ACF goes once the summary holds its
+    numbers. So only the final pulse and ACF are held while the final
+    products are written.
+    """
     out = Path(config.run.out)
     started = time.perf_counter()
-    res = _optimize_core(config)
+    cfg, phi0, s0, r0, weights = _prepare(config)
     runtime = time.perf_counter() - started
-    summary = res.summary()
     config.write_manifest(out / "manifest.ini")
-    write_phi_csv(out / "phi_initial.csv", res.phi0)
-    write_phi_csv(out / "phi_final.csv", res.phi_final)
-    write_acf_csv(out / "acf_initial.csv", res.r0)
-    write_acf_csv(out / "acf_final.csv", res.r_final)
-    write_spectrum_csv(out / "spectrum_initial.csv", res.s0, res.cfg)
-    write_spectrum_csv(out / "spectrum_final.csv", res.s_final, res.cfg)
-    write_trace_csv(out / "trace.csv", res.trace)
+    write_phi_csv(out / "phi_initial.csv", phi0)
+    write_acf_csv(out / "acf_initial.csv", r0)
+    write_spectrum_csv(out / "spectrum_initial.csv", s0, cfg)
+    del s0
+    phi_final, s_final, r_final, trace, summary, seconds = _descend(config, phi0, r0, weights)
+    del r0
+    runtime += seconds  # prepare, descent and final ACF; not the writes or the summary
+    write_phi_csv(out / "phi_final.csv", phi_final)
+    write_acf_csv(out / "acf_final.csv", r_final)
+    write_spectrum_csv(out / "spectrum_final.csv", s_final, cfg)
+    write_trace_csv(out / "trace.csv", trace)
     write_summary(out / "summary.txt", summary)
     # runtime and evaluation counts stay off the data files so reruns are byte-identical
     print(
         f"optimize: GISL {summary['gisl_initial_db']:.2f} dB -> "
-        f"{summary['gisl_final_db']:.2f} dB in {runtime:.2f} s; {_counts_text(res.trace.counts)}"
+        f"{summary['gisl_final_db']:.2f} dB in {runtime:.2f} s; {_counts_text(trace.counts)}"
     )
 
 
@@ -190,10 +185,10 @@ def cmd_quantize(config: ExperimentConfig, input_dir: str | None = None) -> None
         phi0 = _read_phases(Path(input_dir) / "phi_initial.csv", config.waveform.L)
         cfg, _, _, _, weights = _prepare(config, phi0)
         phi_final = _read_phases(Path(input_dir) / "phi_final.csv", config.waveform.L)
-        p = config.optimizer.p
     else:
-        res = _optimize_core(config)
-        cfg, weights, phi_final, p = res.cfg, res.weights, res.phi_final, res.p
+        cfg, phi0, _, r0, weights = _prepare(config)
+        phi_final = _descend(config, phi0, r0, weights)[0]
+    p = config.optimizer.p
     rows = degradation_sweep(phi_final, cfg, weights, p, config.quantization.alphabets)
     config.write_manifest(out / "manifest.ini")
     write_quantization_csv(out / "report.csv", rows)
@@ -221,14 +216,15 @@ def _sweep_worker(payload) -> tuple[int, dict | None, str, dict]:
     evaluation counts, empty if the run failed)."""
     config, seed = payload
     try:
-        res = _optimize_core(config.with_seed(seed))
+        config = config.with_seed(seed)
+        _, phi0, _, r0, weights = _prepare(config)
+        *_, trace, summary, _ = _descend(config, phi0, r0, weights)
     except MemoryError:
         # too large for this machine at every seed: main names M and exits 3
         raise
     except Exception as exc:  # per-seed failures become rows, not aborts
         return seed, None, str(exc).replace(",", ";").replace("\n", " "), {}
-    summary = res.summary()
-    return seed, summary, summary["status"], res.trace.counts
+    return seed, summary, summary["status"], trace.counts
 
 
 def cmd_sweep(config: ExperimentConfig) -> None:
@@ -258,7 +254,8 @@ def cmd_sweep(config: ExperimentConfig) -> None:
     totals = {name: sum(counts.get(name, 0) for *_, counts in rows) for name in _COUNT_NAMES}
     print(f"sweep: {len(good)} of {len(seeds)} seeds ok; {_counts_text(totals)}")
     if not good:
-        raise ValueError("all sweep runs failed; see seeds.csv")
+        seed, _, detail, _ = rows[0]
+        raise ValueError(f"all sweep runs failed (see seeds.csv); seed {seed}: {detail}")
     entries: dict = {"seed_count": len(seeds), "succeeded": len(good)}
     for column, key in _SEED_COLUMNS.items():
         if column.endswith("_db"):

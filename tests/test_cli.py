@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ceofdm
+from ceofdm import cli
 from ceofdm.cli import main
 from ceofdm.expconfig import ConfigError, ExperimentConfig
 from ceofdm.exports import DB_NEG_INF, write_phi_csv
@@ -286,6 +287,22 @@ class TestOptimizeCommand:
         trace = (out / "trace.csv").read_text().strip().splitlines()
         assert len(trace) == 1  # header only
 
+    def test_initial_products_are_written_before_the_descent(self, tmp_path, monkeypatch):
+        # the initial pulse and ACF need not be held through the descent
+        out = tmp_path / "opt"
+        seen = []
+
+        def run_gd_gisl(*args, **kwargs):
+            seen.append(sorted(path.name for path in out.iterdir()))
+            return original(*args, **kwargs)
+
+        original = cli.run_gd_gisl
+        monkeypatch.setattr(cli, "run_gd_gisl", run_gd_gisl)
+        code = main(["optimize", "--out", str(out), "--seed", "1", "--set", "optimizer.max_iters=2"])
+        assert code == 0
+        assert seen == [["acf_initial.csv", "manifest.ini", "phi_initial.csv", "spectrum_initial.csv"]]
+        assert (out / "summary.txt").exists()
+
     def test_set_does_not_carry_into_next_call(self, tmp_path):
         # the parser is built once per process; each call starts from the defaults
         first = ["--set", "optimizer.max_iters=0", "--set", "optimizer.p=6"]
@@ -419,7 +436,7 @@ class TestSweepCommand:
         assert expected["gradient passes"] > 0
         assert "passes" not in (tmp_path / "s" / "seeds.csv").read_text()
 
-    def test_partial_failure_rows_and_all_fail_exit(self, tmp_path):
+    def test_partial_failure_rows_and_all_fail_exit(self, tmp_path, capsys):
         # empty sidelobe support fails every seed: rows recorded, exit code 3
         out = tmp_path / "fail"
         code = main([
@@ -433,6 +450,12 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert all(row.split(",")[1] == "failed" for row in rows)
         assert not (out / "aggregate.txt").exists()
+        # stderr names the first failed seed and why, on one line
+        detail = rows[0].split(",")[-1]
+        assert detail == "sidelobe weight support is empty; gradient undefined"
+        assert capsys.readouterr().err == (
+            f"numerical failure: all sweep runs failed (see seeds.csv); seed 0: {detail}\n"
+        )
 
     def test_threads_do_not_change_output(self, tmp_path):
         base = [
