@@ -22,6 +22,7 @@ import numpy as np
 from .expconfig import ConfigError, ExperimentConfig
 from .exports import (
     _fmt_full,
+    _write_lines,
     read_phi_csv,
     write_acf_csv,
     write_af_csv,
@@ -147,18 +148,22 @@ def cmd_optimize(config: ExperimentConfig) -> None:
     write_acf_csv(out / "acf_initial.csv", r0)
     write_spectrum_csv(out / "spectrum_initial.csv", s0, cfg)
     del s0
+    writing = time.perf_counter() - started - runtime
     phi_final, s_final, r_final, trace, summary, seconds = _descend(config, phi0, r0, weights)
     del r0
     runtime += seconds  # prepare, descent and final ACF; not the writes or the summary
+    started = time.perf_counter()
     write_phi_csv(out / "phi_final.csv", phi_final)
     write_acf_csv(out / "acf_final.csv", r_final)
     write_spectrum_csv(out / "spectrum_final.csv", s_final, cfg)
     write_trace_csv(out / "trace.csv", trace)
     write_summary(out / "summary.txt", summary)
-    # runtime and evaluation counts stay off the data files so reruns are byte-identical
+    writing += time.perf_counter() - started
+    # times and evaluation counts stay off the data files so reruns are byte-identical
     print(
         f"optimize: GISL {summary['gisl_initial_db']:.2f} dB -> "
-        f"{summary['gisl_final_db']:.2f} dB in {runtime:.2f} s; {_counts_text(trace.counts)}"
+        f"{summary['gisl_final_db']:.2f} dB in {runtime:.2f} s, writing files {writing:.2f} s; "
+        f"{_counts_text(trace.counts)}"
     )
 
 
@@ -248,7 +253,7 @@ def cmd_sweep(config: ExperimentConfig) -> None:
     for seed, summary, detail, _ in rows:
         cells = [_fmt_full(summary[key]) if summary else "" for key in _SEED_COLUMNS.values()]
         lines.append(",".join([str(seed), "ok" if summary else "failed", *cells, detail]))
-    (out / "seeds.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(out / "seeds.csv", lines)
 
     good = [summary for _, summary, _, _ in rows if summary]
     totals = {name: sum(counts.get(name, 0) for *_, counts in rows) for name in _COUNT_NAMES}

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .exports import _rewrite
 from .optimizer import OptimizerConfig
 from .waveform import WaveformConfig
 
@@ -248,4 +249,5 @@ class ExperimentConfig:
                 elif f.name == "lo" and spec.mode == "interval":
                     lines.append("lo = null")
             lines.append("")
-        Path(path).write_text("\n".join(lines), encoding="utf-8")
+        with _rewrite(path) as out:
+            out.write("\n".join(lines).encode("utf-8"))

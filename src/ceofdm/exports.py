@@ -4,11 +4,19 @@ Every writer formats numbers explicitly so that identical inputs produce
 byte-identical files. Time and delay are in units of the pulse duration T,
 frequency and Doppler in cycles per T. Magnitudes are exported in dB floored
 at -200; an exact -inf (zero magnitude or empty region) is encoded as -999.
+
+Every file the package writes, the manifest and ``seeds.csv`` included, is
+opened by ``_rewrite``: an existing file is overwritten in place and then cut
+to the length just written, never truncated first. Rewriting a file that
+already exists, as a rerun into the same output directory does, then costs
+about what writing a fresh one does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +68,25 @@ def _fmt_full(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
+@contextlib.contextmanager
+def _rewrite(path):
+    """A binary file open for writing at ``path``, created if it is missing.
+
+    An existing file is not truncated when it is opened: it is overwritten
+    from its start, and cut at the last byte written when the block ends,
+    also when the block raises. So a shorter rewrite keeps no stale tail, and
+    a writer that fails part-way leaves exactly the bytes it wrote.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+        try:
+            yield out
+        finally:
+            out.truncate()
+
+
 def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        out.writelines(f"{line}\n" for line in lines)
+    with _rewrite(path) as out:
+        out.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
 _BLOCK_VALUES = 1 << 13  # float fields per block: about 60 bytes each in flight, under 1 MB
@@ -260,7 +284,7 @@ def _write_table(path, header: str, blocks, header_values=None) -> None:
     a generated table, the table itself is held whole. With
     ``header_values``, the header row goes on with them as %.12e fields.
     """
-    with open(path, "wb") as out:
+    with _rewrite(path) as out:
         out.write(header.encode("utf-8"))
         if header_values is None:
             out.write(b"\n")

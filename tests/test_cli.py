@@ -258,6 +258,7 @@ class TestOptimizeCommand:
         stdout = capsys.readouterr().out
         counts = {name: int(n) for n, name in re.findall(COUNTS_PATTERN, stdout)}
         assert len(counts) == 5
+        assert re.search(r" in \d+\.\d\d s, writing files \d+\.\d\d s; \d+ forward passes", stdout)
         rows = (out / "trace.csv").read_text().strip().splitlines()[1:]
         backtracks = [int(row.split(",")[4]) for row in rows]
         resets = sum(int(row.split(",")[5]) for row in rows)
@@ -499,6 +500,50 @@ class TestSweepCommand:
         assert sizes == [2]
 
 
+# (larger, smaller) config of each command, as argv without --out. The larger
+# one has more phases, samples, alphabets and seeds, so each table and manifest
+# that the smaller one writes is shorter, and a rerun that did not cut its
+# files to length would leave a stale tail; the summaries' lengths follow
+# their digits.
+QUICK = ["--seed", "1", "--set", "optimizer.max_iters=5"]
+MORE_ALPHABETS = ["--set", "quantization.alphabets=64,32,16,8,4,2"]
+LARGER = ["--set", "waveform.L=32", "--set", "waveform.tbp=208", *MORE_ALPHABETS]
+SMALLER = ["--set", "waveform.tbp=100"]
+RERUNS = {
+    "synth": (["synth", *QUICK, *LARGER], ["synth", *QUICK, *SMALLER]),
+    "optimize": (["optimize", *QUICK, *LARGER], ["optimize", *QUICK, *SMALLER]),
+    "quantize": (["quantize", "--input", "{larger}", *MORE_ALPHABETS],
+                 ["quantize", "--input", "{smaller}"]),
+    "sweep": (["sweep", *QUICK, *LARGER, "--set", "run.seed_count=3"],
+              ["sweep", *QUICK, *SMALLER, "--set", "run.seed_count=2"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUNS))
+def test_rerun_into_a_populated_directory_matches_a_fresh_one(tmp_path, monkeypatch, command):
+    inputs = {"larger": str(tmp_path / "larger"), "smaller": str(tmp_path / "smaller")}
+    if command == "quantize":
+        for out, argv in zip(inputs.values(), RERUNS["optimize"]):
+            assert main([*argv, "--out", out]) == 0
+    larger, smaller = ([arg.format(**inputs) for arg in argv] for argv in RERUNS[command])
+    populated, fresh = tmp_path / "populated", tmp_path / "fresh"
+    populated.mkdir()
+    fresh.mkdir()
+    # the same relative --out, so the manifests' out lines match as well
+    monkeypatch.chdir(populated)
+    assert main([*larger, "--out", "out"]) == 0
+    before = tree_bytes("out")
+    assert main([*smaller, "--out", "out"]) == 0
+    after = tree_bytes("out")
+    monkeypatch.chdir(fresh)
+    assert main([*smaller, "--out", "out"]) == 0
+    expected = tree_bytes("out")
+    assert "manifest.ini" in expected
+    tables = {name: data for name, data in expected.items() if not name.endswith(".txt")}
+    assert all(len(before[name]) > len(data) for name, data in tables.items())
+    assert {name: after[name] for name in expected} == expected
+
+
 class TestExitCodes:
     def test_config_error(self, tmp_path):
         ini = tmp_path / "bad.ini"
@@ -594,6 +639,13 @@ class TestExitCodes:
         blocker.write_text("x")
         code = main(["synth", "--out", str(blocker / "sub"), "--seed", "1"])
         assert code == 4
+
+    def test_output_file_that_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "summary.txt").mkdir(parents=True)
+        code = main(["synth", "--out", str(out), "--seed", "1", "--set", "run.write_af=false"])
+        assert code == 4
+        assert "summary.txt" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         code = main(["synth", "--config", str(tmp_path / "none.ini"), "--out", str(tmp_path / "x")])

@@ -167,6 +167,28 @@ def test_af_csv(tmp_path, pulse):
     assert (tmp_path / "af.csv").read_bytes() == expected_af(af, nu)
 
 
+def test_interrupted_rewrite_keeps_header_and_first_block(tmp_path, monkeypatch):
+    # 8191 lags in blocks of _BLOCK_VALUES // 2 rows: two blocks
+    r = compute_acf(synthesize(random_psk(8, 2, seed=5), WaveformConfig(L=8, samples=4096)))
+    write_acf_csv(tmp_path / "whole.csv", r)
+    lines = (tmp_path / "whole.csv").read_bytes().splitlines(keepends=True)
+    path = tmp_path / "acf.csv"
+    path.write_bytes(b"x" * 2 * len(b"".join(lines)))
+    encode, calls = exports._encode_block, []
+
+    def fail_second_call(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return encode(*args)
+
+    monkeypatch.setattr(exports, "_encode_block", fail_second_call)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_acf_csv(path, r)
+    assert len(calls) == 2
+    assert path.read_bytes() == b"".join(lines[: 1 + exports._BLOCK_VALUES // 2])
+
+
 def test_rectangular_af_reaches_floor(tmp_path):
     cfg = CONFIGS["rect"]
     s = synthesize(np.zeros(1), cfg)

@@ -16,7 +16,12 @@ goes to stderr.
 Two runs of this script give the same lines when the program's outputs are
 byte-identical. Compare runs made with one numpy build on one machine only:
 FFT bits can differ between numpy versions and CPUs, so no digest here is a
-golden value. The script exits 1 when the ``--threads 1`` and ``--threads 2``
+golden value.
+
+After the first pass, every command of RUNS runs again into the same
+directories, so each file is overwritten in place; the lines printed are
+those of the first pass. The script exits 1 when a digest of the second pass
+differs from the first, or when the ``--threads 1`` and ``--threads 2``
 sweeps wrote different ``seeds.csv`` files.
 """
 
@@ -93,8 +98,13 @@ def main_digests() -> int:
     print(f"digests of ceofdm from {Path(ceofdm.__file__).parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="ceofdm-digests-") as tmp:
         lines = digests(Path(tmp))
+        rerun = digests(Path(tmp))
     for key, value in lines.items():
         print(f"{value}  {key}")
+    changed = sorted(key for key in lines.keys() | rerun.keys() if lines.get(key) != rerun.get(key))
+    if changed:
+        print(f"a rerun into the same directories changed {', '.join(changed)}", file=sys.stderr)
+        return 1
     one, two = (lines[f"sweep_threads{n}/seeds.csv"] for n in (1, 2))
     if one != two:
         print("seeds.csv differs between --threads 1 and --threads 2", file=sys.stderr)
