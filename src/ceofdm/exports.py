@@ -5,6 +5,11 @@ byte-identical files. Time and delay are in units of the pulse duration T,
 frequency and Doppler in cycles per T. Magnitudes are exported in dB floored
 at -200; an exact -inf (zero magnitude or empty region) is encoded as -999.
 
+Every table is written by ``_write_table`` from the writer's own arrays:
+its plain columns, its magnitudes and the first value of its index column.
+Each block of rows is built, its magnitudes turned into dB, encoded and
+written before the next, so no table is held whole, as numbers or as text.
+
 Every file the package writes, the manifest and ``seeds.csv`` included, is
 opened by ``_rewrite``: an existing file is overwritten in place and then cut
 to the length just written, never truncated first. Rewriting a file that
@@ -263,27 +268,19 @@ def _encode_block(table: np.ndarray, index=None) -> bytes:
     return slots[slots != 0].tobytes()
 
 
-def _row_slices(rows: int, cols: int):
-    """Consecutive row ranges of a rows x cols table, about _BLOCK_VALUES values each."""
-    step = max(1, _BLOCK_VALUES // cols)
-    return (slice(start, start + step) for start in range(0, rows, step))
+def _write_table(path, header: str, columns, mag=None, peak=1.0, first_index=None, header_values=None) -> None:
+    """Write ``header`` and then a table's rows as %.12e fields, a block of
+    about _BLOCK_VALUES values at a time.
 
-
-def _table_blocks(table: np.ndarray, index=None):
-    """A whole 2-D table as _write_table blocks, each row led by its ``index`` entry when given."""
-    for rows in _row_slices(*table.shape):
-        yield table[rows], None if index is None else np.asarray(index[rows], dtype=np.int64)
-
-
-def _write_table(path, header: str, blocks, header_values=None) -> None:
-    """Write ``header`` and then a table's rows as %.12e fields, a block at a time.
-
-    ``blocks`` yields (rows, index) pairs in file order: a 2-D float array of
-    rows, and None or the integer that leads each row. Each block is encoded
-    and written before the next is taken, so neither the table's text nor, for
-    a generated table, the table itself is held whole. With
-    ``header_values``, the header row goes on with them as %.12e fields.
+    Each row holds the row of each 1-D array in ``columns``, then with ``mag``
+    (1-D or 2-D |x|) its row of |x|^2 / peak^2 in dB. Squaring is monotone,
+    so peak = max |x| normalizes to the largest |x|^2. With ``first_index``,
+    each row is led by its %d index, counting up from it. A block is built,
+    encoded and written before the next, so no table is held whole, as
+    numbers or as text. With ``header_values``, the header row goes on with
+    them as %.12e fields.
     """
+    step = max(1, _BLOCK_VALUES // (len(columns) + (0 if mag is None else np.size(mag[0]))))
     with _rewrite(path) as out:
         out.write(header.encode("utf-8"))
         if header_values is None:
@@ -291,8 +288,16 @@ def _write_table(path, header: str, blocks, header_values=None) -> None:
         else:
             out.write(b",")
             out.write(_encode_block(np.asarray(header_values, dtype=float)[None, :]))
-        for rows, index in blocks:
-            out.write(_encode_block(rows, index))
+        for start in range(0, len(columns[0]), step):
+            rows = slice(start, start + step)
+            block = [column[rows] for column in columns]
+            if mag is not None:
+                power = np.square(mag[rows])
+                if peak != 1.0:
+                    power /= peak * peak
+                block.append(_power_db(power))
+            index = None if first_index is None else np.arange(len(block[0]), dtype=np.int64) + (first_index + start)
+            out.write(_encode_block(np.column_stack(block), index))
 
 
 def write_phi_csv(path, phi) -> None:
@@ -323,27 +328,22 @@ def read_phi_csv(path) -> np.ndarray:
 
 def write_waveform_csv(path, s: SampledWaveform) -> None:
     m = len(s.samples)
-    table = np.column_stack([np.arange(m) / m, s.samples.real, s.samples.imag])
-    blocks = _table_blocks(table, np.arange(len(table)))
-    _write_table(path, "sample_index,t_over_T,real,imag", blocks)
+    columns = [np.arange(m) / m, s.samples.real, s.samples.imag]
+    _write_table(path, "sample_index,t_over_T,real,imag", columns, first_index=0)
 
 
 def write_inst_freq_csv(path, phi, cfg: WaveformConfig) -> None:
-    freq = sample_frequency(phi, cfg)
-    table = np.column_stack([np.arange(cfg.M) / cfg.M, freq])
-    _write_table(path, "sample_index,t_over_T,freq_times_T", _table_blocks(table, np.arange(cfg.M)))
+    columns = [np.arange(cfg.M) / cfg.M, sample_frequency(phi, cfg)]
+    _write_table(path, "sample_index,t_over_T,freq_times_T", columns, first_index=0)
 
 
 def write_spectrum_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None:
     """Peak-normalized power spectrum on a 4x zero-padded grid."""
     nfft = 4 * cfg.M
-    spec = np.fft.fftshift(np.fft.fft(s.samples, nfft))
+    mag = np.fft.fftshift(np.abs(np.fft.fft(s.samples, nfft)))
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / cfg.M))
-    power = np.abs(spec) ** 2
-    power /= power.max()
     over_df = freqs / cfg.tbp if cfg.tbp > 0 else np.zeros(nfft)
-    table = np.column_stack([freqs, over_df, _power_db(power)])
-    _write_table(path, "freq_times_T,freq_over_df,magnitude_db", _table_blocks(table))
+    _write_table(path, "freq_times_T,freq_over_df,magnitude_db", [freqs, over_df], mag, mag.max())
 
 
 def _stft(samples: np.ndarray, nperseg: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -362,19 +362,14 @@ def write_spectrogram_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None
     hop = max(1, nperseg // 4)
     frames, centers = _stft(s.samples, nperseg, hop)
     freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / cfg.M))
-    power = np.abs(frames) ** 2
-    power /= power.max()
-    table = np.column_stack([freqs, _power_db(power)])
-    _write_table(path, "freq_times_T", _table_blocks(table), header_values=centers / cfg.M)
+    mag = np.abs(frames)
+    _write_table(path, "freq_times_T", [freqs], mag, mag.max(), header_values=centers / cfg.M)
 
 
 def write_acf_csv(path, r: CorrelationResult) -> None:
     """Columns: delay_samples, delay_over_T, magnitude_db."""
-    power = r.magnitude()
-    power *= power
-    u = np.arange(len(power)) - r.zero_index
-    table = np.column_stack([r.delays, _power_db(power)])
-    _write_table(path, "delay_samples,delay_over_T,magnitude_db", _table_blocks(table, u))
+    header = "delay_samples,delay_over_T,magnitude_db"
+    _write_table(path, header, [r.delays], np.abs(r.r), first_index=-r.zero_index)
 
 
 def write_af_csv(path, values: np.ndarray, dopplers) -> None:
@@ -385,15 +380,7 @@ def write_af_csv(path, values: np.ndarray, dopplers) -> None:
     """
     m = (values.shape[1] + 1) // 2
     delays = np.arange(1 - m, m) / m
-    _write_table(path, "doppler_times_T", _af_blocks(values, dopplers), header_values=delays)
-
-
-def _af_blocks(values: np.ndarray, dopplers):
-    """The rows of af.csv a block at a time: each Doppler, then its |chi|^2 in dB."""
-    for rows in _row_slices(len(values), values.shape[1] + 1):
-        block = np.column_stack([dopplers[rows], np.square(values[rows])])
-        _power_db(block[:, 1:])
-        yield block, None
+    _write_table(path, "doppler_times_T", [dopplers], values, header_values=delays)
 
 
 def write_trace_csv(path, trace: OptimizationTrace) -> None:

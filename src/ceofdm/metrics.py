@@ -59,9 +59,6 @@ class CorrelationResult:
         """Delay of each sample in fractions of the pulse duration, lag / M."""
         return (np.arange(len(self.r)) - self.zero_index) / (self.zero_index + 1)
 
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.r)
-
 
 @dataclass(frozen=True)
 class GislWeights:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ceofdm
-from ceofdm import cli
+from ceofdm import cli, metrics
 from ceofdm.cli import main
 from ceofdm.expconfig import ConfigError, ExperimentConfig
 from ceofdm.exports import DB_NEG_INF, write_phi_csv
@@ -172,6 +172,25 @@ class TestSynthCommand:
         rows = (out / "spectrum.csv").read_text().strip().splitlines()[1:]
         data = np.array([[float(x) for x in line.split(",")] for line in rows])
         assert data[np.argmax(data[:, 2]), 0] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("L", [1, 7, 24, 64])
+    def test_doppler_grid_pairs_every_row(self, tmp_path, monkeypatch, L):
+        # a linspace grid over [-L, L] is antisymmetric only where 2L/96 is
+        # exact in binary: it paired 16 of the 48 pairs at L = 1 and 64
+        grids = []
+
+        def compute_af(s, nu):
+            grids.append(nu)
+            return original(s, nu)
+
+        original = cli.compute_af
+        monkeypatch.setattr(cli, "compute_af", compute_af)
+        overrides = ["--set", f"waveform.L={L}", "--set", "waveform.samples=200"]
+        assert main(["synth", "--out", str(tmp_path / "af"), "--seed", "1", *overrides]) == 0
+        (nu,) = grids
+        assert nu.size == 97 and nu[0] == -L and nu[-1] == L
+        assert np.array_equal(nu, -nu[::-1])
+        assert metrics._doppler_pairs(nu)[0].size == 49
 
     @pytest.mark.parametrize("samples", [3, 7])
     def test_pulse_shorter_than_spectrogram_window(self, tmp_path, samples):

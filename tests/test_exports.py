@@ -64,7 +64,7 @@ def test_encode_db_scalar_and_array():
     power = np.array([[7.0, 0.0, 1e-30, 10**-19.95, 5e-324, 1.0, np.inf, np.nan]] * 2)
     with np.errstate(divide="ignore"):
         cells = [[exports._db_cell(v) for v in row[1:]] for row in 10.0 * np.log10(power)]
-    view = power[:, 1:]  # strided, as af.csv's dB columns are
+    view = power[:, 1:]  # strided: the dB is taken in place, through the view
     assert exports._power_db(view) is view
     assert np.array_equal(view, cells, equal_nan=True)
     assert view[0, :5].tolist() == [-999.0, -200.0, 10.0 * np.log10(10**-19.95), -200.0, 0.0]
@@ -131,7 +131,7 @@ def test_batched_stft_matches_per_frame_loop(M):
 
 
 def expected_acf(r: CorrelationResult) -> bytes:
-    mag_db = db(r.magnitude() ** 2)
+    mag_db = db(np.abs(r.r) ** 2)
     m = (len(r.r) + 1) // 2
     rows = []
     for k in range(len(r.r)):
@@ -303,6 +303,33 @@ def test_af_transient_memory_is_block_sized(tmp_path, survey_af):
     assert csv_peak < exports._BLOCK_VALUES * 128 < surface
 
 
+@pytest.mark.parametrize("writer, bound", [("spectrum", 10.0), ("acf", 3.5), ("waveform", 1.5)])
+def test_table_writers_hold_no_whole_table(tmp_path, writer, bound):
+    # M = 100k, bounds in complex M-point arrays (1.6 MB). The spectrum's
+    # FFT holds its padded input and its output, 4 arrays each, and the
+    # writer keeps |X|, the grid and over_df, 2 each: 8.0 is measured. The
+    # ACF holds |r| and its delays, 1 each (2.5), and the waveform its time
+    # column (1.0). Stacking each whole table first read 16.4, 5.0 and 2.4.
+    cfg = WaveformConfig(L=256, tbp=20000.0)
+    s = synthesize(random_psk(cfg.L, 2, seed=1), cfg)
+    r = compute_acf(s)
+    write = {
+        "spectrum": lambda path: write_spectrum_csv(path, s, cfg),
+        "acf": lambda path: write_acf_csv(path, r),
+        "waveform": lambda path: write_waveform_csv(path, s),
+    }[writer]
+    path = tmp_path / f"{writer}.csv"
+    write(path)  # caches the FFT plans out of the measurement
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        write(path)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 16 * cfg.M
+
+
 def encoder_values() -> np.ndarray:
     """Edge cases of the %.12e block encoder, more of them than one block holds."""
     rng = np.random.default_rng(8)
@@ -364,14 +391,12 @@ def test_block_encoder_matches_per_value_format(tmp_path):
     index = np.arange(len(table)) - len(table) // 2  # negative, zero and positive
     header_values = values[-50:]
     path = tmp_path / "t.csv"
-    blocks = exports._table_blocks(table, index)
-    exports._write_table(path, "i,a,b,c,d,e,f,g", blocks, header_values=header_values)
+    exports._write_table(path, "i,a,b,c,d,e,f,g", list(table.T), first_index=index[0], header_values=header_values)
     expected = expected_table("i,a,b,c,d,e,f,g", header_values, table, index)
     assert path.read_bytes() == expected
 
-    wide = np.array([-(10**18), -(10**15), -10, -1, 0, 7, 10**18])
-    exports._write_table(path, "i,x", exports._table_blocks(values[:7, None], wide))
-    assert path.read_bytes() == expected_table("i,x", [], values[:7, None], wide)
+    wide = [-(10**18), -(10**15), -10, -1, 0, 7, 10**18]
+    assert encoded(values[:7, None], wide) == formatted(values[:7, None], wide)
 
 
 def test_products_on_a_half_round_like_the_exact_value():
