@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import time
 from dataclasses import replace
@@ -21,8 +20,7 @@ import numpy as np
 
 from .expconfig import ConfigError, ExperimentConfig
 from .exports import (
-    _fmt_full,
-    _write_lines,
+    _write_rows,
     read_phi_csv,
     write_acf_csv,
     write_af_csv,
@@ -200,8 +198,7 @@ def cmd_quantize(config: ExperimentConfig, input_dir: str | None = None) -> None
     config.write_manifest(out / "manifest.ini")
     write_quantization_csv(out / "report.csv", rows)
     for row in rows:
-        label = "inf" if row.mpsk == math.inf else str(int(row.mpsk))
-        write_acf_csv(out / f"acf_mpsk_{label}.csv", row.acf)
+        write_acf_csv(out / f"acf_mpsk_{row.label}.csv", row.acf)
 
 
 # seeds.csv columns between seed,status and detail, each with its summary key;
@@ -251,11 +248,11 @@ def cmd_sweep(config: ExperimentConfig) -> None:
         rows = [_sweep_worker(p) for p in payloads]
 
     config.write_manifest(out / "manifest.ini")
-    lines = [",".join(["seed", "status", *_SEED_COLUMNS, "detail"])]
+    table = []
     for seed, summary, detail, _ in rows:
-        cells = [_fmt_full(summary[key]) if summary else "" for key in _SEED_COLUMNS.values()]
-        lines.append(",".join([str(seed), "ok" if summary else "failed", *cells, detail]))
-    _write_lines(out / "seeds.csv", lines)
+        cells = [summary[key] if summary else "" for key in _SEED_COLUMNS.values()]
+        table.append([seed, "ok" if summary else "failed", *cells, detail])
+    _write_rows(out / "seeds.csv", ",".join(["seed", "status", *_SEED_COLUMNS, "detail"]), table)
 
     good = [summary for _, summary, _, _ in rows if summary]
     totals = {name: sum(counts.get(name, 0) for *_, counts in rows) for name in _COUNT_NAMES}

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .exports import _rewrite
 from .optimizer import OptimizerConfig
-from .waveform import WaveformConfig
+from .waveform import WaveformConfig, _psk_order
 
 __all__ = [
     "ConfigError",
@@ -59,12 +59,7 @@ def _parse_bool(text: str, key: str) -> bool:
 
 
 def _parse_mpsk(text: str, key: str) -> float:
-    if text.strip().lower() == "inf":
-        return math.inf
-    value = _parse_int(text, key)
-    if value < 2:
-        raise ConfigError(f"{key}: alphabet size must be >= 2 or inf, got {value}")
-    return float(value)
+    return math.inf if text.strip().lower() == "inf" else float(_parse_int(text, key))
 
 
 def _parse_alphabets(text: str, key: str) -> tuple[float, ...]:
@@ -130,6 +125,11 @@ class RegionSpec:
 @dataclass(frozen=True)
 class QuantizationSpec:
     alphabets: tuple[float, ...] = (64.0, 32.0, 16.0, 8.0)
+
+    def __post_init__(self) -> None:
+        for size in self.alphabets:
+            if size != math.inf:
+                _psk_order(size, "each size in alphabets")
 
 
 @dataclass(frozen=True)

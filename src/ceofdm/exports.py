@@ -5,10 +5,12 @@ byte-identical files. Time and delay are in units of the pulse duration T,
 frequency and Doppler in cycles per T. Magnitudes are exported in dB floored
 at -200; an exact -inf (zero magnitude or empty region) is encoded as -999.
 
-Every table is written by ``_write_table`` from the writer's own arrays:
-its plain columns, its magnitudes and the first value of its index column.
-Each block of rows is built, its magnitudes turned into dB, encoded and
-written before the next, so no table is held whole, as numbers or as text.
+Every sampled table is written as %.12e fields by ``_write_table`` from the
+writer's own arrays: its plain columns, its magnitudes and the first value of
+its index column. Each block of rows is built, its magnitudes turned into dB,
+encoded and written before the next, so no table is held whole, as numbers
+or as text. The short tables (phases, trace, quantization report and the
+sweep's ``seeds.csv``) are written by ``_write_rows``, every float cell %.17g.
 
 Every file the package writes, the manifest and ``seeds.csv`` included, is
 opened by ``_rewrite``: an existing file is overwritten in place and then cut
@@ -94,10 +96,17 @@ def _write_lines(path, lines) -> None:
         out.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
+def _write_rows(path, header: str, rows) -> None:
+    """Write ``header`` and then one line per row, its cells joined by commas,
+    each cell a %.17g float or str() of anything else (_fmt_full)."""
+    _write_lines(path, [header, *(",".join(map(_fmt_full, row)) for row in rows)])
+
+
 _BLOCK_VALUES = 1 << 13  # float fields per block: about 60 bytes each in flight, under 1 MB
-# One field's slot: its text and separator right-aligned in five 4-byte
-# words, zero bytes before them. A negative %.12e field with a two-digit
-# exponent fills its slot exactly; a positive one leaves one zero byte.
+# One field's slot: its text and a comma right-aligned in five 4-byte words,
+# zero bytes before them; the last slot of a row ends in a newline instead.
+# A negative %.12e field with a two-digit exponent fills its slot exactly; a
+# positive one leaves one zero byte.
 _SLOT = 20
 _POW10 = 10.0 ** np.arange(23)  # every power of ten up to 1e22 is exact in binary64
 _INT_POW10 = 10 ** np.arange(19)
@@ -125,12 +134,11 @@ def _digit_words(last: str = "", below=()) -> np.ndarray:
 
 # The words of a %.12e field: padding or sign, first digit, point and second
 # digit at 100 * signbit + the first two digits; four digits twice; the last
-# three digits and the e; the exponent 12 - k and the separator at k.
+# three digits and the e; the exponent 12 - k and the comma at k.
 _LEADS = _words(f"{sign}{d // 10}.{d % 10}" for sign in ("\0", "-") for d in range(100))
 _FOUR_DIGITS = _digit_words()
 _TAILS = _digit_words("e")
 _EXP_COMMA = _words(f"{12 - k:+03d}," for k in range(23))
-_EXP_NEWLINE = _words(f"{12 - k:+03d}\n" for k in range(23))
 # The words of a %d field: the last three digits and a comma, then four digits
 # at a time. The second half of each table, at the value plus the first
 # half's size, holds the leading word: its leading zeros are blank, and a
@@ -150,12 +158,12 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     both in m and in the exponent. The exact product lies within half an ulp
     of m, and ulp(m) <= 2**-9 for m < 10**13, so each n + 0.5 is a whole
     number of ulps away: rint(m) rounds the way the exact product does, except
-    where m is n + 0.5 itself. There the sign of |x| * 10**k - m, taken in
-    integers, picks the side, and a zero is a true tie, which rint breaks to
-    even as %.12e does. So q is exact where 10**12 <= m < _M_CARRY. Zeros
-    are exact as q = 0, k = 12. Every other value (a log10 miss next to a
-    power of ten, a mantissa that rounds up to 10**13, |x| >= 1e13 or below
-    1e-10, inf, nan) is returned, with q = 0.
+    where m is n + 0.5 itself. There q is the digits that "%.12e" % |x|
+    prints: m < _M_CARRY keeps them 13 digits with the exponent 12 - k. So q
+    is exact where 10**12 <= m < _M_CARRY. Zeros are exact as q = 0, k = 12.
+    Every other value (a log10 miss next to a power of ten, a mantissa that
+    rounds up to 10**13, |x| >= 1e13 or below 1e-10, inf, nan) is returned,
+    with q = 0.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -174,15 +182,12 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     again = np.nonzero((half == 0.25).ravel() | ~in_range)[0]
     if not again.size:
         return q, k, again
-    a, m, q_flat, k_flat = a.ravel(), m.ravel(), q.ravel(), k.ravel()
+    a, q_flat, k_flat = a.ravel(), q.ravel(), k.ravel()
     ties, slow = again[in_range[again]], again[~in_range[again]]
     # a few per block: one at a time is cheaper than a dozen array calls
-    powers = _POW10.take(k_flat[ties], mode="clip")
-    for i, a_i, power, m_i in zip(ties.tolist(), a[ties].tolist(), powers.tolist(), m[ties].tolist()):
-        num, den = a_i.as_integer_ratio()
-        side = 2 * num * int(power) - int(2 * m_i) * den
-        if side:
-            q_flat[i] = m_i + (0.5 if side > 0 else -0.5)
+    for i, a_i in zip(ties.tolist(), a[ties].tolist()):
+        text = "%.12e" % a_i
+        q_flat[i] = int(text[0] + text[2:14])
     if slow.size:
         q_flat[slow] = 0.0
         zero = a[slow] == 0
@@ -192,10 +197,10 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _e_fields(x: np.ndarray, slots: np.ndarray, first: int) -> bool:
-    """Write each value's %.12e text and its separator, a comma or in the last
-    column a newline, into the slots from column ``first`` on. A value without
-    an exact mantissa from _decimal is formatted on its own. Returns True,
-    with the slots left unfinished, at the first text longer than its slot."""
+    """Write each value's %.12e text and a comma into the slots from column
+    ``first`` on. A value without an exact mantissa from _decimal is
+    formatted on its own. Returns True, with the slots left unfinished, at
+    the first text longer than its slot."""
     x = np.ascontiguousarray(x)
     q, k, slow = _decimal(x)
     np.add(q, 1e13, out=q, where=np.signbit(x))
@@ -212,13 +217,12 @@ def _e_fields(x: np.ndarray, slots: np.ndarray, first: int) -> bool:
     words[..., 2] = _FOUR_DIGITS.take(mid)
     words[..., 3] = _TAILS.take(n)
     words[..., 4] = _EXP_COMMA.take(k, mode="clip")
-    words[:, -1, 4] = _EXP_NEWLINE.take(k[:, -1], mode="clip")
 
     if slow.size:
         rows, cols = np.divmod(slow, x.shape[1])
         texts = []
-        for col, value in zip(cols.tolist(), x.ravel()[slow].tolist()):
-            text = "%.12e%s" % (value, "\n" if col == x.shape[1] - 1 else ",")
+        for value in x.ravel()[slow].tolist():
+            text = "%.12e," % value
             if len(text) > _SLOT:
                 return True
             texts.append(text.rjust(_SLOT, "\0"))
@@ -261,6 +265,7 @@ def _encode_block(table: np.ndarray, index=None) -> bytes:
         return "".join(template % tuple(row) for row in values).encode("ascii")
     if index is not None:
         _d_fields(index, slots)
+    slots[:, -1, -1] = ord("\n")  # the comma of each row's last field
     # bytes.replace drops zero bytes at a cost per zero byte, a masked copy at
     # a cost per byte: about one zero byte per field is where they break even
     if slots.size - np.count_nonzero(slots) <= slots.size // _SLOT:
@@ -302,10 +307,7 @@ def _write_table(path, header: str, columns, mag=None, peak=1.0, first_index=Non
 
 def write_phi_csv(path, phi) -> None:
     # full precision so the vector round-trips exactly through read_phi_csv
-    lines = ["ell,phi_rad"]
-    for i, value in enumerate(np.asarray(phi, float), start=1):
-        lines.append(f"{i},{_fmt_full(value)}")
-    _write_lines(path, lines)
+    _write_rows(path, "ell,phi_rad", enumerate(np.asarray(phi, float), start=1))
 
 
 def read_phi_csv(path) -> np.ndarray:
@@ -333,7 +335,7 @@ def write_waveform_csv(path, s: SampledWaveform) -> None:
 
 
 def write_inst_freq_csv(path, phi, cfg: WaveformConfig) -> None:
-    columns = [np.arange(cfg.M) / cfg.M, sample_frequency(phi, cfg)]
+    columns = [cfg.t, sample_frequency(phi, cfg)]
     _write_table(path, "sample_index,t_over_T,freq_times_T", columns, first_index=0)
 
 
@@ -385,31 +387,18 @@ def write_af_csv(path, values: np.ndarray, dopplers) -> None:
 
 def write_trace_csv(path, trace: OptimizationTrace) -> None:
     """Columns: iter, J_p_db, grad_norm, mu, backtracks, reset_flag."""
-    lines = ["iter,J_p_db,grad_norm,mu,backtracks,reset_flag"]
-    for row in trace.rows:
-        lines.append(
-            f"{row.iteration},{_fmt_full(db(row.j))},{_fmt_full(row.grad_norm)},"
-            f"{_fmt_full(row.mu)},{row.backtracks},{int(row.reset)}"
-        )
-    _write_lines(path, lines)
+    rows = [(r.iteration, db(r.j), r.grad_norm, r.mu, r.backtracks, int(r.reset)) for r in trace.rows]
+    _write_rows(path, "iter,J_p_db,grad_norm,mu,backtracks,reset_flag", rows)
 
 
 def write_quantization_csv(path, rows: tuple[QuantizationRow, ...]) -> None:
-    lines = [
-        "mpsk,max_perturbation_rad,gisl_before_db,gisl_after_db,"
-        "gisl_degradation_db,pslr_before_db,pslr_after_db"
+    header = "mpsk,max_perturbation_rad,gisl_before_db,gisl_after_db,gisl_degradation_db,pslr_before_db,pslr_after_db"
+    cells = [
+        (row.label, row.max_perturbation, _db_cell(row.gisl_before_db), _db_cell(row.gisl_after_db),
+         row.gisl_degradation_db, _db_cell(row.pslr_before_db), _db_cell(row.pslr_after_db))
+        for row in rows
     ]
-    for row in rows:
-        mpsk = "inf" if row.mpsk == math.inf else str(int(row.mpsk))
-        lines.append(
-            f"{mpsk},{_fmt_full(row.max_perturbation)},"
-            f"{_fmt_full(_db_cell(row.gisl_before_db))},"
-            f"{_fmt_full(_db_cell(row.gisl_after_db))},"
-            f"{_fmt_full(row.gisl_degradation_db)},"
-            f"{_fmt_full(_db_cell(row.pslr_before_db))},"
-            f"{_fmt_full(_db_cell(row.pslr_after_db))}"
-        )
-    _write_lines(path, lines)
+    _write_rows(path, header, cells)
 
 
 def write_summary(path, entries: dict) -> None:

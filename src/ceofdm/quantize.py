@@ -56,6 +56,11 @@ class QuantizationRow:
     def gisl_degradation_db(self) -> float:
         return self.gisl_after_db - self.gisl_before_db
 
+    @property
+    def label(self) -> str:
+        """The alphabet as report.csv and the acf_mpsk_<label>.csv names write it: inf or an integer."""
+        return "inf" if self.mpsk == math.inf else str(int(self.mpsk))
+
 
 def degradation_sweep(
     phi_opt,

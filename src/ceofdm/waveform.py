@@ -37,12 +37,11 @@ def _check_L(L) -> int:
     return int(L)
 
 
-def _psk_order(mpsk) -> int:
-    """A finite ``mpsk`` as an int; a ValueError unless it is an integer >= 2."""
-    m = int(mpsk)
-    if m != mpsk or m < 2:
-        raise ValueError("mpsk must be an integer >= 2 or math.inf")
-    return m
+def _psk_order(mpsk, key: str = "mpsk") -> int:
+    """A finite ``mpsk`` as an int; a ValueError naming ``key`` unless it is an integer >= 2."""
+    if not (math.isfinite(mpsk) and mpsk >= 2 and int(mpsk) == mpsk):
+        raise ValueError(f"{key} must be an integer >= 2 or inf, got {mpsk!r}")
+    return int(mpsk)
 
 
 def _harmonic_norm(L: int) -> float:
@@ -107,6 +106,8 @@ class WaveformConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "L", _check_L(self.L))
+        if self.mpsk != math.inf:
+            _psk_order(self.mpsk)
         for name in ("h", "tbp", "oversample"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

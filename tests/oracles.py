@@ -206,3 +206,8 @@ def csv_bytes(header: str, rows) -> bytes:
     """File contents for a header and rows of already formatted fields."""
     lines = [header] + [",".join(fields) for fields in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def full_csv(header: str, rows) -> bytes:
+    """File contents of a full-precision table: f"{x:.17g}" for floats, str() for the rest."""
+    return csv_bytes(header, ([f"{x:.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows))

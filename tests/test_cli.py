@@ -11,8 +11,9 @@ import pytest
 import ceofdm
 from ceofdm import cli, metrics
 from ceofdm.cli import main
-from ceofdm.expconfig import ConfigError, ExperimentConfig
+from ceofdm.expconfig import ConfigError, ExperimentConfig, QuantizationSpec
 from ceofdm.exports import DB_NEG_INF, write_phi_csv
+from oracles import full_csv
 
 
 # the counts that optimize and sweep print on stdout
@@ -119,6 +120,14 @@ class TestExperimentConfig:
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError, match="section.key=value"):
             ExperimentConfig.from_sources(overrides=["p=6"])
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: ceofdm.WaveformConfig(mpsk=1.5), "mpsk must be an integer >= 2 or inf, got 1.5"),
+        (lambda: QuantizationSpec(alphabets=(8.0, 1.0)), "each size in alphabets must be an integer >= 2 or inf, got 1.0"),
+    ], ids=["mpsk", "alphabets"])
+    def test_dataclasses_validate_alphabet_sizes(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
     def test_manifest_roundtrip(self, tmp_path):
         config = ExperimentConfig.from_sources(
@@ -492,6 +501,28 @@ class TestSweepCommand:
         assert a["seeds.csv"] == b["seeds.csv"]
         assert a["aggregate.txt"] == b["aggregate.txt"]
 
+    def test_seeds_csv_bytes(self, tmp_path):
+        # seeds 1 and 3 place the region's end inside their mainlobe and fail; seed 2 runs
+        overrides = ["run.seed_count=3", "region.mode=interval", "region.hi=0.008", "optimizer.max_iters=5"]
+        argv = ["sweep", "--out", str(tmp_path), "--seed", "1"]
+        assert main([*argv, *itertools.chain(*(["--set", o] for o in overrides))]) == 0
+        config = ExperimentConfig.from_sources(overrides=overrides)
+        _, summary, status, _ = cli._sweep_worker((config, 2))
+        # the detail's comma is written as a semicolon, so the row keeps its 11 cells
+        detail = "region interval (0.009; 0.008) ends inside the mainlobe (first null at 9 samples = 0.009 T)"
+        header = (
+            "seed,status,null_initial,null_final,gisl_initial_db,gisl_final_db,"
+            "improvement_db,pslr_initial_db,pslr_final_db,iterations,detail"
+        )
+        summary_keys = ["null_index_initial", "null_index_final", "gisl_initial_db", "gisl_final_db",
+                        "gisl_improvement_db", "pslr_initial_db", "pslr_final_db", "iterations"]
+        expected = full_csv(header, [
+            [1, "failed", *[""] * 8, detail],
+            [2, "ok", *(summary[key] for key in summary_keys), status],
+            [3, "failed", *[""] * 8, detail],
+        ])
+        assert (tmp_path / "seeds.csv").read_bytes() == expected
+
     def test_pool_is_capped_at_seed_count(self, tmp_path, monkeypatch):
         # a forked pool starts every worker up front; record the size, run serially
         sizes = []
@@ -575,6 +606,14 @@ class TestExitCodes:
             "--set", "quantization.alphabets=1",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("setting,message", [
+        ("waveform.mpsk=1", "waveform: mpsk must be an integer >= 2 or inf, got 1.0"),
+        ("quantization.alphabets=64, 1", "quantization: each size in alphabets must be an integer >= 2 or inf, got 1.0"),
+    ], ids=["mpsk", "alphabets"])
+    def test_alphabet_size_below_two_names_key_and_value(self, tmp_path, capsys, setting, message):
+        assert main(["quantize", "--out", str(tmp_path / "x"), "--set", setting]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_nan_setting_is_config_error(self, tmp_path, capsys):
         # a nan step passed every range check and ran 0 iterations with exit 0

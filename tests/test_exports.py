@@ -28,11 +28,16 @@ from ceofdm.exports import (
     write_acf_csv,
     write_af_csv,
     write_inst_freq_csv,
+    write_phi_csv,
+    write_quantization_csv,
     write_spectrogram_csv,
     write_spectrum_csv,
+    write_trace_csv,
     write_waveform_csv,
 )
-from oracles import csv_bytes, fmt_db, fmt_e, per_frame_stft, per_row_af
+from ceofdm.optimizer import OptimizationTrace, TraceRow
+from ceofdm.quantize import QuantizationRow
+from oracles import csv_bytes, fmt_db, fmt_e, full_csv, per_frame_stft, per_row_af
 
 CONFIGS = {
     # ordinary pulse; M = 200
@@ -461,3 +466,43 @@ def test_uniform_blocks(values):
     assert encoded(table) == formatted(table)
     index = np.arange(len(table))
     assert encoded(table, index) == formatted(table, index)
+
+
+def test_phi_csv_bytes(tmp_path):
+    phi = [-1.25, 5e-324, 1e300, 0.1, -np.pi, 0.0, -2.5e-17]
+    write_phi_csv(tmp_path / "phi.csv", np.array(phi))
+    expected = full_csv("ell,phi_rad", [(ell, value) for ell, value in enumerate(phi, start=1)])
+    assert (tmp_path / "phi.csv").read_bytes() == expected
+
+
+def test_trace_csv_bytes(tmp_path):
+    trace = OptimizationTrace(rows=[
+        TraceRow(iteration=1, j=0.01, grad_norm=3.5, mu=1e-3, backtracks=0, reset=False),
+        TraceRow(iteration=2, j=0.004, grad_norm=1.2345678901234567e-9, mu=0.1, backtracks=3, reset=True),
+    ])
+    write_trace_csv(tmp_path / "trace.csv", trace)
+    expected = full_csv("iter,J_p_db,grad_norm,mu,backtracks,reset_flag", [
+        (1, db(0.01), 3.5, 1e-3, 0, 0),
+        (2, db(0.004), 1.2345678901234567e-9, 0.1, 3, 1),
+    ])
+    assert (tmp_path / "trace.csv").read_bytes() == expected
+
+
+def test_quantization_csv_bytes(tmp_path):
+    rows = (
+        QuantizationRow(mpsk=np.inf, max_perturbation=0.0, gisl_before_db=-30.5, gisl_after_db=-30.5,
+                        pslr_before_db=-np.inf, pslr_after_db=-np.inf, acf=None),
+        QuantizationRow(mpsk=4.0, max_perturbation=np.pi / 4, gisl_before_db=-30.5, gisl_after_db=-18.25,
+                        pslr_before_db=-41.0, pslr_after_db=-300.0, acf=None),
+    )
+    write_quantization_csv(tmp_path / "report.csv", rows)
+    header = (
+        "mpsk,max_perturbation_rad,gisl_before_db,gisl_after_db,"
+        "gisl_degradation_db,pslr_before_db,pslr_after_db"
+    )
+    # -inf is written as -999, and a dB value below the floor as -200
+    expected = full_csv(header, [
+        ("inf", 0.0, -30.5, -30.5, 0.0, -999.0, -999.0),
+        ("4", np.pi / 4, -30.5, -18.25, 12.25, -41.0, -200.0),
+    ])
+    assert (tmp_path / "report.csv").read_bytes() == expected

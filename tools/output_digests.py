@@ -61,8 +61,14 @@ RUNS = [
               "--set", "optimizer.max_iters=20"]),
     ("quantize_design", ["quantize", "--input", "{design}"]),
     ("quantize_full_band", ["quantize", "--input", "{full_band}"]),
+    # report.csv and an acf_mpsk_inf.csv for the unquantized alphabet
+    ("quantize_inf", ["quantize", "--input", "{design}", "--set", "quantization.alphabets=inf, 4"]),
     ("sweep_threads1", [*SWEEP, "--threads", "1"]),
     ("sweep_threads2", [*SWEEP, "--threads", "2"]),
+    # seeds 1 and 3 end the region inside their mainlobe: failed rows, whose
+    # detail has its comma written as a semicolon, around one that succeeds
+    ("sweep_partial", [*SWEEP, "--set", "region.mode=interval", "--set", "region.hi=0.008",
+                       "--set", "optimizer.max_iters=5"]),
 ]
 
 # manifest lines that name where and how a run was made, not what it computed
