@@ -349,22 +349,30 @@ def write_spectrum_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None:
 
 
 def _stft(samples: np.ndarray, nperseg: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """|X| of the Hann-windowed, centred FFT of each frame, frames as columns,
+    and the frame centres in samples.
+
+    The frames are read through a strided view and transformed a block of
+    about _BLOCK_VALUES values at a time, each block's |X| written into the
+    one array returned, so no complex copy of every frame is made.
+    """
     window = np.hanning(nperseg)
     starts = np.arange(0, len(samples) - nperseg + 1, hop)
-    # every frame in one batch, read through a strided view: the windowed
-    # product is the only copy of the frames made before the FFT
     segments = np.lib.stride_tricks.sliding_window_view(samples, nperseg)[::hop]
-    frames = np.fft.fftshift(np.fft.fft(segments * window, axis=1), axes=1)
-    return frames.T, starts + nperseg / 2.0
+    mag = np.empty((nperseg, starts.size))
+    step = max(1, _BLOCK_VALUES // nperseg)
+    for start in range(0, starts.size, step):
+        frames = np.fft.fft(segments[start : start + step] * window, axis=1)
+        mag[:, start : start + step] = np.fft.fftshift(np.abs(frames), axes=1).T
+    return mag, starts + nperseg / 2.0
 
 
 def write_spectrogram_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None:
     """Windowed-FFT power matrix, rows = frequency bins, columns = time frames."""
     nperseg = min(128, max(8, cfg.M // 8), cfg.M)
     hop = max(1, nperseg // 4)
-    frames, centers = _stft(s.samples, nperseg, hop)
+    mag, centers = _stft(s.samples, nperseg, hop)
     freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / cfg.M))
-    mag = np.abs(frames)
     _write_table(path, "freq_times_T", [freqs], mag, mag.max(), header_values=centers / cfg.M)
 
 
@@ -387,7 +395,11 @@ def write_af_csv(path, values: np.ndarray, dopplers) -> None:
 
 def write_trace_csv(path, trace: OptimizationTrace) -> None:
     """Columns: iter, J_p_db, grad_norm, mu, backtracks, reset_flag."""
-    rows = [(r.iteration, db(r.j), r.grad_norm, r.mu, r.backtracks, int(r.reset)) for r in trace.rows]
+    j_db = db([r.j for r in trace.rows]).tolist()
+    rows = [
+        (r.iteration, j, r.grad_norm, r.mu, r.backtracks, int(r.reset))
+        for r, j in zip(trace.rows, j_db)
+    ]
     _write_rows(path, "iter,J_p_db,grad_norm,mu,backtracks,reset_flag", rows)
 
 

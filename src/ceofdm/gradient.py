@@ -43,21 +43,32 @@ modulus stages.
 
 Cost of one evaluation. The optimizer evaluates the cost about twice per
 gradient (rejected Armijo trials), so per-call overhead counts. The
-workspace owns every buffer an evaluation fills and writes them with ufunc
-``out=``: the harmonic bins and v (zeroed once, and only bins 1..L and the
-support bins are rewritten), the phasor, |F|^2, the F * P product, and the
-values gathered on the supports. The only per-call M- or N-point arrays
-are the ones the FFT functions return (FFT ``out=`` needs numpy 2). Both
-supports are gathered at once, as sidelobe bins then mainlobe bins, and one
-pass of ``metrics._gisl_ratio`` takes |r|, both peak normalisations, the
-powers and one dot product per support.
+workspace owns every buffer an evaluation fills, and every FFT and ufunc
+writes into one with ``out=``, so an evaluation makes no M- or N-point
+array. The phase samples go to the first M doubles of the |F|^2 buffer,
+which later holds P; F has its own buffer; the half spectrum of |F|^2 goes
+to the head of the F * P product buffer, whose first N doubles are also
+the forward pass's im^2 scratch and later hold conj(s) * g; ifft(F * P) has
+its own buffer, and the gradient's M-point rfft a buffer of M/2+1 bins. The
+harmonic bins and v are zeroed once, and only bins 1..L and the support
+bins are rewritten. Every view and scale the passes read is made once, in
+the constructor. Both supports are gathered at once, as sidelobe bins then
+mainlobe bins, and one pass of ``metrics._gisl_ratio`` takes |r|, both peak
+normalisations, the powers and one dot product per support.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .metrics import GislWeights, _check_lags, _fft_length, _gisl_ratio, _validated_p
+from .metrics import (
+    GislWeights,
+    _check_lags,
+    _fft_length,
+    _gisl_ratio,
+    _support_views,
+    _validated_p,
+)
 from .waveform import WaveformConfig, _phase_samples, _phase_vector, _phasor
 
 __all__ = ["GradientWorkspace"]
@@ -87,28 +98,41 @@ class GradientWorkspace:
         # bin k of the half spectrum and also stands for lag -k, so it counts
         # twice, except lag 0
         self._bins = np.concatenate((sl, ml))
-        self._split = sl.size
-        self._coef = np.concatenate((np.full(sl.size, 2.0), np.where(ml == 0, 1.0, 2.0)))
+        coef = np.concatenate((np.full(sl.size, 2.0), np.where(ml == 0, 1.0, 2.0)))
         # lags beyond the sidelobe lags, the largest, are never read, so
         # N >= M + K is exact and N > 2K keeps every support bin below the
         # Nyquist bin N/2
         n = self._n = _fft_length(cfg.M, int(sl[-1]))
-        k = self._bins.size
-        self._spec = np.zeros(cfg.M // 2 + 1, dtype=complex)  # harmonic bins 1..L
-        self._s = np.empty(cfg.M, dtype=complex)  # phasor exp(j theta)
-        self._power = np.empty(n)  # |F|^2
+        m, k = cfg.M, self._bins.size
+        self._spec = np.zeros(m // 2 + 1, dtype=complex)  # harmonic bins 1..L
+        self._s = np.empty(m, dtype=complex)  # phasor exp(j theta)
+        self._f = np.empty(n, dtype=complex)  # F of the last forward pass
+        self._power = np.empty(n)  # theta, then |F|^2, then P
         self._prod = np.empty(n, dtype=complex)  # F * P, and scratch of both passes
+        self._g = np.empty(n, dtype=complex)  # ifft(F * P)
+        self._zspec = np.empty(m // 2 + 1, dtype=complex)  # rfft of Im{conj(s) * g}
         self._v = np.zeros(n // 2 + 1, dtype=complex)  # conj(v) on the support bins
         self._r = np.empty(k, dtype=complex)  # N M conj(r) on the support bins
-        self._x = np.empty(k)  # |r| / peak
-        self._pow = np.empty(k)  # (|r| / peak)^(p-2)
-        self._work = np.empty(k)
         self._vbins = np.empty(k, dtype=complex)
-        # the last forward pass: its phase bytes, F, and the cost with its
-        # peaks and p-sums; the phasor and the gathered values live in the
+        # the views and scales both passes read, made once
+        self._theta = self._power[:m]
+        self._s_parts = self._s.real, self._s.imag
+        self._f_parts = self._f.real, self._f.imag
+        self._square = self._prod.view(float)[:n]  # im^2 of F
+        self._half = self._prod[: n // 2 + 1]  # rfft(|F|^2)
+        self._z = self._prod[:m]  # conj(s) * g
+        self._z_imag = self._z.imag
+        self._g_head = self._g[:m]
+        self._zbins = self._zspec[1 : cfg.L + 1]
+        self._x = _support_views(np.empty(k), sl.size)  # |r| / peak
+        self._pow = _support_views(np.empty(k), sl.size)  # (|r| / peak)^(p-2)
+        self._work = _support_views(np.empty(k), sl.size)
+        self._coef = _support_views(coef, sl.size)
+        self._grad_scale = 8.0 * np.pi * cfg.h
+        # the last forward pass: its phase bytes and the cost with its peaks
+        # and p-sums; F, the phasor and the gathered values live in the
         # buffers above until the next forward pass
         self._key: bytes | None = None
-        self._f: np.ndarray | None = None
         self._cost = self._sl = self._ml = None
         self.counts = {"forward_passes": 0, "gradient_passes": 0, "cache_hits": 0}
 
@@ -118,21 +142,23 @@ class GradientWorkspace:
             self.counts["cache_hits"] += 1
             return self._cost
         self.counts["forward_passes"] += 1
-        self._key = self._f = None  # drop the stale F before the FFT allocates the new one
-        s = _phasor(_phase_samples(phi, self.cfg, self._spec), self._s)
-        big_f = np.fft.fft(s, self._n)
-        # |F|^2 as re^2 + im^2; the product buffer's first N doubles are free here
-        power, square = self._power, self._prod.view(float)[: self._n]
-        np.square(big_f.real, out=power)
-        np.square(big_f.imag, out=square)
+        self._key = None  # the buffers no longer hold the cached pass
+        theta = _phase_samples(phi, self.cfg, self._spec, self._theta)
+        _phasor(theta, *self._s_parts)
+        np.fft.fft(self._s, self._n, out=self._f)
+        # |F|^2 as re^2 + im^2
+        power, square = self._power, self._square
+        re, im = self._f_parts
+        np.square(re, out=power)
+        np.square(im, out=square)
         power += square
         # N M conj(r) on lags 0..N/2, gathered on both supports
-        np.fft.rfft(power).take(self._bins, out=self._r, mode="clip")
-        np.abs(self._r, out=self._x)
+        np.fft.rfft(power, out=self._half).take(self._bins, out=self._r, mode="clip")
+        np.abs(self._r, out=self._x[0])
         self._cost, self._sl, self._ml = _gisl_ratio(
-            self._x, self._coef, self._split, self.p, self._pow, self._work
+            self._x, self._coef, self._work, self._pow[0], self.p
         )
-        self._key, self._f = key, big_f
+        self._key = key
         return self._cost
 
     def cost(self, phi) -> float:
@@ -144,25 +170,26 @@ class GradientWorkspace:
         phi = _phase_vector(phi, self.cfg.L)
         cost = self._forward(phi)
         self.counts["gradient_passes"] += 1
-        m, split, work = self.cfg.M, self._split, self._work
         (a, sl_sum), (b, ml_sum) = self._sl, self._ml
+        _, pow_sl, pow_ml = self._pow
+        work, work_sl, work_ml = self._work
         # |r|^(p-2) / sum |r|^p on each support in peak-normalised form, times
         # the gathered conj(r): conj(v) on the support bins. x / -d is -(x / d)
         # to the bit, since rounding to nearest is symmetric
-        np.divide(self._pow[:split], a * a * sl_sum, out=work[:split])
-        np.divide(self._pow[split:], -(b * b * ml_sum), out=work[split:])
+        np.divide(pow_sl, a * a * sl_sum, out=work_sl)
+        np.divide(pow_ml, -(b * b * ml_sum), out=work_ml)
         np.multiply(work, self._r, out=self._vbins)
         self._v[self._bins] = self._vbins
-        p_spec = np.fft.irfft(self._v, self._n, norm="forward")
-        prod = self._prod
-        np.multiply(self._f, p_spec, out=prod)
-        g = np.fft.ifft(prod)[:m]
+        p_spec = np.fft.irfft(self._v, self._n, norm="forward", out=self._power)
+        np.multiply(self._f, p_spec, out=self._prod)
+        np.fft.ifft(self._prod, out=self._g)
         # conj(s) * g, in the product buffer, which ifft no longer needs
-        z = prod[:m]
+        z = self._z
         np.conjugate(self._s, out=z)
-        np.multiply(z, g, out=z)
-        scale = 8.0 * np.pi * self.cfg.h * cost * self._n
-        grad = -scale * (np.exp(1j * phi) * np.fft.rfft(z.imag)[1 : self.cfg.L + 1]).imag
+        np.multiply(z, self._g_head, out=z)
+        np.fft.rfft(self._z_imag, out=self._zspec)
+        scale = self._grad_scale * cost * self._n
+        grad = -scale * (np.exp(1j * phi) * self._zbins).imag
         if not np.isfinite(grad).all():
             raise FloatingPointError(f"GISL gradient is not finite at p={self.p}")
         return cost, grad

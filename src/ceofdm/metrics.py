@@ -154,7 +154,6 @@ def compute_af(s: SampledWaveform, doppler_grid) -> np.ndarray:
     m = s.samples.size
     t = np.arange(m) / m
     n = _fft_length(m)
-    lags = _raw_index(m, n)
     lead, partner = _doppler_pairs(nu)
     step = max(1, _AF_BLOCK_POINTS // n // 2)
     values = np.empty((nu.size, 2 * m - 1))
@@ -162,14 +161,19 @@ def compute_af(s: SampledWaveform, doppler_grid) -> np.ndarray:
         rows, mates = lead[start : start + step], partner[start : start + step]
         shift = np.exp((1j * np.pi * nu[rows])[:, None] * t)
         a = np.fft.fft(s.samples * shift, n)
-        b = np.fft.fft(s.samples * np.conj(shift, out=shift), n)
+        np.conjugate(shift, out=shift)
+        b = np.fft.fft(np.multiply(s.samples, shift, out=shift), n)
         del shift
         mirror = np.conj(b)
         b *= np.conj(a)
         a *= mirror  # both products in place, as in compute_acf
-        values[rows] = np.abs(np.fft.ifft(a)[:, lags])
         paired = mates >= 0
-        values[mates[paired]] = np.abs(np.fft.ifft(b[paired])[:, lags])
+        for spec, dest in ((a, rows), (b[paired], mates[paired])):
+            np.fft.ifft(spec, out=spec)
+            mag = np.abs(spec, out=mirror.view(float)[: dest.size, :n])
+            # negative lags sit at the top of the circular correlation (_raw_index)
+            values[dest, : m - 1] = mag[:, n - m + 1 :]
+            values[dest, m - 1 :] = mag[:, :m]
     return values
 
 
@@ -235,11 +239,17 @@ def _validated_p(p) -> int:
     return int(p)
 
 
-def _gisl_ratio(mags, coef, split: int, p: int, pow_out=None, work=None):
-    """GISL from |r| on the sidelobe support, mags[:split], and the mainlobe support, mags[split:].
+def _support_views(a: np.ndarray, split: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``a`` with its sidelobe part a[:split] and its mainlobe part a[split:]."""
+    return a, a[:split], a[split:]
 
-    With a, b the supports' peaks and S, B their peak-normalised p-sums
-    sum c (|r|/peak)^p,
+
+def _gisl_ratio(mags, coef, work, pow_out: np.ndarray, p: int):
+    """GISL from |r| on the sidelobe support and on the mainlobe support.
+
+    ``mags``, ``coef`` and ``work`` are each an array with its sidelobe and
+    mainlobe parts, as _support_views gives them. With a, b the supports'
+    peaks and S, B their peak-normalised p-sums sum c (|r|/peak)^p,
 
         (sum_sl c |r|^p / sum_ml c |r|^p)^(2/p) = (a/b)^2 (S/B)^(2/p),
 
@@ -249,25 +259,27 @@ def _gisl_ratio(mags, coef, split: int, p: int, pow_out=None, work=None):
     centered ACF with unit coefficients, or the gradient's half spectrum with
     each lag's fold count as its coefficient.
 
-    One pass over both supports: each slice of ``mags`` is divided in place
+    One pass over both supports: each part of ``mags`` is divided in place
     by its peak, and (|r|/peak)^(p-2) goes to ``pow_out`` and the terms
-    (|r|/peak)^p to ``work`` (new arrays when None). Returns the ratio, (a, S)
-    and (b, B); an empty or all-zero sidelobe support gives a = S = 0 and a
-    ratio of 0.
+    (|r|/peak)^p to ``work``. Returns the ratio, (a, S) and (b, B); an empty
+    or all-zero sidelobe support gives a = S = 0 and a ratio of 0.
     """
-    sl, ml = mags[:split], mags[split:]
-    # both peaks from one call, which would read mags[0] for an empty sl
-    a, b = np.maximum.reduceat(mags, (0, split)).tolist() if split else (0.0, float(ml.max()))
+    x, sl, ml = mags
+    split = sl.size
+    # both peaks from one call, which would read x[0] for an empty sl
+    a, b = np.maximum.reduceat(x, (0, split)).tolist() if split else (0.0, float(ml.max()))
     if a > 0.0:
         sl /= a
     if b > 0.0:
         ml /= b
-    pow_out = np.power(mags, p - 2, out=pow_out)
-    work = np.multiply(pow_out, mags, out=work)
-    work *= mags
+    np.power(x, p - 2, out=pow_out)
+    terms, terms_sl, terms_ml = work
+    np.multiply(pow_out, x, out=terms)
+    terms *= x
+    _, coef_sl, coef_ml = coef
     # vdot is the BLAS dot that @ calls, without matmul's dispatch
-    sl_sum = float(np.vdot(coef[:split], work[:split]))
-    ml_sum = float(np.vdot(coef[split:], work[split:]))
+    sl_sum = float(np.vdot(coef_sl, terms_sl))
+    ml_sum = float(np.vdot(coef_ml, terms_ml))
     if a == 0.0:
         return 0.0, (a, sl_sum), (b, ml_sum)
     return (a / b) ** 2 * (sl_sum / ml_sum) ** (2.0 / p), (a, sl_sum), (b, ml_sum)
@@ -296,7 +308,9 @@ def compute_gisl(r: CorrelationResult, w: GislWeights, p) -> float:
     """
     p = _validated_p(p)
     mags, split = _region_mags(r, w)
-    return _gisl_ratio(mags, np.ones(mags.size), split, p)[0]
+    n = mags.size
+    mags, coef, work = (_support_views(a, split) for a in (mags, np.ones(n), np.empty(n)))
+    return _gisl_ratio(mags, coef, work, np.empty(n), p)[0]
 
 
 def compute_pslr(r: CorrelationResult, w: GislWeights) -> float:

@@ -172,39 +172,49 @@ def _phase_vector(phi, L: int) -> np.ndarray:
     return phi
 
 
-def _harmonic_sum(c: np.ndarray, m: int, spec: np.ndarray | None = None) -> np.ndarray:
-    """Samples sum_l Re(c_l exp(j 2 pi l k / m)), k = 0..m-1, of coefficients c_1..c_L.
+def _harmonic_sum(spec: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples sum_l Re(c_l exp(j 2 pi l k / m)), k = 0..m-1, of the coefficients
+    c_1..c_L on bins 1..L of ``spec``, a half spectrum of m//2 + 1 bins that is
+    zero elsewhere.
 
     On the grid t = k / m harmonic l is DFT bin l, and m >= 2L + 1
-    keeps bin L below Nyquist, so the sum is one inverse real FFT. ``spec``
-    is an optional reused buffer of m//2 + 1 bins, zero outside bins 1..L;
-    only those bins are written.
+    keeps bin L below Nyquist, so the sum is one inverse real FFT, written to
+    ``out`` (m doubles) when it is given.
     """
-    if spec is None:
-        spec = np.zeros(m // 2 + 1, dtype=complex)
-    spec[1 : len(c) + 1] = c
-    y = np.fft.irfft(spec, m)
+    y = np.fft.irfft(spec, m, out=out)
     y *= m / 2
     return y
 
 
-def _phase_samples(phi: np.ndarray, cfg: WaveformConfig, spec: np.ndarray | None = None):
-    """2*pi*h times the harmonic sum of exp(-j phi_l): the phase at the sample instants."""
-    theta = _harmonic_sum(np.exp(-1j * phi), cfg.M, spec)
+def _phase_samples(
+    phi: np.ndarray, cfg: WaveformConfig, spec: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """2*pi*h times the harmonic sum of exp(-j phi_l): the phase at the sample instants.
+
+    exp(-j phi_l) is written straight into bins 1..L of ``spec``, an optional
+    reused half spectrum that is zero elsewhere (only those bins are
+    written); the phase goes to ``out`` when it is given.
+    """
+    if spec is None:
+        spec = np.zeros(cfg.M // 2 + 1, dtype=complex)
+    bins = spec[1 : cfg.L + 1]
+    np.multiply(phi, -1j, out=bins)
+    np.exp(bins, out=bins)
+    theta = _harmonic_sum(spec, cfg.M, out)
     theta *= TWO_PI * cfg.h
     return theta
 
 
-def _phasor(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(j theta) written into the complex array ``out`` as cos + j sin.
+def _phasor(theta: np.ndarray, real: np.ndarray, imag: np.ndarray) -> None:
+    """exp(j theta) written as cos into ``real`` and sin into ``imag``, the
+    two parts of one complex array.
 
     Cheaper than np.exp(1j * theta), and bit for bit equal to it, except at
     theta = -0, where the sine gives an imaginary part of -0 and the complex
     exp one of +0. A signed zero changes no nonzero value downstream.
     """
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
+    np.cos(theta, out=real)
+    np.sin(theta, out=imag)
 
 
 def sample_phase(phi, cfg: WaveformConfig) -> np.ndarray:
@@ -224,8 +234,9 @@ def sample_frequency(phi, cfg: WaveformConfig) -> np.ndarray:
     zero mean over a full pulse for any symbol vector.
     """
     phi = _phase_vector(phi, cfg.L)
-    ell = np.arange(1, cfg.L + 1)
-    return (TWO_PI * cfg.h) * _harmonic_sum(1j * ell * np.exp(-1j * phi), cfg.M)
+    spec = np.zeros(cfg.M // 2 + 1, dtype=complex)
+    spec[1 : cfg.L + 1] = 1j * np.arange(1, cfg.L + 1) * np.exp(-1j * phi)
+    return (TWO_PI * cfg.h) * _harmonic_sum(spec, cfg.M)
 
 
 def synthesize(phi, cfg: WaveformConfig) -> SampledWaveform:
@@ -234,7 +245,8 @@ def synthesize(phi, cfg: WaveformConfig) -> SampledWaveform:
     The 1/sqrt(M) normalization makes the sample energy exactly one, so the
     zero-delay autocorrelation value is exactly unity.
     """
-    samples = _phasor(sample_phase(phi, cfg), np.empty(cfg.M, dtype=complex))
+    samples = np.empty(cfg.M, dtype=complex)
+    _phasor(sample_phase(phi, cfg), samples.real, samples.imag)
     samples.imag += 0.0  # the exported samples read +0, not -0, at theta = -0 (h = 0)
     samples /= math.sqrt(cfg.M)
     return SampledWaveform(samples=samples)

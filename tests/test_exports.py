@@ -129,9 +129,9 @@ def test_batched_stft_matches_per_frame_loop(M):
     nperseg = min(128, max(8, M // 8), M)
     hop = max(1, nperseg // 4)
     samples = np.exp(1j * 2 * np.pi * np.random.default_rng(M).random(M))
-    frames, centers = exports._stft(samples, nperseg, hop)
+    mag, centers = exports._stft(samples, nperseg, hop)
     expected_frames, expected_centers = per_frame_stft(samples, nperseg, hop)
-    assert np.array_equal(frames, expected_frames)
+    assert np.array_equal(mag, np.abs(expected_frames))
     assert np.array_equal(centers, expected_centers)
 
 
@@ -308,13 +308,17 @@ def test_af_transient_memory_is_block_sized(tmp_path, survey_af):
     assert csv_peak < exports._BLOCK_VALUES * 128 < surface
 
 
-@pytest.mark.parametrize("writer, bound", [("spectrum", 10.0), ("acf", 3.5), ("waveform", 1.5)])
+@pytest.mark.parametrize(
+    "writer, bound", [("spectrum", 10.0), ("acf", 3.5), ("waveform", 1.5), ("spectrogram", 3.0)]
+)
 def test_table_writers_hold_no_whole_table(tmp_path, writer, bound):
     # M = 100k, bounds in complex M-point arrays (1.6 MB). The spectrum's
     # FFT holds its padded input and its output, 4 arrays each, and the
     # writer keeps |X|, the grid and over_df, 2 each: 8.0 is measured. The
     # ACF holds |r| and its delays, 1 each (2.5), and the waveform its time
     # column (1.0). Stacking each whole table first read 16.4, 5.0 and 2.4.
+    # The spectrogram keeps its |X| table, 128 rows of M/32 frames (2.0), and
+    # one block of frames (2.4); transforming every frame in one batch read 8.0.
     cfg = WaveformConfig(L=256, tbp=20000.0)
     s = synthesize(random_psk(cfg.L, 2, seed=1), cfg)
     r = compute_acf(s)
@@ -322,6 +326,7 @@ def test_table_writers_hold_no_whole_table(tmp_path, writer, bound):
         "spectrum": lambda path: write_spectrum_csv(path, s, cfg),
         "acf": lambda path: write_acf_csv(path, r),
         "waveform": lambda path: write_waveform_csv(path, s),
+        "spectrogram": lambda path: write_spectrogram_csv(path, s, cfg),
     }[writer]
     path = tmp_path / f"{writer}.csv"
     write(path)  # caches the FFT plans out of the measurement

@@ -258,6 +258,37 @@ class TestWorkspaceBuffers:
             tracemalloc.stop()
         assert peak < 3.5 * 16 * ws._n, f"peak {peak / (16 * ws._n):.2f} complex N-point arrays"
 
+    def test_evaluation_allocates_no_n_point_array(self):
+        # every FFT and ufunc of an evaluation writes into a workspace buffer.
+        # What is left is small: the key bytes, the L-point gradient, and the
+        # 8192-element cast buffer (0.2 arrays here) of numpy's float-times-
+        # complex multiply into v. FFTs that return new arrays read 1.5 and 2.75
+        cfg = WaveformConfig(L=24, h=0.2, samples=20000)
+        phi = random_psk(24, math.inf, seed=1)
+        null = detect_mainlobe_null(compute_acf(synthesize(phi, cfg)))
+        ws = GradientWorkspace(cfg, build_weights(null, cfg.M), 20)
+        ws.cost_and_gradient(phi)  # warm-up: FFT plans
+        for name, evaluate in [("cost", ws.cost), ("cost_and_gradient", ws.cost_and_gradient)]:
+            tracemalloc.start()
+            try:
+                evaluate(phi + 0.1)
+                tracemalloc.reset_peak()
+                evaluate(phi + 0.2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            arrays = peak / (16 * ws._n)
+            assert arrays < 0.25, f"{name}: peak {arrays:.2f} complex N-point arrays"
+
+    def test_returned_gradient_is_not_a_workspace_buffer(self):
+        cfg, phi, w, ws = make_problem(8, 64, 6, seed=7)
+        _, g1 = ws.cost_and_gradient(phi)
+        kept = g1.copy()
+        ws.cost_and_gradient(phi + 0.3)
+        ws.cost(phi - 0.2)
+        ws.cost_and_gradient(phi - 0.2)
+        assert np.array_equal(g1, kept)
+
 
 class TestGradientValidation:
     def test_empty_sidelobe_support_rejected(self):
