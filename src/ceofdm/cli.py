@@ -66,7 +66,7 @@ def cmd_synth(config: ExperimentConfig) -> None:
     out = Path(config.run.out)
     cfg, phi0, s0, r0, weights = _prepare(config)
     summary = {"null_index": weights.null_index}
-    if weights.sl_lags.size:
+    if weights.sl_last >= weights.sl_first:
         summary["gisl_db"] = db(compute_gisl(r0, weights, config.optimizer.p))
         summary["pslr_db"] = compute_pslr(r0, weights)
     else:

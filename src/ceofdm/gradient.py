@@ -13,10 +13,8 @@ one M-point irfft. J_p does not change when the pulse is scaled, so the
 samples are s = exp(j theta) without the 1/sqrt(M), and the ACF is never
 divided by N. |F|^2 is real, so r is conjugate symmetric and its half spectrum
 rfft(|F|^2) = N M conj(r[0..N/2]) holds all of it: bin k stands for the
-lags +k and -k (it counts once at lag 0). The p-sums of
-``metrics._gisl_ratio`` run over the bins of the weight supports only, each
-bin counted with that fold count, and each sum is divided by its support's
-peak before powering, so no p-sum underflows or overflows at any even p.
+lags +k and -k (it counts once at lag 0). The peak-normalised p-sums of
+``metrics._gisl_ratio`` run over the support bins, each with that count.
 
 Gradient. Three more FFTs:
 
@@ -27,11 +25,11 @@ v is nonzero on the supports only and is built there in peak-normalised
 form. It is zero beyond lag K, so the linear convolution behind
 ifft(F * P) lives on -K..M-1+K, and the circular sample m adds the linear
 samples m-N and m+N, both outside that range for m = 0..M-1 once N >= M+K.
-The weights store each support as lags k >= 0 that select both -k and +k,
-so v is conjugate symmetric and P is real by construction. The half
-spectrum holds conj(r), so its bins times the coefficients are conj(v), and
-P = irfft(conj(v), N, norm="forward"), which is hfft(v, N) without
-conjugating twice.
+The weights store each support as a range of lags k >= 0, each selecting
+both -k and +k, so v is conjugate symmetric and P is real by construction.
+The half spectrum holds conj(r), so its bins times the coefficients are
+conj(v), and P = irfft(conj(v), N, norm="forward"), which is hfft(v, N)
+without conjugating twice.
 With the unnormalised forward pass, v comes out divided by N M and conj(s),
 F multiplied by sqrt(M) each, so the gradient's scale carries one factor N.
 Dbar, the phase-sample Jacobian divided by 2*pi*h, is never materialized.
@@ -42,19 +40,16 @@ respect to each symbol, on top of the 4*J_p factor from the quotient and
 modulus stages.
 
 Cost of one evaluation. The optimizer evaluates the cost about twice per
-gradient (rejected Armijo trials), so per-call overhead counts. The
-workspace owns every buffer an evaluation fills, and every FFT and ufunc
-writes into one with ``out=``, so an evaluation makes no M- or N-point
-array. The phase samples go to the first M doubles of the |F|^2 buffer,
-which later holds P; F has its own buffer; the half spectrum of |F|^2 goes
-to the head of the F * P product buffer, whose first N doubles are also
-the forward pass's im^2 scratch and later hold conj(s) * g; ifft(F * P) has
-its own buffer, and the gradient's M-point rfft a buffer of M/2+1 bins. The
-harmonic bins and v are zeroed once, and only bins 1..L and the support
-bins are rewritten. Every view and scale the passes read is made once, in
-the constructor. Both supports are gathered at once, as sidelobe bins then
-mainlobe bins, and one pass of ``metrics._gisl_ratio`` takes |r|, both peak
-normalisations, the powers and one dot product per support.
+gradient (rejected Armijo trials), so per-call overhead counts. Every FFT
+and ufunc writes with ``out=`` into a buffer the workspace owns, and every
+view and scale is made in the constructor. The |F|^2 buffer holds the phase
+samples first and P last; the N/2+1 bins of the half-spectrum buffer hold
+the im^2 scratch, then rfft(|F|^2), which the next gradient of a cached
+pass reads again. F * P and its ifft share one buffer, whose head then
+takes conj(s) * g (s is conjugated in place and back, which is exact). Each
+support is a slice of the half spectrum and of conj(v), written real and
+imaginary parts apart; only those bins of v, and bins 1..L of the harmonic
+buffer, are ever written.
 """
 
 from __future__ import annotations
@@ -89,49 +84,50 @@ class GradientWorkspace:
     def __init__(self, cfg: WaveformConfig, weights: GislWeights, p) -> None:
         self.p = _validated_p(p)
         _check_lags(weights, 2 * cfg.M - 1)
-        if weights.sl_lags.size == 0:
+        if weights.sl_last < weights.sl_first:
             raise ValueError("sidelobe weight support is empty; gradient undefined")
         self.cfg = cfg
-        self.weights = weights
-        sl, ml = weights.sl_lags, weights.ml_lags
-        # both supports in one gather, sidelobe bins first; lag k >= 0 sits at
-        # bin k of the half spectrum and also stands for lag -k, so it counts
-        # twice, except lag 0
-        self._bins = np.concatenate((sl, ml))
-        coef = np.concatenate((np.full(sl.size, 2.0), np.where(ml == 0, 1.0, 2.0)))
-        # lags beyond the sidelobe lags, the largest, are never read, so
-        # N >= M + K is exact and N > 2K keeps every support bin below the
-        # Nyquist bin N/2
-        n = self._n = _fft_length(cfg.M, int(sl[-1]))
-        m, k = cfg.M, self._bins.size
+        # lag k >= 0 sits at bin k of the half spectrum and also stands for
+        # lag -k, so it counts twice, except lag 0, the first mainlobe bin
+        bins = slice(weights.sl_first, weights.sl_last + 1), slice(0, weights.null_index + 1)
+        split = weights.sl_last + 1 - weights.sl_first
+        coef = np.concatenate((np.full(split, 2.0), [1.0], np.full(weights.null_index, 2.0)))
+        # lags beyond sl_last, the largest, are never read, so N >= M + K is
+        # exact and N > 2K keeps every support bin below the Nyquist bin N/2
+        n = self._n = _fft_length(cfg.M, weights.sl_last)
+        m, k = cfg.M, coef.size
         self._spec = np.zeros(m // 2 + 1, dtype=complex)  # harmonic bins 1..L
         self._s = np.empty(m, dtype=complex)  # phasor exp(j theta)
         self._f = np.empty(n, dtype=complex)  # F of the last forward pass
         self._power = np.empty(n)  # theta, then |F|^2, then P
-        self._prod = np.empty(n, dtype=complex)  # F * P, and scratch of both passes
-        self._g = np.empty(n, dtype=complex)  # ifft(F * P)
+        self._half = np.empty(n // 2 + 1, dtype=complex)  # im^2 of F, then rfft(|F|^2)
+        self._g = np.empty(n, dtype=complex)  # F * P, then its ifft
         self._zspec = np.empty(m // 2 + 1, dtype=complex)  # rfft of Im{conj(s) * g}
         self._v = np.zeros(n // 2 + 1, dtype=complex)  # conj(v) on the support bins
-        self._r = np.empty(k, dtype=complex)  # N M conj(r) on the support bins
-        self._vbins = np.empty(k, dtype=complex)
         # the views and scales both passes read, made once
         self._theta = self._power[:m]
         self._s_parts = self._s.real, self._s.imag
         self._f_parts = self._f.real, self._f.imag
-        self._square = self._prod.view(float)[:n]  # im^2 of F
-        self._half = self._prod[: n // 2 + 1]  # rfft(|F|^2)
-        self._z = self._prod[:m]  # conj(s) * g
+        self._fg_parts = list(zip(self._f_parts, (self._g.real, self._g.imag)))
+        self._square = self._half.view(float)[:n]
+        self._z = self._g[:m]  # conj(s) * g
         self._z_imag = self._z.imag
-        self._g_head = self._g[:m]
         self._zbins = self._zspec[1 : cfg.L + 1]
-        self._x = _support_views(np.empty(k), sl.size)  # |r| / peak
-        self._pow = _support_views(np.empty(k), sl.size)  # (|r| / peak)^(p-2)
-        self._work = _support_views(np.empty(k), sl.size)
-        self._coef = _support_views(coef, sl.size)
+        self._x = _support_views(np.empty(k), split)  # |r| / peak
+        self._pow = _support_views(np.empty(k), split)  # (|r| / peak)^(p-2)
+        self._work = _support_views(np.empty(k), split)
+        self._coef = _support_views(coef, split)
+        # per support: its parts of _x, _pow and _work, and its bins of the
+        # half spectrum and of conj(v), also by parts, since a float times a
+        # complex would go through numpy's cast buffer
+        half, v = self._half, self._v
+        self._supports = [
+            (x, half[b], powers, work, half[b].real, half[b].imag, v[b].real, v[b].imag)
+            for x, powers, work, b in zip(self._x[1:], self._pow[1:], self._work[1:], bins)
+        ]
         self._grad_scale = 8.0 * np.pi * cfg.h
-        # the last forward pass: its phase bytes and the cost with its peaks
-        # and p-sums; F, the phasor and the gathered values live in the
-        # buffers above until the next forward pass
+        # the last forward pass: its phase bytes, cost, peaks and p-sums; F, the
+        # phasor and the half spectrum stay in the buffers until the next one
         self._key: bytes | None = None
         self._cost = self._sl = self._ml = None
         self.counts = {"forward_passes": 0, "gradient_passes": 0, "cache_hits": 0}
@@ -152,9 +148,10 @@ class GradientWorkspace:
         np.square(re, out=power)
         np.square(im, out=square)
         power += square
-        # N M conj(r) on lags 0..N/2, gathered on both supports
-        np.fft.rfft(power, out=self._half).take(self._bins, out=self._r, mode="clip")
-        np.abs(self._r, out=self._x[0])
+        # N M conj(r) on lags 0..N/2, and its magnitude on both supports
+        np.fft.rfft(power, out=self._half)
+        for x, half, *_ in self._supports:
+            np.abs(half, out=x)
         self._cost, self._sl, self._ml = _gisl_ratio(
             self._x, self._coef, self._work, self._pow[0], self.p
         )
@@ -171,22 +168,24 @@ class GradientWorkspace:
         cost = self._forward(phi)
         self.counts["gradient_passes"] += 1
         (a, sl_sum), (b, ml_sum) = self._sl, self._ml
-        _, pow_sl, pow_ml = self._pow
-        work, work_sl, work_ml = self._work
         # |r|^(p-2) / sum |r|^p on each support in peak-normalised form, times
-        # the gathered conj(r): conj(v) on the support bins. x / -d is -(x / d)
-        # to the bit, since rounding to nearest is symmetric
-        np.divide(pow_sl, a * a * sl_sum, out=work_sl)
-        np.divide(pow_ml, -(b * b * ml_sum), out=work_ml)
-        np.multiply(work, self._r, out=self._vbins)
-        self._v[self._bins] = self._vbins
+        # the half spectrum's conj(r): conj(v) on the support bins. x / -d is
+        # -(x / d) to the bit, since rounding to nearest is symmetric
+        scales = a * a * sl_sum, -(b * b * ml_sum)
+        for (_, _, powers, work, re, im, v_re, v_im), scale in zip(self._supports, scales):
+            np.divide(powers, scale, out=work)
+            np.multiply(work, re, out=v_re)
+            np.multiply(work, im, out=v_im)
         p_spec = np.fft.irfft(self._v, self._n, norm="forward", out=self._power)
-        np.multiply(self._f, p_spec, out=self._prod)
-        np.fft.ifft(self._prod, out=self._g)
-        # conj(s) * g, in the product buffer, which ifft no longer needs
-        z = self._z
-        np.conjugate(self._s, out=z)
-        np.multiply(z, self._g_head, out=z)
+        for f_part, g_part in self._fg_parts:
+            np.multiply(f_part, p_spec, out=g_part)
+        np.fft.ifft(self._g, out=self._g)
+        # conj(s) * g in g's head; negating s and back is exact, so the
+        # cached phasor survives for the next gradient pass
+        s, z = self._s, self._z
+        np.conjugate(s, out=s)
+        np.multiply(s, z, out=z)
+        np.conjugate(s, out=s)
         np.fft.rfft(self._z_imag, out=self._zspec)
         scale = self._grad_scale * cost * self._n
         grad = -scale * (np.exp(1j * phi) * self._zbins).imag

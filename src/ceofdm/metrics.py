@@ -3,7 +3,7 @@
 All correlation vectors have length 2M-1 and are centered: index M-1 holds
 zero delay, index k holds delay (k - (M-1)) / M in units of the pulse
 duration. Sidelobe metrics operate on binary mainlobe and sidelobe supports,
-each stored once as non-negative lags.
+each stored once as a range of non-negative lags.
 
 This module owns the correlation layout. Every correlation, here and in the
 gradient, is an N-point circular FFT correlation with N the smallest
@@ -64,20 +64,23 @@ class CorrelationResult:
 class GislWeights:
     """Binary sidelobe and mainlobe supports of a pulse of M samples.
 
-    Each support is stored once as non-negative lags, and lag k selects both
-    delays -k and +k, so both supports are symmetric about zero delay by
-    construction. The mainlobe is lags 0..null_index (first-null samples
-    belong to the mainlobe); ``sl_lags`` holds the ascending sidelobe lags,
-    all above null_index and below M.
+    Each support is a range of lags k >= 0, each selecting delays -k and +k:
+    the mainlobe lags 0..null_index (the null belongs to it), the sidelobe
+    lags sl_first..sl_last, with 0 <= null_index < sl_first <= sl_last + 1
+    <= M. An empty sidelobe support is sl_last = sl_first - 1.
     """
 
-    sl_lags: np.ndarray
     null_index: int
+    sl_first: int
+    sl_last: int
     M: int
 
-    @property
-    def ml_lags(self) -> np.ndarray:
-        return np.arange(self.null_index + 1)
+    def __post_init__(self) -> None:
+        chain = (0, self.null_index, self.sl_first - 1, self.sl_last, self.M - 1)
+        rules = ("0 <= null_index", "null_index < sl_first", "sl_first <= sl_last + 1", "sl_last + 1 <= M")
+        for rule, low, high in zip(rules, chain, chain[1:]):
+            if low > high:
+                raise ValueError(f"GislWeights needs {rule}, got {self}")
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +200,7 @@ def detect_mainlobe_null(r: CorrelationResult) -> int:
 
 
 def build_weights(null_index: int, M: int, lo=None, hi=None) -> GislWeights:
-    """Sidelobe lags of a delay region, beyond the mainlobe that ends at null_index.
+    """Sidelobe lag range of a delay region, beyond the mainlobe that ends at null_index.
 
     Without ``hi`` the region is every lag beyond the first null. Otherwise
     it is the delay magnitudes lo <= |tau|/T <= hi, with ``lo`` defaulting to
@@ -207,12 +210,9 @@ def build_weights(null_index: int, M: int, lo=None, hi=None) -> GislWeights:
     """
     if null_index < 1 or null_index > M - 1:
         raise ValueError(f"null_index must be in [1, {M - 1}], got {null_index}")
-    lags = np.arange(null_index + 1, M)
-    if hi is None:
-        if lo is not None:
-            raise ValueError(f"a region with lo = {lo} needs hi")
-        return GislWeights(sl_lags=lags, null_index=int(null_index), M=int(M))
-    lo, hi = float(null_index / M if lo is None else lo), float(hi)
+    if hi is None and lo is not None:
+        raise ValueError(f"a region with lo = {lo} needs hi")
+    lo, hi = float(null_index / M if lo is None else lo), float(1.0 if hi is None else hi)
     lo_s, hi_s, tol = lo * M, hi * M, 1e-9 * M
     null_text = f"first null at {null_index} samples = {null_index / M:.6g} T"
     if 0.0 <= hi_s < null_index - tol:
@@ -221,8 +221,10 @@ def build_weights(null_index: int, M: int, lo=None, hi=None) -> GislWeights:
         raise ValueError(f"invalid region interval ({lo}, {hi})")
     if lo_s < null_index - tol:
         raise ValueError(f"region interval ({lo}, {hi}) overlaps the mainlobe ({null_text})")
-    selected = (lags >= lo_s - tol) & (lags <= hi_s + tol)
-    return GislWeights(sl_lags=lags[selected], null_index=int(null_index), M=int(M))
+    # lo_s - tol <= k <= hi_s + tol, clamped to null_index + 1 .. M - 1
+    first = max(int(np.ceil(min(lo_s - tol, M))), null_index + 1)
+    last = max(int(np.floor(min(hi_s + tol, M - 1))), first - 1)
+    return GislWeights(null_index, first, last, M)
 
 
 def _check_lags(w: GislWeights, lags: int) -> None:
@@ -292,9 +294,10 @@ def _region_mags(r: CorrelationResult, w: GislWeights) -> tuple[np.ndarray, int]
     FFT-computed ACF is symmetric only to rounding.
     """
     _check_lags(w, len(r.r))
-    sl, ml = w.sl_lags, w.ml_lags
-    delays = np.concatenate((-sl[::-1], sl, -ml[:0:-1], ml))
-    return np.abs(r.r[r.zero_index + delays]), 2 * sl.size
+    z, first, last, null = r.zero_index, w.sl_first, w.sl_last, w.null_index
+    sl = r.r[z - last : z + 1 - first], r.r[z + first : z + 1 + last]
+    mags = np.abs(np.concatenate((*sl, r.r[z - null : z + 1 + null])))
+    return mags, 2 * sl[1].size
 
 
 def compute_gisl(r: CorrelationResult, w: GislWeights, p) -> float:
@@ -321,6 +324,4 @@ def compute_pslr(r: CorrelationResult, w: GislWeights) -> float:
     """
     mags, split = _region_mags(r, w)
     peak = float(mags[:split].max(initial=0.0))
-    if peak == 0.0:
-        return float("-inf")
     return db(peak * peak)

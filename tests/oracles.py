@@ -59,7 +59,8 @@ def bisect_modulation_index(tbp: float, L: int, oversample: float = 10.0) -> flo
         return rms_bandwidth(synthesize(phi, cfg).samples, cfg.M)
 
     lo, hi = 1e-9, 2.0
-    assert measured(lo) < target < measured(hi)
+    if not measured(lo) < target < measured(hi):
+        raise ValueError(f"the RMS bandwidth at h = {lo} and h = {hi} does not bracket tbp = {tbp}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if measured(mid) < target:
@@ -120,8 +121,10 @@ def dense_dft_gisl_gradient(phi, cfg, weights, p: int) -> np.ndarray:
     r = np.conj(dft).T @ (np.abs(f_vec) ** 2) / n
     # dense selectors on the circular lag layout: lag k and -k at k mod n
     w_sl, w_ml = np.zeros(n), np.zeros(n)
-    w_sl[weights.sl_lags] = w_sl[-weights.sl_lags] = 1.0
-    w_ml[weights.ml_lags] = w_ml[-weights.ml_lags] = 1.0
+    sl_lags = np.arange(weights.sl_first, weights.sl_last + 1)
+    ml_lags = np.arange(weights.null_index + 1)
+    w_sl[sl_lags] = w_sl[-sl_lags] = 1.0
+    w_ml[ml_lags] = w_ml[-ml_lags] = 1.0
     # the p-sums in the log domain, so that |r|^p neither underflows nor
     # overflows at large p; a zero |r| stands in as 1e-300, whose powers
     # vanish for p > 2 and equal 1 for the exponent p - 2 = 0
@@ -145,7 +148,8 @@ def plain_isl(r: np.ndarray, weights) -> float:
     with no peak normalisation."""
     zero = (len(r) - 1) // 2
     energy = np.abs(r) ** 2
-    sidelobe = energy[zero - weights.sl_lags].sum() + energy[zero + weights.sl_lags].sum()
+    sl_lags = np.arange(weights.sl_first, weights.sl_last + 1)
+    sidelobe = energy[zero - sl_lags].sum() + energy[zero + sl_lags].sum()
     mainlobe = energy[zero - weights.null_index : zero + weights.null_index + 1].sum()
     return float(sidelobe / mainlobe)
 

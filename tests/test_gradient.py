@@ -31,7 +31,10 @@ def make_problem(L, samples, p, seed, h=0.2, region="full"):
     phi = random_psk(L, math.inf, seed=seed)
     r = compute_acf(synthesize(phi, cfg))
     null = detect_mainlobe_null(r)
-    w = build_weights(null, cfg.M, hi=0.25 if region == "sub" else None)
+    # "sub" ends at a quarter of the pulse; "lo" also starts three lags
+    # beyond the null, so no support reads the bins between the two
+    lo = (null + 3) / cfg.M if region == "lo" else None
+    w = build_weights(null, cfg.M, lo, None if region == "full" else 0.25)
     return cfg, phi, w, GradientWorkspace(cfg, w, p)
 
 
@@ -105,7 +108,7 @@ class TestGradientAccuracy:
             cfg, phi, w, ws = make_problem(4, samples, 6, seed=3, region="sub")
             lag = w.null_index + 2
             narrow = build_weights(w.null_index, cfg.M, lag / cfg.M, lag / cfg.M)
-            assert narrow.sl_lags.tolist() == [lag]
+            assert (narrow.sl_first, narrow.sl_last) == (lag, lag)
             for weights in (w, narrow):
                 _, grad = GradientWorkspace(cfg, weights, 6).cost_and_gradient(phi)
                 dense = dense_dft_gisl_gradient(phi, cfg, weights, 6)
@@ -123,7 +126,7 @@ class TestGradientAccuracy:
         r = compute_acf(synthesize(phi, cfg))
         null = detect_mainlobe_null(r)
         w = build_weights(null, cfg.M, null / cfg.M, max_lag / cfg.M)
-        assert w.sl_lags[-1] == max_lag
+        assert w.sl_last == max_lag
         ws = GradientWorkspace(cfg, w, 6)
         assert ws._n == _fft_length(cfg.M, max_lag) < _fft_length(cfg.M)
         expected = compute_gisl(r, w, 6)
@@ -192,8 +195,10 @@ class TestGradientStructure:
 class TestWorkspaceBuffers:
     """Owned buffers and the cached forward pass must not leak between calls."""
 
-    def test_repeated_gradient_is_one_cache_hit(self):
-        cfg, phi, w, ws = make_problem(8, 64, 6, seed=4)
+    @pytest.mark.parametrize("region", ["full", "sub", "lo"])
+    def test_repeated_gradient_is_one_cache_hit(self, region):
+        # the half spectrum of the cached pass must outlive the first gradient
+        cfg, phi, w, ws = make_problem(8, 64, 6, seed=4, region=region)
         c1, g1 = ws.cost_and_gradient(phi)
         kept = g1.copy()
         c2, g2 = ws.cost_and_gradient(phi)
@@ -202,7 +207,7 @@ class TestWorkspaceBuffers:
         assert np.array_equal(g1, g2)
         assert np.array_equal(g1, kept)  # the second call did not write into the first result
 
-    @pytest.mark.parametrize("region", ["full", "sub"])
+    @pytest.mark.parametrize("region", ["full", "sub", "lo"])
     def test_cost_then_gradient_equals_fresh_workspace(self, region):
         cfg, phi, w, ws = make_problem(8, 64, 20, seed=6, region=region)
         cost = ws.cost(phi)
@@ -229,7 +234,7 @@ class TestWorkspaceBuffers:
         if edge == "single lag":
             lag = w.null_index + 2
             w = build_weights(w.null_index, cfg.M, lag / cfg.M, lag / cfg.M)
-            assert w.sl_lags.tolist() == [lag]
+            assert (w.sl_first, w.sl_last) == (lag, lag)
         ws = GradientWorkspace(cfg, w, p)
         expected = compute_gisl(r, w, p)
         assert abs(ws.cost(phi) - expected) <= 1e-12 * expected
@@ -260,9 +265,8 @@ class TestWorkspaceBuffers:
 
     def test_evaluation_allocates_no_n_point_array(self):
         # every FFT and ufunc of an evaluation writes into a workspace buffer.
-        # What is left is small: the key bytes, the L-point gradient, and the
-        # 8192-element cast buffer (0.2 arrays here) of numpy's float-times-
-        # complex multiply into v. FFTs that return new arrays read 1.5 and 2.75
+        # What is left is small: the key bytes and the L-point gradient. FFTs
+        # that return new arrays read 1.5 and 2.75
         cfg = WaveformConfig(L=24, h=0.2, samples=20000)
         phi = random_psk(24, math.inf, seed=1)
         null = detect_mainlobe_null(compute_acf(synthesize(phi, cfg)))
@@ -278,7 +282,26 @@ class TestWorkspaceBuffers:
             finally:
                 tracemalloc.stop()
             arrays = peak / (16 * ws._n)
-            assert arrays < 0.25, f"{name}: peak {arrays:.2f} complex N-point arrays"
+            assert arrays < 0.01, f"{name}: peak {arrays:.2f} complex N-point arrays"
+
+    def test_workspace_holds_five_and_a_half_n_point_arrays(self):
+        # M = 20000 on the full band correlates at N = 40000 = 2M. The buffers
+        # are F and ifft(F * P), 1 each; the half spectrum, conj(v), the phasor
+        # and |F|^2, 0.5 each; the two harmonic spectra, 0.25 each; and four
+        # float arrays over the M support bins, 0.25 each. Gathered copies of
+        # the supports would add 1.25. The rest is views and Python objects
+        cfg = WaveformConfig(L=24, h=0.2, samples=20000)
+        phi = random_psk(24, math.inf, seed=1)
+        w = build_weights(detect_mainlobe_null(compute_acf(synthesize(phi, cfg))), cfg.M)
+        tracemalloc.start()
+        try:
+            ws = GradientWorkspace(cfg, w, 20)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = size / (16 * ws._n)
+        assert ws._n == 2 * cfg.M
+        assert size <= 5.5 * 16 * ws._n + 8192, f"{arrays:.4f} complex N-point arrays"
 
     def test_returned_gradient_is_not_a_workspace_buffer(self):
         cfg, phi, w, ws = make_problem(8, 64, 6, seed=7)
@@ -293,7 +316,7 @@ class TestWorkspaceBuffers:
 class TestGradientValidation:
     def test_empty_sidelobe_support_rejected(self):
         cfg, phi, w, _ = make_problem(8, 64, 6, seed=0)
-        empty = GislWeights(sl_lags=w.sl_lags[:0], null_index=w.null_index, M=w.M)
+        empty = GislWeights(w.null_index, w.null_index + 1, w.null_index, w.M)
         with pytest.raises(ValueError, match="sidelobe"):
             GradientWorkspace(cfg, empty, 6)
 

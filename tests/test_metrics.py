@@ -204,30 +204,31 @@ class TestBuildWeights:
         (9, (None, 0.1), 1000),  # lo defaults to the null
         (2, (3 / 9, 5 / 9), 9),
         (8, (None, 1.0), 9),  # the null at the last lag: no lag in any interval
+        (3, (1.5, 2.0), 50),  # lo beyond the last lag
+        (3, (10.2 / 50, 10.8 / 50), 50),  # between two samples
     ])
     def test_matches_dense_mask_reference(self, null, region, m):
         w = build_weights(null, m, *((None, None) if region == "full" else region))
         w_sl, w_ml = dense_mask_reference(null, region, m)
         offsets = np.abs(np.arange(2 * m - 1) - (m - 1))
-        assert np.array_equal(np.isin(offsets, w.sl_lags), w_sl)
-        assert np.array_equal(np.isin(offsets, w.ml_lags), w_ml)
-        assert np.all(np.diff(w.sl_lags) > 0)
+        sl_lags = np.arange(w.sl_first, w.sl_last + 1)
+        assert np.array_equal(np.isin(offsets, sl_lags), w_sl)
+        assert np.array_equal(offsets <= w.null_index, w_ml)
+        # so an empty support is the one canonical range sl_last = sl_first - 1
+        assert sl_lags.size == w_sl.sum() // 2
         assert w.null_index == null and w.M == m
 
     def test_full_band_partitions_delay_axis(self):
         w = build_weights(5, 100)
-        lags = np.concatenate((w.ml_lags, w.sl_lags))
-        assert np.array_equal(lags, np.arange(100))
+        assert (w.null_index + 1, w.sl_last + 1) == (w.sl_first, 100)
 
     def test_interval_support_count(self):
         null, m = 9, 1000
         w = build_weights(null, m, null / m, 0.1)
-        assert w.sl_lags.tolist() == list(range(null + 1, 101))
+        assert (w.sl_first, w.sl_last) == (null + 1, 100)
 
     def test_mainlobe_support(self):
-        w = build_weights(3, 50)
-        assert w.ml_lags.tolist() == [0, 1, 2, 3]
-        assert w.sl_lags.tolist() == list(range(4, 50))
+        assert build_weights(3, 50) == GislWeights(null_index=3, sl_first=4, sl_last=49, M=50)
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlaps the mainlobe"):
@@ -238,7 +239,18 @@ class TestBuildWeights:
         with pytest.raises(ValueError, match=r"ends inside the mainlobe \(first null at 9 samples"):
             build_weights(9, 1000, 0.009, 0.005)
         # an interval that ends on the null touches the mainlobe and selects no lag
-        assert build_weights(9, 1000, 0.009, 0.009).sl_lags.size == 0
+        assert build_weights(9, 1000, 0.009, 0.009) == GislWeights(9, 10, 9, 1000)
+
+    @pytest.mark.parametrize("fields,rule", [
+        ((-1, 1, 2, 5), "0 <= null_index"),
+        ((2, 2, 3, 5), "null_index < sl_first"),
+        ((1, 4, 2, 5), "sl_first <= sl_last"),
+        ((1, 2, 5, 5), r"sl_last \+ 1 <= M"),
+    ])
+    def test_hand_built_range_rejected(self, fields, rule):
+        # a slice would read a wrong range where a lag array failed to index
+        with pytest.raises(ValueError, match=rule):
+            GislWeights(*fields)
 
     def test_bad_null_index(self):
         with pytest.raises(ValueError):
@@ -255,7 +267,7 @@ class TestBuildWeights:
 
 def single_sample_weights(m, offset):
     """The sidelobe is lag +-offset and the mainlobe lag 0 alone."""
-    return GislWeights(sl_lags=np.array([offset]), null_index=0, M=m)
+    return GislWeights(null_index=0, sl_first=offset, sl_last=offset, M=m)
 
 
 class TestComputeGisl:
@@ -301,7 +313,7 @@ class TestComputeGisl:
 
     def test_empty_sidelobe_support_gives_zero(self):
         r = synthetic_corr([0.1, 0.2])
-        silent = GislWeights(sl_lags=np.array([], dtype=int), null_index=1, M=3)
+        silent = GislWeights(null_index=1, sl_first=2, sl_last=1, M=3)
         assert compute_gisl(r, silent, 2) == 0.0
         assert compute_gisl(r, silent, 10000) == 0.0
         assert db(compute_gisl(r, silent, 2)) == float("-inf")
