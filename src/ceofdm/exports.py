@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import CorrelationResult, db
+from .metrics import CorrelationResult, _fft_kernel, db
 from .optimizer import OptimizationTrace
 from .quantize import QuantizationRow
 from .waveform import SampledWaveform, WaveformConfig, sample_frequency
@@ -342,7 +342,8 @@ def write_inst_freq_csv(path, phi, cfg: WaveformConfig) -> None:
 def write_spectrum_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None:
     """Peak-normalized power spectrum on a 4x zero-padded grid."""
     nfft = 4 * cfg.M
-    mag = np.fft.fftshift(np.abs(np.fft.fft(s.samples, nfft)))
+    fft, one = _fft_kernel("fft", nfft)
+    mag = np.fft.fftshift(np.abs(fft(s.samples, one, out=np.empty(nfft, dtype=complex))))
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / cfg.M))
     over_df = freqs / cfg.tbp if cfg.tbp > 0 else np.zeros(nfft)
     _write_table(path, "freq_times_T,freq_over_df,magnitude_db", [freqs, over_df], mag, mag.max())
@@ -361,8 +362,10 @@ def _stft(samples: np.ndarray, nperseg: int, hop: int) -> tuple[np.ndarray, np.n
     segments = np.lib.stride_tricks.sliding_window_view(samples, nperseg)[::hop]
     mag = np.empty((nperseg, starts.size))
     step = max(1, _BLOCK_VALUES // nperseg)
+    fft, one = _fft_kernel("fft", nperseg)
     for start in range(0, starts.size, step):
-        frames = np.fft.fft(segments[start : start + step] * window, axis=1)
+        frames = segments[start : start + step] * window
+        fft(frames, one, out=frames)
         mag[:, start : start + step] = np.fft.fftshift(np.abs(frames), axes=1).T
     return mag, starts + nperseg / 2.0
 

@@ -42,14 +42,19 @@ modulus stages.
 Cost of one evaluation. The optimizer evaluates the cost about twice per
 gradient (rejected Armijo trials), so per-call overhead counts. Every FFT
 and ufunc writes with ``out=`` into a buffer the workspace owns, and every
-view and scale is made in the constructor. The |F|^2 buffer holds the phase
-samples first and P last; the N/2+1 bins of the half-spectrum buffer hold
-the im^2 scratch, then rfft(|F|^2), which the next gradient of a cached
-pass reads again. F * P and its ifft share one buffer, whose head then
-takes conj(s) * g (s is conjugated in place and back, which is exact). Each
-support is a slice of the half spectrum and of conj(v), written real and
-imaginary parts apart; only those bins of v, and bins 1..L of the harmonic
-buffer, are ever written.
+view and scale is made in the constructor. So are the six FFT kernels: the
+constructor binds each to its pocketfft gufunc and scale through
+``metrics._fft_kernel``, and the passes call the gufuncs directly, with no
+numpy.fft wrapper in between. The gufuncs come from
+numpy.fft._pocketfft_umath, a module private to numpy.
+
+The |F|^2 buffer holds the phase samples first and P last; the N/2+1 bins
+of the half-spectrum buffer hold the im^2 scratch, then rfft(|F|^2), which
+the next gradient of a cached pass reads again. F * P and its ifft share
+one buffer, whose head then takes conj(s) * g (s is conjugated in place and
+back, which is exact). Each support is a slice of the half spectrum and of
+conj(v), written real and imaginary parts apart; only those bins of v, and
+bins 1..L of the harmonic buffer, are ever written.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ import numpy as np
 from .metrics import (
     GislWeights,
     _check_lags,
+    _fft_kernel,
     _fft_length,
     _gisl_ratio,
     _support_views,
@@ -125,6 +131,13 @@ class GradientWorkspace:
             (x, half[b], powers, work, half[b].real, half[b].imag, v[b].real, v[b].imag)
             for x, powers, work, b in zip(self._x[1:], self._pow[1:], self._work[1:], bins)
         ]
+        # the pocketfft kernels and scales of the six FFTs, bound once: the
+        # M-point harmonic irfft, fft(s, N) and rfft(|F|^2), then the irfft
+        # of conj(v), the ifft of F * P and the M-point rfft of z
+        self._harmonic = _fft_kernel("irfft", m)
+        self._fft, self._rfft = _fft_kernel("fft", n), _fft_kernel("rfft", n)
+        self._irfft = _fft_kernel("irfft", n, norm="forward")
+        self._ifft, self._zrfft = _fft_kernel("ifft", n), _fft_kernel("rfft", m)
         self._grad_scale = 8.0 * np.pi * cfg.h
         # the last forward pass: its phase bytes, cost, peaks and p-sums; F, the
         # phasor and the half spectrum stay in the buffers until the next one
@@ -139,9 +152,10 @@ class GradientWorkspace:
             return self._cost
         self.counts["forward_passes"] += 1
         self._key = None  # the buffers no longer hold the cached pass
-        theta = _phase_samples(phi, self.cfg, self._spec, self._theta)
+        theta = _phase_samples(phi, self.cfg, self._spec, self._theta, self._harmonic)
         _phasor(theta, *self._s_parts)
-        np.fft.fft(self._s, self._n, out=self._f)
+        fft, one = self._fft
+        fft(self._s, one, out=self._f)
         # |F|^2 as re^2 + im^2
         power, square = self._power, self._square
         re, im = self._f_parts
@@ -149,7 +163,8 @@ class GradientWorkspace:
         np.square(im, out=square)
         power += square
         # N M conj(r) on lags 0..N/2, and its magnitude on both supports
-        np.fft.rfft(power, out=self._half)
+        rfft, one = self._rfft
+        rfft(power, one, out=self._half)
         for x, half, *_ in self._supports:
             np.abs(half, out=x)
         self._cost, self._sl, self._ml = _gisl_ratio(
@@ -176,17 +191,20 @@ class GradientWorkspace:
             np.divide(powers, scale, out=work)
             np.multiply(work, re, out=v_re)
             np.multiply(work, im, out=v_im)
-        p_spec = np.fft.irfft(self._v, self._n, norm="forward", out=self._power)
+        irfft, one = self._irfft
+        p_spec = irfft(self._v, one, out=self._power)
         for f_part, g_part in self._fg_parts:
             np.multiply(f_part, p_spec, out=g_part)
-        np.fft.ifft(self._g, out=self._g)
+        ifft, inv_n = self._ifft
+        ifft(self._g, inv_n, out=self._g)
         # conj(s) * g in g's head; negating s and back is exact, so the
         # cached phasor survives for the next gradient pass
         s, z = self._s, self._z
         np.conjugate(s, out=s)
         np.multiply(s, z, out=z)
         np.conjugate(s, out=s)
-        np.fft.rfft(self._z_imag, out=self._zspec)
+        rfft, one = self._zrfft
+        rfft(self._z_imag, one, out=self._zspec)
         scale = self._grad_scale * cost * self._n
         grad = -scale * (np.exp(1j * phi) * self._zbins).imag
         if not np.isfinite(grad).all():

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import _fft_kernel
+
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
@@ -172,35 +174,42 @@ def _phase_vector(phi, L: int) -> np.ndarray:
     return phi
 
 
-def _harmonic_sum(spec: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+def _harmonic_sum(spec: np.ndarray, m: int, out: np.ndarray | None = None, kernel=None) -> np.ndarray:
     """Samples sum_l Re(c_l exp(j 2 pi l k / m)), k = 0..m-1, of the coefficients
     c_1..c_L on bins 1..L of ``spec``, a half spectrum of m//2 + 1 bins that is
     zero elsewhere.
 
     On the grid t = k / m harmonic l is DFT bin l, and m >= 2L + 1
     keeps bin L below Nyquist, so the sum is one inverse real FFT, written to
-    ``out`` (m doubles) when it is given.
+    ``out`` (m doubles) when it is given. ``kernel`` is that irfft as
+    ``_fft_kernel("irfft", m)`` returns it, for a caller that bound it once.
     """
-    y = np.fft.irfft(spec, m, out=out)
+    irfft, inv_m = _fft_kernel("irfft", m) if kernel is None else kernel
+    y = irfft(spec, inv_m, out=np.empty(m) if out is None else out)
     y *= m / 2
     return y
 
 
 def _phase_samples(
-    phi: np.ndarray, cfg: WaveformConfig, spec: np.ndarray | None = None, out: np.ndarray | None = None
+    phi: np.ndarray,
+    cfg: WaveformConfig,
+    spec: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    kernel=None,
 ) -> np.ndarray:
     """2*pi*h times the harmonic sum of exp(-j phi_l): the phase at the sample instants.
 
     exp(-j phi_l) is written straight into bins 1..L of ``spec``, an optional
     reused half spectrum that is zero elsewhere (only those bins are
-    written); the phase goes to ``out`` when it is given.
+    written); the phase goes to ``out`` when it is given, and ``kernel`` is
+    passed on to ``_harmonic_sum``.
     """
     if spec is None:
         spec = np.zeros(cfg.M // 2 + 1, dtype=complex)
     bins = spec[1 : cfg.L + 1]
     np.multiply(phi, -1j, out=bins)
     np.exp(bins, out=bins)
-    theta = _harmonic_sum(spec, cfg.M, out)
+    theta = _harmonic_sum(spec, cfg.M, out, kernel)
     theta *= TWO_PI * cfg.h
     return theta
 

@@ -325,3 +325,9 @@ class TestGradientValidation:
         other = WaveformConfig(L=8, h=0.2, samples=48)
         with pytest.raises(ValueError, match="length"):
             GradientWorkspace(other, w, 6)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan, None, 3, 2.5])
+    def test_bad_p_names_the_rule(self, p):
+        cfg, phi, w, _ = make_problem(8, 64, 6, seed=0)
+        with pytest.raises(ValueError, match=r"p must be an even integer >= 2, got"):
+            GradientWorkspace(cfg, w, p)

@@ -18,7 +18,7 @@ from ceofdm import (
     random_psk,
     synthesize,
 )
-from ceofdm.metrics import _fft_length
+from ceofdm.metrics import _fft_kernel, _fft_length
 from oracles import brute_force_acf, plain_isl
 
 # frozen regression: first null of the reference waveform (seed 1, Mpsk=32);
@@ -73,6 +73,74 @@ class TestFftLength:
     )
     def test_spot_values_with_max_lag(self, m, max_lag, n):
         assert _fft_length(m, max_lag) == n
+
+
+class TestFftKernel:
+    """Each bound pocketfft kernel equals the numpy.fft wrapper bit for bit,
+    on the shapes and lengths the package transforms."""
+
+    @staticmethod
+    def signal(shape, seed=0, real=False):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape)
+        return x if real else x + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("m,n", [(1000, 1125), (1000, 2000), (1040, 2160), (7, 28)])
+    def test_zero_padded_fft(self, m, n):
+        # the GISL forward pass at N odd and even, compute_acf, and the 4x
+        # zero-padded spectrum
+        x = self.signal(m)
+        fft, scale = _fft_kernel("fft", n)
+        got = fft(x, scale, out=np.empty(n, dtype=complex))
+        assert np.array_equal(got, np.fft.fft(x, n))
+
+    @pytest.mark.parametrize("n", [1125, 2000, 999, 1000])
+    def test_rfft(self, n):
+        x = self.signal(n, real=True)
+        rfft, scale = _fft_kernel("rfft", n)
+        out = np.empty(n // 2 + 1, dtype=complex)
+        assert np.array_equal(rfft(x, scale, out=out), np.fft.rfft(x))
+        # the workspace's M-point rfft reads the imaginary part of a complex buffer
+        z = self.signal(n, seed=1)
+        assert np.array_equal(rfft(z.imag, scale, out=out), np.fft.rfft(z.imag))
+
+    @pytest.mark.parametrize("n", [1125, 2000, 1000, 999])
+    @pytest.mark.parametrize("norm", [None, "forward"])
+    def test_irfft_with_either_scale(self, n, norm):
+        spec = self.signal(n // 2 + 1)
+        irfft, scale = _fft_kernel("irfft", n, norm)
+        assert scale == (1.0 / n if norm is None else 1.0)
+        got = irfft(spec, scale, out=np.empty(n))
+        assert np.array_equal(got, np.fft.irfft(spec, n, norm=norm))
+
+    @pytest.mark.parametrize("n", [1125, 2000, 2160])
+    def test_ifft_in_place(self, n):
+        x = self.signal(n)
+        expected = np.fft.ifft(x)
+        ifft, scale = _fft_kernel("ifft", n)
+        assert ifft(x, scale, out=x) is x
+        assert np.array_equal(x, expected)
+
+    @pytest.mark.parametrize("rows,m,n", [(7, 104, 208), (1, 1000, 2000)])
+    def test_batched_af_rows(self, rows, m, n):
+        # compute_af: a block of zero-padded rows, then each row's ifft in place
+        x = self.signal((rows, m))
+        fft, one = _fft_kernel("fft", n)
+        ifft, inv_n = _fft_kernel("ifft", n)
+        spec = fft(x, one, out=np.empty((rows, n), dtype=complex))
+        assert np.array_equal(spec, np.fft.fft(x, n))
+        expected = np.fft.ifft(spec)
+        ifft(spec, inv_n, out=spec)
+        assert np.array_equal(spec, expected)
+
+    def test_batched_stft_frames_in_place(self):
+        # _stft: windowed frames of a strided view, transformed in place
+        samples = self.signal(1040)
+        frames = np.lib.stride_tricks.sliding_window_view(samples, 128)[::32] * np.hanning(128)
+        expected = np.fft.fft(frames, axis=1)
+        fft, one = _fft_kernel("fft", 128)
+        fft(frames, one, out=frames)
+        assert np.array_equal(frames, expected)
 
 
 class TestComputeAcf:
@@ -251,6 +319,18 @@ class TestBuildWeights:
         # a slice would read a wrong range where a lag array failed to index
         with pytest.raises(ValueError, match=rule):
             GislWeights(*fields)
+
+    @pytest.mark.parametrize("value", [3.5, 10.0])
+    @pytest.mark.parametrize("field", ["null_index", "sl_first", "sl_last", "M"])
+    def test_non_integer_field_rejected(self, field, value):
+        # a float would fail later, as a slice index, with a TypeError
+        fields = {"null_index": 2, "sl_first": 3, "sl_last": 10, "M": 32, field: value}
+        with pytest.raises(ValueError, match=f"integer {field}"):
+            GislWeights(**fields)
+
+    def test_numpy_integers_accepted(self):
+        w = GislWeights(*np.array([2, 3, 10, 32]))
+        assert w == GislWeights(2, 3, 10, 32)
 
     def test_bad_null_index(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ceofdm.gradient
 from ceofdm import (
     OptimizerConfig,
     WaveformConfig,
@@ -49,6 +50,12 @@ class TestOptimizerConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan, None])
+    def test_non_numeric_p_names_the_rule(self, p):
+        # int(p) alone raises OverflowError, ValueError and TypeError on these
+        with pytest.raises(ValueError, match=r"p must be an even integer >= 2, got"):
+            OptimizerConfig(p=p)
 
 
 class TestHeavyBallDirection:
@@ -200,3 +207,29 @@ class TestRunGdGisl:
         assert counts["backtracks"] == sum(row.backtracks for row in rows) + opt.max_backtracks
         resets = sum(row.reset for row in rows)
         assert resets <= counts["momentum_resets"] <= resets + 1
+
+
+@pytest.mark.parametrize("hi", [0.1, None], ids=["design", "full_band"])
+def test_bound_kernels_reproduce_numpy_fft_descent(monkeypatch, hi):
+    # the design run (L = 24, M = 1000, p = 20) and the full band, at seed 1:
+    # the kernels bound from numpy's pocketfft gufuncs and the np.fft
+    # wrappers give the same phases, trace and evaluation counts
+    cfg = WaveformConfig(L=24, mpsk=math.inf)
+    phi0 = random_psk(cfg.L, cfg.mpsk, seed=1)
+    w = build_weights(detect_mainlobe_null(compute_acf(synthesize(phi0, cfg))), cfg.M, None, hi)
+    phi, trace = run_gd_gisl(phi0, cfg, w)
+    kinds = set()
+
+    def numpy_fft_kernel(kind, n, norm=None):
+        # np.fft's own wrapper, called the way a bound kernel is; it sets the scale
+        kinds.add(kind)
+        transform = getattr(np.fft, kind)
+        return (lambda a, scale, out: transform(a, n, norm=norm, out=out)), None
+
+    monkeypatch.setattr(ceofdm.gradient, "_fft_kernel", numpy_fft_kernel)
+    phi_np, trace_np = run_gd_gisl(phi0, cfg, w)
+    assert kinds == {"fft", "ifft", "rfft", "irfft"}
+    assert np.array_equal(phi, phi_np)
+    assert trace.rows == trace_np.rows
+    assert trace.counts == trace_np.counts
+    assert (trace.status, trace.initial_j) == (trace_np.status, trace_np.initial_j)

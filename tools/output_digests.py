@@ -11,24 +11,27 @@ directory, which is removed afterwards. Each stdout line reads
 ``<sha256>  <run>/<file>``. The manifests' ``out =`` and ``threads =`` lines
 name the output directory and the worker count, so they are left out of the
 digest; every other byte counts. The commands' own stdout (timings, counts)
-goes to stderr.
+goes to stderr. The evaluation counts of each ``optimize`` and ``sweep`` run
+are deterministic, so they are printed too, after that run's files, as
+``<counts>  <run>: evaluation counts``, taken from the command's stdout.
 
 Two runs of this script give the same lines when the program's outputs are
-byte-identical. Compare runs made with one numpy build on one machine only:
-FFT bits can differ between numpy versions and CPUs, so no digest here is a
-golden value.
+byte-identical and its evaluation counts equal. Compare runs made with one
+numpy build on one machine only: FFT bits can differ between numpy versions
+and CPUs, so no digest here is a golden value.
 
 After the first pass, every command of RUNS runs again into the same
 directories, so each file is overwritten in place; the lines printed are
-those of the first pass. The script exits 1 when a digest of the second pass
-differs from the first, or when the ``--threads 1`` and ``--threads 2``
-sweeps wrote different ``seeds.csv`` files.
+those of the first pass. The script exits 1 when a digest or a count of the
+second pass differs from the first, or when the ``--threads 1`` and
+``--threads 2`` sweeps wrote different ``seeds.csv`` files.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -84,19 +87,32 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def evaluation_counts(command: str, stdout: str) -> str:
+    """The counts that ``optimize`` or ``sweep`` prints after the last '; ' of its summary line."""
+    for line in stdout.splitlines():
+        if line.startswith(f"{command}: "):
+            return line.rpartition("; ")[2]
+    sys.exit(f"{command} printed no evaluation counts:\n{stdout}")
+
+
 def digests(work: Path) -> dict[str, str]:
-    """Run every command of RUNS under ``work``; map '<run>/<file>' to its SHA-256."""
+    """Run every command of RUNS under ``work``; map '<run>/<file>' to its SHA-256,
+    and '<run>: evaluation counts' to the counts of each optimize and sweep run."""
     out_dirs = {name: work / name for name, _ in RUNS}
     lines = {}
     for name, argv in RUNS:
         argv = [arg.format(**out_dirs) for arg in argv]
-        with contextlib.redirect_stdout(sys.stderr):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
             code = main([*argv, "--out", str(out_dirs[name])])
+        sys.stderr.write(stdout.getvalue())
         if code != 0:
             sys.exit(f"{name}: {' '.join(argv)} exited {code}")
         for path in sorted(out_dirs[name].rglob("*")):
             if path.is_file():
                 lines[path.relative_to(work).as_posix()] = file_digest(path)
+        if argv[0] in ("optimize", "sweep"):
+            lines[f"{name}: evaluation counts"] = evaluation_counts(argv[0], stdout.getvalue())
     return lines
 
 
