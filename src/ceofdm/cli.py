@@ -3,8 +3,8 @@
 All commands resolve an :class:`ExperimentConfig` from defaults, an optional
 INI file, and command-line overrides, then write their data products into the
 output directory together with a manifest echoing the resolved config. Exit
-codes: 0 success, 2 config error, 3 numerical failure or out of memory,
-4 I/O error.
+codes: 0 success, 2 config error, 3 numerical failure, out of memory or a
+sweep child that died, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -231,21 +231,73 @@ def _sweep_worker(payload) -> tuple[int, dict | None, str, dict]:
     return seed, summary, summary["status"], trace.counts
 
 
+def _sweep_share(writer, payloads) -> None:
+    """Child process body: send the rows of one share of a sweep's payloads,
+    or the MemoryError that stopped it, through the write end of a pipe."""
+    try:
+        rows = [_sweep_worker(p) for p in payloads]
+    except MemoryError as exc:
+        rows = exc
+    writer.send(rows)
+    writer.close()
+
+
+def _sweep_rows(payloads: list, w: int) -> list:
+    """The rows of every payload, in order. This process runs payloads[0::w];
+    each of w - 1 forked children runs payloads[k::w] and sends its rows back."""
+    if w == 1:
+        return [_sweep_worker(p) for p in payloads]
+    # imported here, so the commands that never fork do not load the
+    # multiprocessing stack (logging, pickle, socket) at start-up
+    import multiprocessing
+
+    children = []
+    try:
+        for k in range(1, w):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_sweep_share, args=(writer, payloads[k::w]))
+            child.start()
+            # only the child holds the write end now, so its death reads as EOF
+            writer.close()
+            children.append((child, reader))
+        rows = [None] * len(payloads)
+        rows[0::w] = [_sweep_worker(p) for p in payloads[0::w]]
+        # read every pipe before joining: a child blocks until its rows are read
+        for k, (child, reader) in enumerate(children, 1):
+            try:
+                share = reader.recv()
+            except EOFError:
+                child.join()
+                code = child.exitcode
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                seeds = ", ".join(str(seed) for _, seed in payloads[k::w])
+                raise ChildProcessError(
+                    f"the process running seeds {seeds} {how} before it sent their rows"
+                ) from None
+            reader.close()
+            if isinstance(share, MemoryError):
+                raise share
+            rows[k::w] = share
+        return rows
+    finally:
+        for child, reader in children:
+            if not reader.closed:
+                child.terminate()
+                reader.close()
+            child.join()
+
+
 def cmd_sweep(config: ExperimentConfig) -> None:
-    """Run seed_count independent optimizations and aggregate their metrics."""
+    """Run seed_count independent optimizations and aggregate their metrics.
+
+    threads counts every process that runs seeds, this one included: with
+    w = min(threads, seed_count), this process runs every w-th seed from the
+    first and forks w - 1 children for the others. The outputs do not depend on w.
+    """
     out = Path(config.run.out)
     seeds = [config.run.seed + i for i in range(config.run.seed_count)]
     payloads = [(config, seed) for seed in seeds]
-    if config.run.threads > 1 and len(seeds) > 1:
-        # imported here, so the commands that never fork a pool do not load the
-        # multiprocessing stack (logging, pickle, socket) at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a forked pool starts all its workers at once: no more than there are seeds
-        with ProcessPoolExecutor(max_workers=min(config.run.threads, len(seeds))) as pool:
-            rows = list(pool.map(_sweep_worker, payloads))
-    else:
-        rows = [_sweep_worker(p) for p in payloads]
+    rows = _sweep_rows(payloads, min(config.run.threads, len(seeds)))
 
     config.write_manifest(out / "manifest.ini")
     table = []
@@ -333,6 +385,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ChildProcessError as exc:  # an OSError, but no I/O failed
+        print(f"sweep failed: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import re
 import subprocess
 import sys
@@ -486,15 +487,17 @@ class TestSweepCommand:
             f"numerical failure: all sweep runs failed (see seeds.csv); seed 0: {detail}\n"
         )
 
-    def test_threads_do_not_change_output(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_threads_do_not_change_output(self, tmp_path, threads):
+        # 5 seeds split unevenly over 2 or 3 processes
         base = [
             "--seed", "0", "--set", "waveform.mpsk=inf",
-            "--set", "optimizer.max_iters=10", "--set", "run.seed_count=3",
+            "--set", "optimizer.max_iters=10", "--set", "run.seed_count=5",
         ]
         out1 = tmp_path / "serial"
         out2 = tmp_path / "parallel"
         assert main(["sweep", "--out", str(out1), "--threads", "1"] + base) == 0
-        assert main(["sweep", "--out", str(out2), "--threads", "2"] + base) == 0
+        assert main(["sweep", "--out", str(out2), "--threads", threads] + base) == 0
         a = tree_bytes(out1)
         b = tree_bytes(out2)
         # manifests differ only in the out/threads lines; data files must match
@@ -523,31 +526,49 @@ class TestSweepCommand:
         ])
         assert (tmp_path / "seeds.csv").read_bytes() == expected
 
-    def test_pool_is_capped_at_seed_count(self, tmp_path, monkeypatch):
-        # a forked pool starts every worker up front; record the size, run serially
-        sizes = []
+    def test_threads_above_seed_count_start_one_child(self, tmp_path, monkeypatch):
+        import multiprocessing
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        started = []
 
-            def __enter__(self):
-                return self
+        class Recorded(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # cmd_sweep imports the pool class where it forks one, so patch it at its source
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        # cmd_sweep imports multiprocessing where it forks, so patch the class at its source
+        monkeypatch.setattr("multiprocessing.Process", Recorded)
         code = main([
             "sweep", "--out", str(tmp_path / "s"), "--seed", "0", "--threads", "64",
             "--set", "run.seed_count=2", "--set", "optimizer.max_iters=2",
         ])
         assert code == 0
-        assert sizes == [2]
+        assert len(started) == 1
+        assert [child.exitcode for child in started] == [0]
+
+    def test_dead_child_exits_3_naming_its_seeds(self, tmp_path, capsys, monkeypatch):
+        import multiprocessing
+
+        worker = cli._sweep_worker
+
+        def dies_at_seed_2(payload):
+            if payload[1] == 2:
+                os._exit(7)
+            return worker(payload)
+
+        # with 3 seeds on 2 processes, this one runs seeds 1 and 3 and a child runs seed 2
+        monkeypatch.setattr(cli, "_sweep_worker", dies_at_seed_2)
+        out = tmp_path / "s"
+        code = main([
+            "sweep", "--out", str(out), "--seed", "1", "--threads", "2",
+            "--set", "run.seed_count=3", "--set", "optimizer.max_iters=2",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "sweep failed: the process running seeds 2 exited with code 7 before it sent their rows\n"
+        )
+        assert not (out / "seeds.csv").exists()
+        assert multiprocessing.active_children() == []
 
 
 # (larger, smaller) config of each command, as argv without --out. The larger
@@ -646,11 +667,19 @@ class TestExitCodes:
         assert main(["quantize", "--out", str(tmp_path / "q"), "--input", str(run)]) == 3
         assert "out of memory at M = 5000000000000:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_sweep_out_of_memory_names_m(self, tmp_path, capsys, threads):
+    @pytest.mark.parametrize("threads, child_only", [("1", False), ("2", False), ("2", True)],
+                             ids=["1", "2", "child"])
+    def test_sweep_out_of_memory_names_m(self, tmp_path, capsys, monkeypatch, threads, child_only):
         # a seed that runs out of memory stops the sweep instead of becoming a
         # failed row: the next seed has the same M. As in the synth case, numpy
         # refuses M = 5e12 at once, so nothing large is allocated
+        if child_only:
+            # this process's seed 1 gives a failed row, so only the child's seed 2
+            # raises, and its MemoryError crosses the pipe
+            worker = cli._sweep_worker
+            monkeypatch.setattr(
+                cli, "_sweep_worker", lambda p: (1, None, "skipped", {}) if p[1] == 1 else worker(p)
+            )
         out = tmp_path / "x"
         code = main([
             "sweep", "--out", str(out), "--seed", "1", "--threads", threads,

@@ -23,8 +23,8 @@ and CPUs, so no digest here is a golden value.
 After the first pass, every command of RUNS runs again into the same
 directories, so each file is overwritten in place; the lines printed are
 those of the first pass. The script exits 1 when a digest or a count of the
-second pass differs from the first, or when the ``--threads 1`` and
-``--threads 2`` sweeps wrote different ``seeds.csv`` files.
+second pass differs from the first, or when the ``--threads 1``, ``--threads 2``
+and ``--threads 3`` sweeps wrote different rows for a seed in ``seeds.csv``.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ RUNS = [
     ("quantize_inf", ["quantize", "--input", "{design}", "--set", "quantization.alphabets=inf, 4"]),
     ("sweep_threads1", [*SWEEP, "--threads", "1"]),
     ("sweep_threads2", [*SWEEP, "--threads", "2"]),
+    # a fourth seed splits the sweep unevenly over 3 processes: seeds 1 and 4, 2, 3
+    ("sweep_threads3", [*SWEEP, "--set", "run.seed_count=4", "--threads", "3"]),
     # seeds 1 and 3 end the region inside their mainlobe: failed rows, whose
     # detail has its comma written as a semicolon, around one that succeeds
     ("sweep_partial", [*SWEEP, "--set", "region.mode=interval", "--set", "region.hi=0.008",
@@ -121,15 +123,18 @@ def main_digests() -> int:
     with tempfile.TemporaryDirectory(prefix="ceofdm-digests-") as tmp:
         lines = digests(Path(tmp))
         rerun = digests(Path(tmp))
+        one, two, three = (
+            (Path(tmp) / f"sweep_threads{n}" / "seeds.csv").read_bytes() for n in (1, 2, 3)
+        )
     for key, value in lines.items():
         print(f"{value}  {key}")
     changed = sorted(key for key in lines.keys() | rerun.keys() if lines.get(key) != rerun.get(key))
     if changed:
         print(f"a rerun into the same directories changed {', '.join(changed)}", file=sys.stderr)
         return 1
-    one, two = (lines[f"sweep_threads{n}/seeds.csv"] for n in (1, 2))
-    if one != two:
-        print("seeds.csv differs between --threads 1 and --threads 2", file=sys.stderr)
+    # the --threads 3 sweep adds seed 4, so its first rows are those of the other two
+    if one != two or not three.startswith(one):
+        print("seeds.csv rows differ between --threads 1, 2 and 3", file=sys.stderr)
         return 1
     return 0
 
