@@ -245,21 +245,24 @@ def _sweep_share(writer, payloads) -> None:
 def _sweep_rows(payloads: list, w: int) -> list:
     """The rows of every payload, in order. This process runs payloads[0::w];
     each of w - 1 forked children runs payloads[k::w] and sends its rows back."""
-    if w == 1:
-        return [_sweep_worker(p) for p in payloads]
-    # imported here, so the commands that never fork do not load the
-    # multiprocessing stack (logging, pickle, socket) at start-up
-    import multiprocessing
-
     children = []
     try:
-        for k in range(1, w):
-            reader, writer = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_sweep_share, args=(writer, payloads[k::w]))
-            child.start()
-            # only the child holds the write end now, so its death reads as EOF
-            writer.close()
-            children.append((child, reader))
+        if w > 1:
+            # imported here, so the commands that never fork do not load the
+            # multiprocessing stack (logging, pickle, socket) at start-up
+            import multiprocessing
+
+            # fork where the platform has it: spawn and forkserver (Linux's
+            # default from Python 3.14) would import ceofdm again per child
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork" if fork else None)
+            for k in range(1, w):
+                reader, writer = context.Pipe(duplex=False)
+                child = context.Process(target=_sweep_share, args=(writer, payloads[k::w]))
+                child.start()
+                # only the child holds the write end now, so its death reads as EOF
+                writer.close()
+                children.append((child, reader))
         rows = [None] * len(payloads)
         rows[0::w] = [_sweep_worker(p) for p in payloads[0::w]]
         # read every pipe before joining: a child blocks until its rows are read

@@ -14,7 +14,8 @@ samples are s = exp(j theta) without the 1/sqrt(M), and the ACF is never
 divided by N. |F|^2 is real, so r is conjugate symmetric and its half spectrum
 rfft(|F|^2) = N M conj(r[0..N/2]) holds all of it: bin k stands for the
 lags +k and -k (it counts once at lag 0). The peak-normalised p-sums of
-``metrics._gisl_ratio`` run over the support bins, each with that count.
+``metrics._gisl_ratio`` run over the support bins, each with that count,
+in the buffers that ``metrics._support_buffers`` gives here and to ``compute_gisl``.
 
 Gradient. Three more FFTs:
 
@@ -63,11 +64,10 @@ import numpy as np
 
 from .metrics import (
     GislWeights,
-    _check_lags,
     _fft_kernel,
     _fft_length,
     _gisl_ratio,
-    _support_views,
+    _support_buffers,
     _validated_p,
 )
 from .waveform import WaveformConfig, _phase_samples, _phase_vector, _phasor
@@ -89,19 +89,15 @@ class GradientWorkspace:
 
     def __init__(self, cfg: WaveformConfig, weights: GislWeights, p) -> None:
         self.p = _validated_p(p)
-        _check_lags(weights, 2 * cfg.M - 1)
+        # lag k >= 0 sits at bin k of the half spectrum and also stands for lag -k
+        bins, self._x, self._pow, self._work, self._coef = _support_buffers(weights, 2 * cfg.M - 1)
         if weights.sl_last < weights.sl_first:
             raise ValueError("sidelobe weight support is empty; gradient undefined")
         self.cfg = cfg
-        # lag k >= 0 sits at bin k of the half spectrum and also stands for
-        # lag -k, so it counts twice, except lag 0, the first mainlobe bin
-        bins = slice(weights.sl_first, weights.sl_last + 1), slice(0, weights.null_index + 1)
-        split = weights.sl_last + 1 - weights.sl_first
-        coef = np.concatenate((np.full(split, 2.0), [1.0], np.full(weights.null_index, 2.0)))
         # lags beyond sl_last, the largest, are never read, so N >= M + K is
         # exact and N > 2K keeps every support bin below the Nyquist bin N/2
         n = self._n = _fft_length(cfg.M, weights.sl_last)
-        m, k = cfg.M, coef.size
+        m = cfg.M
         self._spec = np.zeros(m // 2 + 1, dtype=complex)  # harmonic bins 1..L
         self._s = np.empty(m, dtype=complex)  # phasor exp(j theta)
         self._f = np.empty(n, dtype=complex)  # F of the last forward pass
@@ -119,10 +115,6 @@ class GradientWorkspace:
         self._z = self._g[:m]  # conj(s) * g
         self._z_imag = self._z.imag
         self._zbins = self._zspec[1 : cfg.L + 1]
-        self._x = _support_views(np.empty(k), split)  # |r| / peak
-        self._pow = _support_views(np.empty(k), split)  # (|r| / peak)^(p-2)
-        self._work = _support_views(np.empty(k), split)
-        self._coef = _support_views(coef, split)
         # per support: its parts of _x, _pow and _work, and its bins of the
         # half spectrum and of conj(v), also by parts, since a float times a
         # complex would go through numpy's cast buffer

@@ -251,8 +251,8 @@ def sample_frequency(phi, cfg: WaveformConfig) -> np.ndarray:
 def synthesize(phi, cfg: WaveformConfig) -> SampledWaveform:
     """Sample the pulse e^{j phi(t)} / sqrt(M) on the config grid.
 
-    The 1/sqrt(M) normalization makes the sample energy exactly one, so the
-    zero-delay autocorrelation value is exactly unity.
+    The 1/sqrt(M) normalization makes the sample energy and the zero-delay
+    autocorrelation value 1 to rounding, not exactly (see compute_acf).
     """
     samples = np.empty(cfg.M, dtype=complex)
     _phasor(sample_phase(phi, cfg), samples.real, samples.imag)

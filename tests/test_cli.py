@@ -527,17 +527,18 @@ class TestSweepCommand:
         assert (tmp_path / "seeds.csv").read_bytes() == expected
 
     def test_threads_above_seed_count_start_one_child(self, tmp_path, monkeypatch):
-        import multiprocessing
+        from multiprocessing.process import BaseProcess
 
         started = []
+        start = BaseProcess.start
 
-        class Recorded(multiprocessing.Process):
-            def start(self):
-                started.append(self)
-                super().start()
+        def recorded(self):
+            started.append(self)
+            start(self)
 
-        # cmd_sweep imports multiprocessing where it forks, so patch the class at its source
-        monkeypatch.setattr("multiprocessing.Process", Recorded)
+        # cmd_sweep forks through a multiprocessing context, whose Process
+        # class starts through BaseProcess.start
+        monkeypatch.setattr(BaseProcess, "start", recorded)
         code = main([
             "sweep", "--out", str(tmp_path / "s"), "--seed", "0", "--threads", "64",
             "--set", "run.seed_count=2", "--set", "optimizer.max_iters=2",
@@ -546,9 +547,17 @@ class TestSweepCommand:
         assert len(started) == 1
         assert [child.exitcode for child in started] == [0]
 
-    def test_dead_child_exits_3_naming_its_seeds(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("start_method", [None, "spawn"], ids=["default", "spawn"])
+    def test_dead_child_exits_3_naming_its_seeds(self, tmp_path, capsys, monkeypatch, request,
+                                                 start_method):
         import multiprocessing
 
+        if start_method:
+            # sweep asks for fork itself: a spawned child would import cli afresh,
+            # run the unpatched worker and send its rows, and the sweep would exit 0
+            default = multiprocessing.get_start_method(allow_none=True)
+            multiprocessing.set_start_method(start_method, force=True)
+            request.addfinalizer(lambda: multiprocessing.set_start_method(default, force=True))
         worker = cli._sweep_worker
 
         def dies_at_seed_2(payload):

@@ -245,9 +245,10 @@ class TestWorkspaceBuffers:
         assert np.max(np.abs(grad - dense)) <= 1e-9 * np.abs(dense).max()
 
     def test_cost_allocates_under_three_and_a_half_n_point_arrays(self):
-        # M = 20000 on the full band correlates at N = 40000. The FFTs return
-        # new arrays, but no other per-call scratch of M or N points is made,
-        # and the last pass's F is dropped before the next one allocates its own
+        # M = 20000 on the full band correlates at N = 40000. Every FFT writes
+        # into a workspace buffer and F stays in one kept buffer across passes,
+        # so a cost call makes no scratch of M or N points; the next test bounds
+        # what it does allocate more tightly
         cfg = WaveformConfig(L=24, h=0.2, samples=20000)
         phi = random_psk(24, math.inf, seed=1)
         null = detect_mainlobe_null(compute_acf(synthesize(phi, cfg)))

@@ -411,6 +411,21 @@ def test_length_mismatch_rejected(metric, values, m):
         metric(synthetic_corr(values), single_sample_weights(m, 2))
 
 
+@pytest.mark.parametrize("hi", [None, 0.1], ids=["full", "interval"])
+def test_negative_lags_are_never_read(reference_cfg, hi):
+    # lag -k is the conjugate of lag +k, so the metrics read lags 0..M-1 only:
+    # a negative half ten times too large changes nothing
+    r = compute_acf(synthesize(random_psk(reference_cfg.L, math.inf, seed=1), reference_cfg))
+    w = build_weights(detect_mainlobe_null(r), reference_cfg.M, None, hi)
+    skewed = r.r.copy()
+    skewed[: r.zero_index] *= 10.0
+    other = CorrelationResult(r=skewed)
+    assert detect_mainlobe_null(other) == detect_mainlobe_null(r)
+    assert compute_pslr(other, w) == compute_pslr(r, w)
+    for p in (2, 20, 1000):
+        assert compute_gisl(other, w, p) == compute_gisl(r, w, p)
+
+
 class TestComputePslr:
     def test_triangle_has_no_sidelobes(self):
         cfg, s = rect_waveform(32)

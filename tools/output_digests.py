@@ -66,6 +66,8 @@ RUNS = [
     ("quantize_full_band", ["quantize", "--input", "{full_band}"]),
     # report.csv and an acf_mpsk_inf.csv for the unquantized alphabet
     ("quantize_inf", ["quantize", "--input", "{design}", "--set", "quantization.alphabets=inf, 4"]),
+    # without --input, quantize runs its own short descent first
+    ("quantize_in_place", ["quantize", "--seed", "1", "--set", "optimizer.max_iters=10"]),
     ("sweep_threads1", [*SWEEP, "--threads", "1"]),
     ("sweep_threads2", [*SWEEP, "--threads", "2"]),
     # a fourth seed splits the sweep unevenly over 3 processes: seeds 1 and 4, 2, 3
