@@ -14,8 +14,8 @@ samples are s = exp(j theta) without the 1/sqrt(M), and the ACF is never
 divided by N. |F|^2 is real, so r is conjugate symmetric and its half spectrum
 rfft(|F|^2) = N M conj(r[0..N/2]) holds all of it: bin k stands for the
 lags +k and -k (it counts once at lag 0). The peak-normalised p-sums of
-``metrics._gisl_ratio`` run over the support bins, each with that count,
-in the buffers that ``metrics._support_buffers`` gives here and to ``compute_gisl``.
+``metrics._gisl_ratio`` count each support bin twice, lag 0 once, in the
+two buffers that ``metrics._support_buffers`` gives here and to ``compute_gisl``.
 
 Gradient. Three more FFTs:
 
@@ -55,7 +55,9 @@ the next gradient of a cached pass reads again. F * P and its ifft share
 one buffer, whose head then takes conj(s) * g (s is conjugated in place and
 back, which is exact). Each support is a slice of the half spectrum and of
 conj(v), written real and imaginary parts apart; only those bins of v, and
-bins 1..L of the harmonic buffer, are ever written.
+bins 1..L of the harmonic buffer, are ever written. The |r|/peak buffer
+takes its squares, then the gradient's powers over their p-sums; the powers
+are kept for the next gradient of a cached pass.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class GradientWorkspace:
     def __init__(self, cfg: WaveformConfig, weights: GislWeights, p) -> None:
         self.p = _validated_p(p)
         # lag k >= 0 sits at bin k of the half spectrum and also stands for lag -k
-        bins, self._x, self._pow, self._work, self._coef = _support_buffers(weights, 2 * cfg.M - 1)
+        bins, self._x, self._pow = _support_buffers(weights, 2 * cfg.M - 1)
         if weights.sl_last < weights.sl_first:
             raise ValueError("sidelobe weight support is empty; gradient undefined")
         self.cfg = cfg
@@ -115,13 +117,13 @@ class GradientWorkspace:
         self._z = self._g[:m]  # conj(s) * g
         self._z_imag = self._z.imag
         self._zbins = self._zspec[1 : cfg.L + 1]
-        # per support: its parts of _x, _pow and _work, and its bins of the
-        # half spectrum and of conj(v), also by parts, since a float times a
+        # per support: its parts of _x and _pow, and its bins of the half
+        # spectrum and of conj(v), also by parts, since a float times a
         # complex would go through numpy's cast buffer
         half, v = self._half, self._v
         self._supports = [
-            (x, half[b], powers, work, half[b].real, half[b].imag, v[b].real, v[b].imag)
-            for x, powers, work, b in zip(self._x[1:], self._pow[1:], self._work[1:], bins)
+            (x, half[b], powers, half[b].real, half[b].imag, v[b].real, v[b].imag)
+            for x, powers, b in zip(self._x[1:], self._pow[1:], bins)
         ]
         # the pocketfft kernels and scales of the six FFTs, bound once: the
         # M-point harmonic irfft, fft(s, N) and rfft(|F|^2), then the irfft
@@ -159,9 +161,7 @@ class GradientWorkspace:
         rfft(power, one, out=self._half)
         for x, half, *_ in self._supports:
             np.abs(half, out=x)
-        self._cost, self._sl, self._ml = _gisl_ratio(
-            self._x, self._coef, self._work, self._pow[0], self.p
-        )
+        self._cost, self._sl, self._ml = _gisl_ratio(self._x, self._pow, self.p)
         self._key = key
         return self._cost
 
@@ -175,14 +175,15 @@ class GradientWorkspace:
         cost = self._forward(phi)
         self.counts["gradient_passes"] += 1
         (a, sl_sum), (b, ml_sum) = self._sl, self._ml
-        # |r|^(p-2) / sum |r|^p on each support in peak-normalised form, times
-        # the half spectrum's conj(r): conj(v) on the support bins. x / -d is
-        # -(x / d) to the bit, since rounding to nearest is symmetric
+        # |r|^(p-2) / sum |r|^p on each support in peak-normalised form, in
+        # |r|'s buffer, times the half spectrum's conj(r): conj(v) on the
+        # support bins. x / -d is -(x / d) to the bit, since rounding to
+        # nearest is symmetric
         scales = a * a * sl_sum, -(b * b * ml_sum)
-        for (_, _, powers, work, re, im, v_re, v_im), scale in zip(self._supports, scales):
-            np.divide(powers, scale, out=work)
-            np.multiply(work, re, out=v_re)
-            np.multiply(work, im, out=v_im)
+        for (x, _, powers, re, im, v_re, v_im), scale in zip(self._supports, scales):
+            np.divide(powers, scale, out=x)
+            np.multiply(x, re, out=v_re)
+            np.multiply(x, im, out=v_im)
         irfft, one = self._irfft
         p_spec = irfft(self._v, one, out=self._power)
         for f_part, g_part in self._fg_parts:

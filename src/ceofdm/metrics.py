@@ -274,12 +274,11 @@ def _validated_p(p) -> int:
 
 
 def _support_buffers(w: GislWeights, lags: int, buffers: bool = True):
-    """Supports of ``w`` as slices of lags 0..M-1, then the packed
+    """Supports of ``w`` as slices of lags 0..M-1, then the two packed
     [sidelobe | mainlobe] buffers that _gisl_ratio reads, each as the triple
-    (a, a[:split], a[split:]) of the whole and its two parts: |r| / peak,
-    (|r| / peak)^(p-2), the terms and the fold counts (2 for lag k, which
-    stands for -k and +k, and 1 at lag 0). Raises unless ``lags`` is 2M-1;
-    with ``buffers`` false, returns the slices alone.
+    (a, a[:split], a[split:]) of the whole and its two parts: |r| / peak and
+    (|r| / peak)^(p-2). Raises unless ``lags`` is 2M-1; with ``buffers``
+    false, returns the slices alone.
     """
     if lags != 2 * w.M - 1:
         raise ValueError(
@@ -289,29 +288,28 @@ def _support_buffers(w: GislWeights, lags: int, buffers: bool = True):
     if not buffers:
         return bins
     split = w.sl_last + 1 - w.sl_first
-    coef = np.concatenate((np.full(split, 2.0), [1.0], np.full(w.null_index, 2.0)))
-    k = coef.size
-    return bins, *((a, a[:split], a[split:]) for a in (np.empty(k), np.empty(k), np.empty(k), coef))
+    return bins, *((a, a[:split], a[split:]) for a in np.empty((2, split + w.null_index + 1)))
 
 
-def _gisl_ratio(mags, coef, work, pow_out: np.ndarray, p: int):
+def _gisl_ratio(mags, powers, p: int):
     """GISL from |r| on the sidelobe support and on the mainlobe support.
 
-    ``mags``, ``coef`` and ``work`` are each an array with its sidelobe and
-    mainlobe parts, as _support_buffers gives them. With a, b the supports'
-    peaks and S, B their peak-normalised p-sums sum c (|r|/peak)^p,
+    ``mags`` and ``powers`` are each an array with its sidelobe and mainlobe
+    parts, as _support_buffers gives them. With a, b the supports' peaks and
+    S, B their peak-normalised p-sums sum (|r|/peak)^p over lags -k and +k,
 
-        (sum_sl c |r|^p / sum_ml c |r|^p)^(2/p) = (a/b)^2 (S/B)^(2/p),
+        (sum_sl |r|^p / sum_ml |r|^p)^(2/p) = (a/b)^2 (S/B)^(2/p),
 
     and no power of an unnormalised |r| is ever formed: each term lies
-    between 0 and its coefficient c, so the value stays finite at any even p
-    and does not change when r is scaled. The coefficients are the fold
-    counts of _support_buffers, each lag k >= 0 standing for -k and +k.
+    between 0 and 1, so the value stays finite at any even p and does not
+    change when r is scaled. Each support holds lags k >= 0, each standing
+    for -k and +k, except lag 0, which only the mainlobe holds: S is twice
+    its sum, and B twice its sum less its lag-0 term.
 
     One pass over both supports: each part of ``mags`` is divided in place
-    by its peak, and (|r|/peak)^(p-2) goes to ``pow_out`` and the terms
-    (|r|/peak)^p to ``work``. Returns the ratio, (a, S) and (b, B); an empty
-    or all-zero sidelobe support gives a = S = 0 and a ratio of 0.
+    by its peak, (|r|/peak)^(p-2) goes to ``powers`` and ``mags`` is then
+    squared in place. Returns the ratio, (a, S) and (b, B); an empty or
+    all-zero sidelobe support gives a = S = 0 and a ratio of 0.
     """
     x, sl, ml = mags
     split = sl.size
@@ -321,14 +319,12 @@ def _gisl_ratio(mags, coef, work, pow_out: np.ndarray, p: int):
         sl /= a
     if b > 0.0:
         ml /= b
-    np.power(x, p - 2, out=pow_out)
-    terms, terms_sl, terms_ml = work
-    np.multiply(pow_out, x, out=terms)
-    terms *= x
-    _, coef_sl, coef_ml = coef
+    pw, pw_sl, pw_ml = powers
+    np.power(x, p - 2, out=pw)
+    np.square(x, out=x)
     # vdot is the BLAS dot that @ calls, without matmul's dispatch
-    sl_sum = float(np.vdot(coef_sl, terms_sl))
-    ml_sum = float(np.vdot(coef_ml, terms_ml))
+    sl_sum = 2.0 * float(np.vdot(pw_sl, sl))
+    ml_sum = 2.0 * float(np.vdot(pw_ml, ml)) - float(pw_ml[0] * ml[0])
     if a == 0.0:
         return 0.0, (a, sl_sum), (b, ml_sum)
     return (a / b) ** 2 * (sl_sum / ml_sum) ** (2.0 / p), (a, sl_sum), (b, ml_sum)
@@ -344,11 +340,11 @@ def compute_gisl(r: CorrelationResult, w: GislWeights, p) -> float:
     peak before powering, so the value is finite at any even p.
     """
     p = _validated_p(p)
-    bins, mags, powers, work, coef = _support_buffers(w, len(r.r))
+    bins, mags, powers = _support_buffers(w, len(r.r))
     lags = r.r[r.zero_index :]
     for part, b in zip(mags[1:], bins):
         np.abs(lags[b], out=part)
-    return _gisl_ratio(mags, coef, work, powers[0], p)[0]
+    return _gisl_ratio(mags, powers, p)[0]
 
 
 def compute_pslr(r: CorrelationResult, w: GislWeights) -> float:

@@ -142,6 +142,21 @@ def dense_dft_gisl_gradient(phi, cfg, weights, p: int) -> np.ndarray:
     return 8.0 * np.pi * cfg.h * cost * (dbar.T @ np.imag(np.conj(s_bar) * inner))
 
 
+def log_domain_gisl(r: np.ndarray, weights, p: int) -> float:
+    """GISL of a centred ACF from two-sided masks: sum |r|^p over both signs of
+    the sidelobe lags, over sum |r|^p on -null_index..null_index, each lag
+    read where it sits, with no fold and no peak normalisation. The p-sums
+    are taken in the log domain, as in dense_dft_gisl_gradient, so |r|^p
+    neither underflows nor overflows at large p."""
+    delay = np.abs(np.arange(len(r)) - (len(r) - 1) // 2)
+    w_sl = (delay >= weights.sl_first) & (delay <= weights.sl_last)
+    w_ml = delay <= weights.null_index
+    log_mags = np.log(np.maximum(np.abs(r), 1e-300))
+    log_num = _log_sum_exp(p * log_mags[w_sl])
+    log_den = _log_sum_exp(p * log_mags[w_ml])
+    return math.exp((2.0 / p) * (log_num - log_den))
+
+
 def plain_isl(r: np.ndarray, weights) -> float:
     """Sidelobe over mainlobe energy of a centred ACF: sum |r|^2 over both
     signs of the sidelobe lags, over sum |r|^2 on -null_index..null_index,

@@ -581,13 +581,15 @@ class TestSweepCommand:
 
 
 # (larger, smaller) config of each command, as argv without --out. The larger
-# one has more phases, samples, alphabets and seeds, so each table and manifest
-# that the smaller one writes is shorter, and a rerun that did not cut its
-# files to length would leave a stale tail; the summaries' lengths follow
-# their digits.
+# one has more phases, samples, iterations, alphabets and seeds, so each table
+# and manifest that the smaller one writes has fewer rows or fields, and a
+# rerun that did not cut its files to length would leave a stale tail; the
+# summaries' lengths follow their digits.
 QUICK = ["--seed", "1", "--set", "optimizer.max_iters=5"]
 MORE_ALPHABETS = ["--set", "quantization.alphabets=64,32,16,8,4,2"]
-LARGER = ["--set", "waveform.L=32", "--set", "waveform.tbp=208", *MORE_ALPHABETS]
+# later --set entries win, so this lifts QUICK's max_iters: trace.csv gets more rows
+LARGER = ["--set", "waveform.L=32", "--set", "waveform.tbp=208", "--set", "optimizer.max_iters=8",
+          *MORE_ALPHABETS]
 SMALLER = ["--set", "waveform.tbp=100"]
 RERUNS = {
     "synth": (["synth", *QUICK, *LARGER], ["synth", *QUICK, *SMALLER]),

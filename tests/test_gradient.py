@@ -285,12 +285,13 @@ class TestWorkspaceBuffers:
             arrays = peak / (16 * ws._n)
             assert arrays < 0.01, f"{name}: peak {arrays:.2f} complex N-point arrays"
 
-    def test_workspace_holds_five_and_a_half_n_point_arrays(self):
+    def test_workspace_holds_five_n_point_arrays(self):
         # M = 20000 on the full band correlates at N = 40000 = 2M. The buffers
         # are F and ifft(F * P), 1 each; the half spectrum, conj(v), the phasor
-        # and |F|^2, 0.5 each; the two harmonic spectra, 0.25 each; and four
-        # float arrays over the M support bins, 0.25 each. Gathered copies of
-        # the supports would add 1.25. The rest is views and Python objects
+        # and |F|^2, 0.5 each; the two harmonic spectra, 0.25 each; and two
+        # float arrays over the M support bins, |r|/peak and its (p-2)th
+        # power, 0.25 each. Gathered copies of the supports would add 1.25.
+        # The rest is views and Python objects
         cfg = WaveformConfig(L=24, h=0.2, samples=20000)
         phi = random_psk(24, math.inf, seed=1)
         w = build_weights(detect_mainlobe_null(compute_acf(synthesize(phi, cfg))), cfg.M)
@@ -302,7 +303,7 @@ class TestWorkspaceBuffers:
             tracemalloc.stop()
         arrays = size / (16 * ws._n)
         assert ws._n == 2 * cfg.M
-        assert size <= 5.5 * 16 * ws._n + 8192, f"{arrays:.4f} complex N-point arrays"
+        assert size <= 5.0 * 16 * ws._n + 8192, f"{arrays:.4f} complex N-point arrays"
 
     def test_returned_gradient_is_not_a_workspace_buffer(self):
         cfg, phi, w, ws = make_problem(8, 64, 6, seed=7)

@@ -7,6 +7,7 @@ from ceofdm import (
     TWO_PI,
     CorrelationResult,
     GislWeights,
+    GradientWorkspace,
     WaveformConfig,
     build_weights,
     compute_acf,
@@ -19,7 +20,7 @@ from ceofdm import (
     synthesize,
 )
 from ceofdm.metrics import _fft_kernel, _fft_length
-from oracles import brute_force_acf, plain_isl
+from oracles import brute_force_acf, log_domain_gisl, plain_isl
 
 # frozen regression: first null of the reference waveform (seed 1, Mpsk=32);
 # null * tbp / M = 1.8, within a factor of two of the LFM null at 1/tbp
@@ -397,6 +398,46 @@ class TestComputeGisl:
         assert compute_gisl(r, silent, 2) == 0.0
         assert compute_gisl(r, silent, 10000) == 0.0
         assert db(compute_gisl(r, silent, 2)) == float("-inf")
+
+
+def fold_case(case, cfg):
+    """(r, weights) of one fold case: a pulse's ACF on the full band, on the
+    last lag alone, or with lag 0 as the whole mainlobe; or a hand-built
+    conjugate-symmetric r whose mainlobe peaks at lag 1, not at lag 0."""
+    if case == "off-zero peak":
+        m = 16
+        rng = np.random.default_rng(7)
+        half = 0.3 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        half[:2] = 0.5, 0.6 + 0.8j
+        r = np.concatenate((np.conj(half[:0:-1]), half))
+        return CorrelationResult(r=r), GislWeights(3, 5, m - 1, m)
+    r = compute_acf(synthesize(random_psk(cfg.L, math.inf, seed=1), cfg))
+    null, m = detect_mainlobe_null(r), cfg.M
+    weights = {
+        "full": build_weights(null, m),
+        "last lag": GislWeights(null, m - 1, m - 1, m),
+        "lag-0 mainlobe": GislWeights(0, null, null, m),
+    }[case]
+    return r, weights
+
+
+@pytest.mark.parametrize("p", [2, 20, 1000])
+@pytest.mark.parametrize("case", ["full", "last lag", "lag-0 mainlobe", "off-zero peak"])
+def test_gisl_matches_two_sided_log_domain_oracle(reference_cfg, case, p):
+    # compute_gisl reads lags k >= 0 and counts each twice, lag 0 once; the
+    # oracle reads both signs of r where they sit
+    r, w = fold_case(case, reference_cfg)
+    expected = log_domain_gisl(r.r, w, p)
+    assert abs(compute_gisl(r, w, p) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("p", [2, 20, 1000])
+@pytest.mark.parametrize("case", ["full", "last lag"])
+def test_workspace_cost_equals_compute_gisl(reference_cfg, case, p):
+    r, w = fold_case(case, reference_cfg)
+    ws = GradientWorkspace(reference_cfg, w, p)
+    expected = compute_gisl(r, w, p)
+    assert abs(ws.cost(random_psk(reference_cfg.L, math.inf, seed=1)) - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("metric", [
