@@ -5,12 +5,16 @@ byte-identical files. Time and delay are in units of the pulse duration T,
 frequency and Doppler in cycles per T. Magnitudes are exported in dB floored
 at -200; an exact -inf (zero magnitude or empty region) is encoded as -999.
 
-Every sampled table is written as %.12e fields by ``_write_table`` from the
-writer's own arrays: its plain columns, its magnitudes and the first value of
-its index column. Each block of rows is built, its magnitudes turned into dB,
-encoded and written before the next, so no table is held whole, as numbers
-or as text. The short tables (phases, trace, quantization report and the
-sweep's ``seeds.csv``) are written by ``_write_rows``, every float cell %.17g.
+Every sampled table but af.csv is written as %.12e fields by ``_write_table``
+from the writer's own arrays: its plain columns, its magnitudes and the first
+value of its index column. Each block of rows is built, its magnitudes turned
+into dB, encoded and written before the next, so no table is held whole, as
+numbers or as text. ``write_af_csv`` encodes the same fields in the same
+slots, but only for the ambiguity surface's leading rows: each -nu row is its
++nu row reversed in delay, so its fields are the +nu row's slots in reverse
+order, written at a byte offset planned before the first row. The short
+tables (phases, trace, quantization report and the sweep's ``seeds.csv``)
+are written by ``_write_rows``, every float cell %.17g.
 
 Every file the package writes, the manifest and ``seeds.csv`` included, is
 opened by ``_rewrite``: an existing file is overwritten in place and then cut
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import CorrelationResult, _fft_kernel, db
+from .metrics import CorrelationResult, _doppler_pairs, _fft_kernel, db
 from .optimizer import OptimizationTrace
 from .quantize import QuantizationRow
 from .waveform import SampledWaveform, WaveformConfig, sample_frequency
@@ -265,7 +269,12 @@ def _encode_block(table: np.ndarray, index=None) -> bytes:
         return "".join(template % tuple(row) for row in values).encode("ascii")
     if index is not None:
         _d_fields(index, slots)
-    slots[:, -1, -1] = ord("\n")  # the comma of each row's last field
+    return _row_bytes(slots)
+
+
+def _row_bytes(slots: np.ndarray) -> bytes:
+    """The text of filled slots, each row's last comma made a newline."""
+    slots[:, -1, -1] = ord("\n")
     # bytes.replace drops zero bytes at a cost per zero byte, a masked copy at
     # a cost per byte: about one zero byte per field is where they break even
     if slots.size - np.count_nonzero(slots) <= slots.size // _SLOT:
@@ -385,15 +394,116 @@ def write_acf_csv(path, r: CorrelationResult) -> None:
     _write_table(path, header, [r.delays], np.abs(r.r), first_index=-r.zero_index)
 
 
+def _af_plan(values: np.ndarray, dopplers: np.ndarray, lead, partner, step: int, first: np.ndarray) -> np.ndarray:
+    """Bytes of each af.csv row: ``first`` (its Doppler field and comma), then
+    19 per dB field and one more for each minus sign, which a dB field has
+    exactly where |chi|^2 < 1. Reads the leading rows of _doppler_pairs
+    ``step`` at a time. Raises ValueError, naming the row, at a non-finite
+    |chi|^2 or at a partner row that is not its leading row reversed in
+    delay, bit for bit.
+    """
+    sizes = first + (_SLOT - 1) * values.shape[1]
+    bits = values.view(np.uint64)
+    for start in range(0, lead.size, step):
+        rows, mates = lead[start : start + step], partner[start : start + step]
+        power = values.take(rows, axis=0)
+        np.square(power, out=power)
+        if not power.max() < math.inf:  # false at inf and at nan
+            row = rows[~np.isfinite(power).all(axis=1)][0]
+            raise ValueError(f"af row {row} (doppler {dopplers[row]:g}) holds a |chi|^2 that is not finite")
+        signs = np.add.reduce(power < 1.0, axis=1, dtype=np.int64)
+        sizes[rows] += signs
+        paired = mates >= 0
+        rows, mates = rows[paired], mates[paired]
+        unequal = (bits[rows, ::-1] != bits[mates]).any(axis=1)
+        if unequal.any():
+            row, lead_row = mates[unequal][0], rows[unequal][0]
+            raise ValueError(
+                f"af row {row} (doppler {dopplers[row]:g}) is not row {lead_row} "
+                f"(doppler {dopplers[lead_row]:g}) reversed in delay"
+            )
+        sizes[mates] += signs[paired]
+    return sizes
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    """os.pwrite all of ``data``, however many calls it takes."""
+    while data:
+        written = os.pwrite(fd, data, offset)
+        data, offset = data[written:], offset + written
+
+
 def write_af_csv(path, values: np.ndarray, dopplers) -> None:
     """First column Doppler (times T); remaining columns |chi|^2 in dB per delay.
 
     ``values`` holds compute_af's rows, each over the 2M-1 centered delays
-    of the header; it is encoded a block of rows at a time, never copied whole.
+    of the header. Rows pair as in metrics._doppler_pairs, and a partner row
+    must be its leading row reversed in delay, as compute_af makes it: its dB
+    fields are then the leading row's in reverse order. Each leading row is
+    turned into dB and encoded once, a block of rows at a time, and its
+    partner is written from the same 20-byte field slots in reverse order.
+    The bytes are those of %.12e fields formatted one value at a time, and
+    no table is held whole, as numbers or as text.
+
+    A partner row may come before its leading row, so every row's byte
+    offset is planned first (_af_plan), and each block's rows are written at
+    their offsets. The file position stays at the header's end until the
+    last row is written, so a write that fails part-way leaves only the
+    header. Raises ValueError, before the file is opened, at a non-finite
+    value or a partner row that is not its leading row reversed.
     """
-    m = (values.shape[1] + 1) // 2
-    delays = np.arange(1 - m, m) / m
-    _write_table(path, "doppler_times_T", [dopplers], values, header_values=delays)
+    values = np.asarray(values, dtype=float)
+    dopplers = np.asarray(dopplers, dtype=float).ravel()
+    if values.ndim != 2 or len(values) != dopplers.size:
+        raise ValueError(f"af values of shape {values.shape} do not match {dopplers.size} Doppler rows")
+    cols = values.shape[1]
+    m = (cols + 1) // 2
+    lead, partner = _doppler_pairs(dopplers)
+    step = max(1, _BLOCK_VALUES // cols)
+    # each Doppler field and its comma, right-aligned in whole slots ahead of the dB fields
+    texts = [text + b"," for text in _encode_block(dopplers[:, None]).split(b"\n")[:-1]]
+    sizes = _af_plan(values, dopplers, lead, partner, step, np.array([len(t) for t in texts], dtype=np.int64))
+    width = -(-max(map(len, texts), default=1) // _SLOT)
+    doppler_slots = np.frombuffer(b"".join(t.rjust(width * _SLOT, b"\0") for t in texts), np.uint8)
+    doppler_slots = doppler_slots.reshape(-1, width, _SLOT)
+    header = b"doppler_times_T," + _encode_block((np.arange(1 - m, m) / m)[None, :])
+    offsets = np.cumsum([len(header), *sizes.tolist()]).tolist()
+    buffer = np.empty((2 * step, width + cols, _SLOT), np.uint8)
+
+    def write_rows(fd: int, placed: np.ndarray, slots: np.ndarray) -> None:
+        # the rows ``placed``, ascending in the file, at their planned offsets:
+        # one write per run of consecutive rows
+        data = memoryview(_row_bytes(slots))
+        bounds = [0, *(np.flatnonzero(np.diff(placed) != 1) + 1).tolist(), placed.size]
+        placed = placed.tolist()
+        runs = [(offsets[placed[a]], offsets[placed[b - 1] + 1]) for a, b in zip(bounds, bounds[1:])]
+        if sum(end - begin for begin, end in runs) != len(data):
+            raise RuntimeError(f"af rows {placed} encode to {len(data)} bytes, not the planned length")
+        for begin, end in runs:
+            _pwrite(fd, data[: end - begin], begin)
+            data = data[end - begin :]
+
+    def write_block(fd: int, rows: np.ndarray, mates: np.ndarray) -> None:
+        mirrored = np.flatnonzero(mates >= 0)
+        mirrored = mirrored[np.argsort(mates[mirrored])]
+        slots = buffer[: rows.size + mirrored.size]
+        slots[:, :width] = doppler_slots[np.concatenate((rows, mates[mirrored]))]
+        power = values.take(rows, axis=0)
+        np.square(power, out=power)
+        if _e_fields(_power_db(power), slots[: rows.size], width):
+            raise RuntimeError(f"af rows {rows.tolist()} hold a dB field wider than its slot")
+        records = slots.view(f"V{_SLOT}")[:, width:, 0]
+        records[rows.size :] = records[mirrored, ::-1]
+        write_rows(fd, rows, slots[: rows.size])
+        if mirrored.size:
+            write_rows(fd, mates[mirrored], slots[rows.size :])
+
+    with _rewrite(path) as out:
+        out.write(header)
+        out.flush()
+        for start in range(0, lead.size, step):
+            write_block(out.fileno(), lead[start : start + step], partner[start : start + step])
+        out.seek(offsets[-1])
 
 
 def write_trace_csv(path, trace: OptimizationTrace) -> None:

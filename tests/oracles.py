@@ -186,8 +186,9 @@ def per_row_af(samples: np.ndarray, t: np.ndarray, nu) -> np.ndarray:
     """|chi| one Doppler row at a time, each row its own 1-D FFT correlation.
 
     The symmetric Doppler split and the FFT length (the smallest 5-smooth
-    n >= 2M-1) are those of the library, so the batched surface must match
-    this loop bit for bit.
+    n >= 2M-1) are those of the library, so the batched surface's leading
+    rows must match this loop bit for bit; its -nu rows, the +nu rows
+    reversed in delay, match it to rounding.
     """
     m = len(samples)
     n = smallest_5_smooth(2 * m - 1)

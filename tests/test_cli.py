@@ -202,6 +202,17 @@ class TestSynthCommand:
         assert np.array_equal(nu, -nu[::-1])
         assert metrics._doppler_pairs(nu)[0].size == 49
 
+    def test_af_rows_at_minus_nu_are_plus_nu_reversed(self, tmp_path):
+        # |chi(-tau, -nu)| = |chi(tau, nu)|: the -nu line's dB fields are the
+        # +nu line's, as text, in reverse delay order
+        out = tmp_path / "af"
+        assert main(["synth", "--out", str(out), "--seed", "1", "--set", "run.write_spectrogram=false"]) == 0
+        rows = [line.split(",") for line in (out / "af.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 97
+        for minus, plus in zip(rows[:48], rows[:48:-1]):
+            assert float(minus[0]) == -float(plus[0]) < 0.0
+            assert minus[1:] == plus[:0:-1]
+
     @pytest.mark.parametrize("samples", [3, 7])
     def test_pulse_shorter_than_spectrogram_window(self, tmp_path, samples):
         # the spectrogram window was at least 8 samples, so M < 8 had no frame

@@ -194,6 +194,63 @@ def test_interrupted_rewrite_keeps_header_and_first_block(tmp_path, monkeypatch)
     assert path.read_bytes() == b"".join(lines[: 1 + exports._BLOCK_VALUES // 2])
 
 
+def test_af_csv_with_doppler_fields_longer_than_a_slot(tmp_path):
+    # a Doppler of -1e-100 prints 21 bytes with its comma, so every row's
+    # Doppler takes two slots; nan and -0.0 lead alone, and the rows at
+    # +-1e300 and +-1e-100 are mirrors
+    nu = np.array([-1e-100, np.nan, 1e300, -0.0, 1e-100, 0.0, -1e300])
+    rng = np.random.default_rng(8)
+    values = rng.random((nu.size, 5)) * [[1e-3], [1.0], [2.0], [1e3], [0.5], [0.0], [1.0]]
+    values[0], values[6] = values[4, ::-1], values[2, ::-1]
+    write_af_csv(tmp_path / "af.csv", values, nu)
+    assert (tmp_path / "af.csv").read_bytes() == expected_af(values, nu)
+
+
+def test_interrupted_af_rewrite_keeps_only_its_header(tmp_path, monkeypatch, survey_af):
+    # each block writes its leading rows and their partners, which sit before
+    # them in the file, at planned offsets: the first write lands past the
+    # header, the second fails, and the file is cut back to the header
+    cfg, s, nu = survey_af
+    af = compute_af(s, nu)
+    write_af_csv(tmp_path / "whole.csv", af, nu)
+    whole = (tmp_path / "whole.csv").read_bytes()
+    path = tmp_path / "af.csv"
+    path.write_bytes(b"x" * 2 * len(whole))
+    pwrite, calls = exports._pwrite, []
+
+    def fail_second_call(fd, data, offset):
+        calls.append(offset)
+        if len(calls) == 2:
+            raise OSError("interrupted")
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(exports, "_pwrite", fail_second_call)
+    with pytest.raises(OSError, match="interrupted"):
+        write_af_csv(path, af, nu)
+    header = whole[: whole.index(b"\n") + 1]
+    assert len(calls) == 2 and calls[0] > len(header)
+    assert path.read_bytes() == header
+
+
+def test_af_csv_rejects_unmirrored_rows_and_non_finite_values(tmp_path, survey_af):
+    cfg, s, nu = survey_af
+    af = compute_af(s, nu)
+    lead, partner = metrics._doppler_pairs(nu)
+    i, j = lead[partner >= 0][5], partner[partner >= 0][5]
+    path = tmp_path / "af.csv"
+    bad = af.copy()
+    bad[j, 7] = np.nextafter(bad[j, 7], 1.0)  # one ulp off the mirror
+    with pytest.raises(ValueError, match=rf"af row {j} \(doppler {nu[j]:g}\) is not row {i} "):
+        write_af_csv(path, bad, nu)
+    for row in (i, j):
+        for value in (np.inf, np.nan):
+            bad = af.copy()
+            bad[row, 3] = value
+            with pytest.raises(ValueError, match=f"af row {row} "):
+                write_af_csv(path, bad, nu)
+    assert not path.exists()  # every check runs before the file is opened
+
+
 def test_rectangular_af_reaches_floor(tmp_path):
     cfg = CONFIGS["rect"]
     s = synthesize(np.zeros(1), cfg)
@@ -223,15 +280,29 @@ def test_exact_zeros_and_tiny_values(tmp_path):
     assert (tmp_path / "af.csv").read_bytes() == expected_af(values, nu)
 
 
+def assert_af_matches_per_row_loop(cfg, s, nu):
+    """compute_af against per_row_af: each leading row of _doppler_pairs bit
+    for bit; each partner row bit for bit its leading row reversed in delay,
+    and within 2.3e-16 of correlating it alone; every row exactly once."""
+    nu = np.asarray(nu, dtype=float)
+    af, expected = compute_af(s, nu), per_row_af(s.samples, cfg.t, nu)
+    lead, partner = metrics._doppler_pairs(nu)
+    paired = partner >= 0
+    mates = partner[paired]
+    assert np.array_equal(np.sort(np.concatenate((lead, mates))), np.arange(nu.size))
+    assert np.array_equal(af[lead], expected[lead])
+    assert np.array_equal(af[mates], af[lead[paired], ::-1])
+    assert np.abs(af[mates] - expected[mates]).max(initial=0.0) <= 2.3e-16
+
+
 @pytest.mark.parametrize("cfg", [WaveformConfig(L=8, h=0.15, samples=70), WaveformConfig(L=24, tbp=208.0)])
 def test_batched_af_matches_per_row_loop(cfg):
     assert cfg.M in (70, 1040)
     s = synthesize(random_psk(cfg.L, 32, seed=2), cfg)
-    nu = np.linspace(-cfg.L, cfg.L, 97)
-    assert np.array_equal(compute_af(s, nu), per_row_af(s.samples, cfg.t, nu))
+    assert_af_matches_per_row_loop(cfg, s, np.linspace(-cfg.L, cfg.L, 97))
 
 
-# Doppler grids in units of 1/T; rows at +nu and -nu share their FFTs in compute_af
+# Doppler grids in units of 1/T; a row at -nu is its +nu row reversed in compute_af
 AF_EDGE_GRIDS = {
     "symmetric-even": [-3.0, -1.5, -0.5, 0.5, 1.5, 3.0],  # every row paired, no zero
     "unpaired": [-3.0, 0.5, -0.5, 2.0, -7.0, 4.0],  # -3, 2, -7 and 4 lead alone
@@ -245,8 +316,7 @@ AF_EDGE_GRIDS = {
 def test_paired_af_matches_per_row_loop_on_edge_grids(grid):
     cfg = WaveformConfig(L=8, h=0.15, samples=70)
     s = synthesize(random_psk(cfg.L, 32, seed=3), cfg)
-    nu = np.array(AF_EDGE_GRIDS[grid])
-    assert np.array_equal(compute_af(s, nu), per_row_af(s.samples, cfg.t, nu))
+    assert_af_matches_per_row_loop(cfg, s, AF_EDGE_GRIDS[grid])
 
 
 def test_paired_af_blocks_match_per_row_loop():
@@ -259,7 +329,7 @@ def test_paired_af_blocks_match_per_row_loop():
     pairs_per_block = metrics._AF_BLOCK_POINTS // metrics._fft_length(cfg.M) // 2
     leading = metrics._doppler_pairs(nu)[0].size
     assert leading > 2 * pairs_per_block and leading % pairs_per_block
-    assert np.array_equal(compute_af(s, nu), per_row_af(s.samples, cfg.t, nu))
+    assert_af_matches_per_row_loop(cfg, s, nu)
 
 
 @pytest.fixture(scope="module")
@@ -303,8 +373,9 @@ def test_af_transient_memory_is_block_sized(tmp_path, survey_af):
     # several (97, 2160) complex arrays, 3.2 MiB each, and read 12.6 MiB.
     assert af_peak < surface + 6 * metrics._AF_BLOCK_POINTS * 16
     # write_af_csv: one encoder block in flight, about 80 bytes per value of
-    # _BLOCK_VALUES (0.5 MiB measured), so 1 MiB. It is under one surface-sized
-    # array: dB tables of the whole surface read 4.8 MiB.
+    # _BLOCK_VALUES, so 1 MiB: a block of leading rows and the slots of their
+    # mirrored partners (0.7 MiB measured; 0.6 through _write_table). It is
+    # under one surface-sized array: dB tables of the whole surface read 4.8 MiB.
     assert csv_peak < exports._BLOCK_VALUES * 128 < surface
 
 
