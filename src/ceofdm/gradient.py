@@ -69,10 +69,11 @@ from .metrics import (
     _fft_kernel,
     _fft_length,
     _gisl_ratio,
+    _phasor,
     _support_buffers,
     _validated_p,
 )
-from .waveform import WaveformConfig, _phase_samples, _phase_vector, _phasor
+from .waveform import WaveformConfig, _phase_samples, _phase_vector
 
 __all__ = ["GradientWorkspace"]
 

@@ -20,6 +20,7 @@ numpy.fft's wrapper would pass, so no Python wrapper runs per transform;
 ``GradientWorkspace`` binds its six once, when it is built. The gufuncs live
 in numpy.fft._pocketfft_umath, a module private to numpy (there from numpy
 2.0 on), and take the transform length from ``out``, which every call passes.
+Every M-sample phasor e^{j theta} in the package is written by ``_phasor``.
 """
 
 from __future__ import annotations
@@ -132,6 +133,18 @@ def _fft_kernel(kind: str, n: int, norm: str | None = None) -> tuple[np.ufunc, n
     return getattr(_pocketfft_umath, kind), np.array(1.0 / n if inverse and norm != "forward" else 1.0)
 
 
+def _phasor(theta: np.ndarray, real: np.ndarray, imag: np.ndarray) -> None:
+    """exp(j theta) written as cos into ``real`` and sin into ``imag``, the
+    two parts of one complex array.
+
+    Cheaper than np.exp(1j * theta), and bit for bit equal to it, except at
+    theta = -0, where the sine gives an imaginary part of -0 and the complex
+    exp one of +0. A signed zero changes no nonzero value downstream.
+    """
+    np.cos(theta, out=real)
+    np.sin(theta, out=imag)
+
+
 def compute_acf(s: SampledWaveform) -> CorrelationResult:
     """Discretized ACF over all 2M-1 delays.
 
@@ -178,18 +191,20 @@ def compute_af(s: SampledWaveform, doppler_grid) -> np.ndarray:
     """|chi| over a grid of Doppler shifts (cycles per T): one row per shift,
     each over the 2M-1 centered delays of compute_acf.
 
-    Each Doppler shift is split symmetrically between the two copies of the
-    waveform before correlating, so the zero-Doppler row reproduces
-    compute_acf exactly and the zero-delay cut is the Dirichlet-kernel sum
-    |sum_m |s[m]|^2 e^{j 2 pi nu t_m}|. A leading row of _doppler_pairs is
-    |ifft(A conj(B))| with A = fft(s e^{j pi nu t}) and B = fft(s e^{-j pi nu t}),
-    bit for bit what correlating it alone gives. Its partner at -nu would be
-    |ifft(B conj(A))|, the same lags conjugated and negated, since
-    |chi(-tau, -nu)| = |chi(tau, nu)|: it is taken as the leading row
-    reversed in delay, which correlating it alone matches to rounding (the
-    tests bound the difference by 2.3e-16). Leading rows
-    go in blocks of max(1, _AF_BLOCK_POINTS // N // 2), one batch of N-point
-    FFTs per block; a row's values do not depend on its block.
+    Row nu is |sum_m s[m+k] s*[m] e^{j 2 pi nu t_m}|, the whole Doppler shift
+    on the conjugated copy, so the zero-delay cut is the Dirichlet-kernel sum
+    |sum_m |s[m]|^2 e^{j 2 pi nu t_m}|. S = fft(s) is taken once per call,
+    and a leading row of _doppler_pairs is |ifft(S conj(G))| with
+    G = fft(s e^{-j 2 pi nu t}): one phasor, one forward and one inverse
+    N-point FFT, bit for bit what correlating it alone gives. At nu = +-0 the
+    phasor is exactly 1 -+ 0j, so G is S and, with the product formed as
+    S * conj(G) in compute_acf's operand order, the zero-Doppler row is |r|
+    of compute_acf bit for bit. Since |chi(-tau, -nu)| = |chi(tau, nu)|, the
+    partner at -nu is taken as the leading row reversed in delay, which
+    correlating it alone, through G at -nu, matches to rounding (the tests
+    bound the difference). Leading rows go in blocks of
+    max(1, _AF_BLOCK_POINTS // N // 2), one batch of N-point FFTs per block;
+    a row's values do not depend on its block.
     """
     nu = np.asarray(doppler_grid, dtype=float).ravel()
     m = s.samples.size
@@ -198,17 +213,19 @@ def compute_af(s: SampledWaveform, doppler_grid) -> np.ndarray:
     lead, partner = _doppler_pairs(nu)
     step = max(1, _AF_BLOCK_POINTS // n // 2)
     (fft, one), (ifft, inv_n) = _fft_kernel("fft", n), _fft_kernel("ifft", n)
+    spec = fft(s.samples, one, out=np.empty(n, dtype=complex))
     values = np.empty((nu.size, 2 * m - 1))
     for start in range(0, lead.size, step):
         rows, mates = lead[start : start + step], partner[start : start + step]
-        shift = np.exp((1j * np.pi * nu[rows])[:, None] * t)
-        a = fft(s.samples * shift, one, out=np.empty((rows.size, n), dtype=complex))
-        np.conjugate(shift, out=shift)
-        b = fft(np.multiply(s.samples, shift, out=shift), one, out=np.empty_like(a))
+        shift = np.empty((rows.size, m), dtype=complex)
+        _phasor(np.multiply.outer(-2.0 * np.pi * nu[rows], t), shift.real, shift.imag)
+        g = np.empty((rows.size, n), dtype=complex)
+        fft(np.multiply(s.samples, shift, out=shift), one, out=g)
         del shift
-        a *= np.conjugate(b, out=b)  # in place, as in compute_acf
-        ifft(a, inv_n, out=a)
-        mag = np.abs(a, out=b.view(float)[:, :n])
+        # S first, as in compute_acf: the operands' order can change the rounding
+        np.multiply(spec, np.conjugate(g, out=g), out=g)
+        ifft(g, inv_n, out=g)
+        mag = np.abs(g)  # not into g's own memory, which can round differently
         # negative lags sit at the top of the circular correlation, as in compute_acf
         values[rows, : m - 1] = mag[:, n - m + 1 :]
         values[rows, m - 1 :] = mag[:, :m]

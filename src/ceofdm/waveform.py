@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import _fft_kernel
+from .metrics import _fft_kernel, _phasor
 
 TWO_PI = 2.0 * math.pi
 
@@ -212,18 +212,6 @@ def _phase_samples(
     theta = _harmonic_sum(spec, cfg.M, out, kernel)
     theta *= TWO_PI * cfg.h
     return theta
-
-
-def _phasor(theta: np.ndarray, real: np.ndarray, imag: np.ndarray) -> None:
-    """exp(j theta) written as cos into ``real`` and sin into ``imag``, the
-    two parts of one complex array.
-
-    Cheaper than np.exp(1j * theta), and bit for bit equal to it, except at
-    theta = -0, where the sine gives an imaginary part of -0 and the complex
-    exp one of +0. A signed zero changes no nonzero value downstream.
-    """
-    np.cos(theta, out=real)
-    np.sin(theta, out=imag)
 
 
 def sample_phase(phi, cfg: WaveformConfig) -> np.ndarray:

@@ -185,20 +185,39 @@ def smallest_5_smooth(target: int) -> int:
 def per_row_af(samples: np.ndarray, t: np.ndarray, nu) -> np.ndarray:
     """|chi| one Doppler row at a time, each row its own 1-D FFT correlation.
 
-    The symmetric Doppler split and the FFT length (the smallest 5-smooth
-    n >= 2M-1) are those of the library, so the batched surface's leading
-    rows must match this loop bit for bit; its -nu rows, the +nu rows
-    reversed in delay, match it to rounding.
+    The Doppler split, fft(s) conj(fft(s e^{-j 2 pi nu t})), the phasor
+    written as a cosine and a sine, and the FFT length (the smallest
+    5-smooth n >= 2M-1) are those of the library, so the batched surface's
+    leading rows must match this loop bit for bit; its -nu rows, the +nu
+    rows reversed in delay, match it to rounding. direct_af checks the split
+    itself without an FFT.
     """
     m = len(samples)
     n = smallest_5_smooth(2 * m - 1)
     lags = np.arange(1 - m, m) % n
     nu = np.asarray(nu, float)
     out = np.empty((nu.size, 2 * m - 1))
+    spec = np.fft.fft(samples, n)
+    shift = np.empty(m, dtype=complex)
     for i, v in enumerate(nu):
-        shift = np.exp(1j * np.pi * v * t)
-        spec = np.fft.fft(samples * shift, n) * np.conj(np.fft.fft(samples * np.conj(shift), n))
-        out[i] = np.abs(np.fft.ifft(spec)[lags])
+        phase = -2.0 * np.pi * v * t
+        np.cos(phase, out=shift.real)
+        np.sin(phase, out=shift.imag)
+        out[i] = np.abs(np.fft.ifft(spec * np.conj(np.fft.fft(samples * shift, n)))[lags])
+    return out
+
+
+def direct_af(samples: np.ndarray, nu) -> np.ndarray:
+    """|chi| by the O(M^2) lag-Doppler sum |sum_m s[m+k] s*[m] e^{j 2 pi nu m / M}|,
+    one row per Doppler shift over the lags k = -(M-1)..M-1, with no FFT."""
+    m = len(samples)
+    nu = np.asarray(nu, float)
+    out = np.empty((nu.size, 2 * m - 1))
+    for i, v in enumerate(nu):
+        weighted = np.conj(samples) * np.exp(2j * np.pi * v * np.arange(m) / m)
+        for k in range(1 - m, m):
+            lo, hi = max(0, -k), min(m, m - k)
+            out[i, k + m - 1] = abs(np.sum(samples[lo + k : hi + k] * weighted[lo:hi]))
     return out
 
 

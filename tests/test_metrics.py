@@ -20,7 +20,7 @@ from ceofdm import (
     synthesize,
 )
 from ceofdm.metrics import _fft_kernel, _fft_length
-from oracles import brute_force_acf, log_domain_gisl, plain_isl
+from oracles import brute_force_acf, direct_af, log_domain_gisl, plain_isl
 
 # frozen regression: first null of the reference waveform (seed 1, Mpsk=32);
 # null * tbp / M = 1.8, within a factor of two of the LFM null at 1/tbp
@@ -194,6 +194,16 @@ class TestComputeAf:
         r = compute_acf(s)
         af = compute_af(s, [-4.0, 0.0, 4.0])
         assert np.array_equal(af[1], np.abs(r.r))
+
+    @pytest.mark.parametrize("m", [25, 64])
+    def test_matches_direct_lag_doppler_sum(self, m):
+        # zero, -0.0, a duplicate 1.5, an unpaired -3 and 2.5, and |nu| = 12 > L;
+        # the largest deviation over M = 25, 40, 64 and seeds 1..7 is 1.4e-15,
+        # and the bound is about three times that
+        cfg = WaveformConfig(L=8, h=0.15, samples=m)
+        s = synthesize(random_psk(cfg.L, 32, seed=1), cfg)
+        grid = [0.0, -0.0, 1.5, -1.5, 1.5, -3.0, 2.5, 12.0, -12.0]
+        assert np.abs(compute_af(s, grid) - direct_af(s.samples, grid)).max() < 4e-15
 
     def test_zero_delay_cut_is_dirichlet(self, small_cfg, rng):
         s = synthesize(TWO_PI * rng.random(small_cfg.L), small_cfg)
