@@ -9,9 +9,10 @@ samples, N >= M+K points after that, with K the largest lag of the weight
 supports (the FFT length and lag layout of ``metrics``).
 
 Forward pass. The phase samples are the harmonic synthesis of ``waveform``,
-one M-point irfft. J_p does not change when the pulse is scaled, so the
-samples are s = exp(j theta) without the 1/sqrt(M), and the ACF is never
-divided by N. |F|^2 is real, so r is conjugate symmetric and its half spectrum
+one unscaled M-point irfft of b_l = pi*h*exp(-j phi_l) on bins 1..L. J_p
+does not change when the pulse is scaled, so the samples are
+s = exp(j theta) without the 1/sqrt(M), and the ACF is never divided by N.
+|F|^2 is real, so r is conjugate symmetric and its half spectrum
 rfft(|F|^2) = N M conj(r[0..N/2]) holds all of it: bin k stands for the
 lags +k and -k (it counts once at lag 0). The peak-normalised p-sums of
 ``metrics._gisl_ratio`` count each support bin twice, lag 0 once, in the
@@ -38,7 +39,9 @@ Its column l is the harmonic sin(2*pi*l*t/T - phi_l), and on the grid
 t = m T / M harmonic l is DFT bin l, so Dbar' z = -Im{exp(j phi) * rfft(z)}
 on bins 1..L. The 2*pi*h factor is the Jacobian of the phase samples with
 respect to each symbol, on top of the 4*J_p factor from the quotient and
-modulus stages.
+modulus stages. With b = pi*h*exp(-j phi), the bins the forward pass leaves,
+and Z = rfft(z), z = s_re g_im - s_im g_re, the gradient is the real
+8*J_p*N*(b_im Z_re - b_re Z_im): pi*h moves from its scale into b.
 
 Cost of one evaluation. The optimizer evaluates the cost about twice per
 gradient (rejected Armijo trials), so per-call overhead counts. Every FFT
@@ -49,15 +52,15 @@ constructor binds each to its pocketfft gufunc and scale through
 numpy.fft wrapper in between. The gufuncs come from
 numpy.fft._pocketfft_umath, a module private to numpy.
 
-The |F|^2 buffer holds the phase samples first and P last; the N/2+1 bins
-of the half-spectrum buffer hold the im^2 scratch, then rfft(|F|^2), which
-the next gradient of a cached pass reads again. F * P and its ifft share
-one buffer, whose head then takes conj(s) * g (s is conjugated in place and
-back, which is exact). Each support is a slice of the half spectrum and of
-conj(v), written real and imaginary parts apart; only those bins of v, and
-bins 1..L of the harmonic buffer, are ever written. The |r|/peak buffer
-takes its squares, then the gradient's powers over their p-sums; the powers
-are kept for the next gradient of a cached pass.
+The |F|^2 buffer holds the phase samples first, then P, then z in its head
+(the z spectrum's buffer is scratch until Z); the N/2+1 bins of the
+half-spectrum buffer hold the im^2 scratch, then rfft(|F|^2), which the next
+gradient of a cached pass reads again. F * P and its ifft share one buffer.
+Each support is a slice of the half spectrum and of conj(v), written real
+and imaginary parts apart; only those bins of v, and bins 1..L of the
+harmonic buffer, are ever written. The |r|/peak buffer takes its squares,
+then the gradient's powers over their p-sums; the powers are kept for the
+next gradient of a cached pass.
 """
 
 from __future__ import annotations
@@ -101,23 +104,24 @@ class GradientWorkspace:
         # exact and N > 2K keeps every support bin below the Nyquist bin N/2
         n = self._n = _fft_length(cfg.M, weights.sl_last)
         m = cfg.M
-        self._spec = np.zeros(m // 2 + 1, dtype=complex)  # harmonic bins 1..L
+        self._spec = np.zeros(m // 2 + 1, dtype=complex)  # pi h exp(-j phi) on bins 1..L
         self._s = np.empty(m, dtype=complex)  # phasor exp(j theta)
         self._f = np.empty(n, dtype=complex)  # F of the last forward pass
-        self._power = np.empty(n)  # theta, then |F|^2, then P
+        self._power = np.empty(n)  # theta, then |F|^2, then P, then z in its head
         self._half = np.empty(n // 2 + 1, dtype=complex)  # im^2 of F, then rfft(|F|^2)
         self._g = np.empty(n, dtype=complex)  # F * P, then its ifft
-        self._zspec = np.empty(m // 2 + 1, dtype=complex)  # rfft of Im{conj(s) * g}
+        self._zspec = np.empty(m // 2 + 1, dtype=complex)  # scratch for z, then rfft(z)
         self._v = np.zeros(n // 2 + 1, dtype=complex)  # conj(v) on the support bins
         # the views and scales both passes read, made once
-        self._theta = self._power[:m]
+        self._theta = self._z = self._power[:m]
         self._s_parts = self._s.real, self._s.imag
         self._f_parts = self._f.real, self._f.imag
+        self._g_parts = self._g.real[:m], self._g.imag[:m]
         self._fg_parts = list(zip(self._f_parts, (self._g.real, self._g.imag)))
         self._square = self._half.view(float)[:n]
-        self._z = self._g[:m]  # conj(s) * g
-        self._z_imag = self._z.imag
-        self._zbins = self._zspec[1 : cfg.L + 1]
+        self._z_scratch = self._zspec.view(float)[:m]
+        self._bins = self._spec[1 : cfg.L + 1].real, self._spec[1 : cfg.L + 1].imag
+        self._zbins = self._zspec[1 : cfg.L + 1].real, self._zspec[1 : cfg.L + 1].imag
         # per support: its parts of _x and _pow, and its bins of the half
         # spectrum and of conj(v), also by parts, since a float times a
         # complex would go through numpy's cast buffer
@@ -129,11 +133,11 @@ class GradientWorkspace:
         # the pocketfft kernels and scales of the six FFTs, bound once: the
         # M-point harmonic irfft, fft(s, N) and rfft(|F|^2), then the irfft
         # of conj(v), the ifft of F * P and the M-point rfft of z
-        self._harmonic = _fft_kernel("irfft", m)
+        self._harmonic = _fft_kernel("irfft", m, norm="forward")
         self._fft, self._rfft = _fft_kernel("fft", n), _fft_kernel("rfft", n)
         self._irfft = _fft_kernel("irfft", n, norm="forward")
         self._ifft, self._zrfft = _fft_kernel("ifft", n), _fft_kernel("rfft", m)
-        self._grad_scale = 8.0 * np.pi * cfg.h
+        self._grad_scale = 8.0 * n  # 8 pi h N over the harmonic bins' pi h
         # the last forward pass: its phase bytes, cost, peaks and p-sums; F, the
         # phasor and the half spectrum stay in the buffers until the next one
         self._key: bytes | None = None
@@ -191,16 +195,16 @@ class GradientWorkspace:
             np.multiply(f_part, p_spec, out=g_part)
         ifft, inv_n = self._ifft
         ifft(self._g, inv_n, out=self._g)
-        # conj(s) * g in g's head; negating s and back is exact, so the
-        # cached phasor survives for the next gradient pass
-        s, z = self._s, self._z
-        np.conjugate(s, out=s)
-        np.multiply(s, z, out=z)
-        np.conjugate(s, out=s)
+        # z = Im{conj(s) * g} in P's head, which nothing reads any more
+        (s_re, s_im), (g_re, g_im), z = self._s_parts, self._g_parts, self._z
+        np.multiply(s_re, g_im, out=z)
+        np.multiply(s_im, g_re, out=self._z_scratch)
+        z -= self._z_scratch
         rfft, one = self._zrfft
-        rfft(self._z_imag, one, out=self._zspec)
-        scale = self._grad_scale * cost * self._n
-        grad = -scale * (np.exp(1j * phi) * self._zbins).imag
+        rfft(z, one, out=self._zspec)
+        # -Im{exp(j phi) Z} = Im{conj(b) Z} / -(pi h), b = pi h exp(-j phi)
+        (b_re, b_im), (z_re, z_im) = self._bins, self._zbins
+        grad = (self._grad_scale * cost) * (b_im * z_re - b_re * z_im)
         if not np.isfinite(grad).all():
             raise FloatingPointError(f"GISL gradient is not finite at p={self.p}")
         return cost, grad

@@ -6,13 +6,13 @@ duration. Sidelobe metrics operate on binary mainlobe and sidelobe supports,
 each stored once as a range of non-negative lags, and read lags 0..M-1 only.
 
 This module owns the correlation layout. Every correlation, here and in the
-gradient, is an N-point circular FFT correlation with N the smallest
-2^a 3^b 5^c >= M+K, where K is the largest lag read: K = M-1 here, so
-N >= 2M-1, and the largest weighted lag in the gradient. The circular sum at
-lag k adds the linear lags k-N and k+N, which lie outside -(M-1)..M-1 for
-every |k| <= K once N >= M+K, so it equals the linear lag sum on those lags.
-5-smooth lengths avoid the slow FFT route that prime lengths such as 1999
-take. Lag k sits at circular position k mod N.
+gradient, is an N-point circular FFT correlation with N = _fft_length >= M+K,
+where K is the largest lag read: K = M-1 here, so N >= 2M-1, and the largest
+weighted lag in the gradient. The circular sum at lag k adds the linear lags
+k-N and k+N, which lie outside -(M-1)..M-1 for every |k| <= K once N >= M+K,
+so it equals the linear lag sum on those lags. N is 2^a 3^b 5^c, with c <= 1
+where that costs at most 1/32 in length: pocketfft runs slower on a factor 5,
+and far slower on prime lengths such as 1999. Lag k sits at position k mod N.
 
 This module also owns the FFT kernels. Every transform in the package calls
 the pocketfft gufunc that ``_fft_kernel`` returns, with the scale that
@@ -102,7 +102,8 @@ class GislWeights:
 
 @lru_cache(maxsize=None)
 def _fft_length(m: int, max_lag: int | None = None) -> int:
-    """Smallest 2^a 3^b 5^c >= m + max_lag, the FFT length for correlating m samples.
+    """FFT length N >= m + max_lag for correlating m samples: the smallest 2^a 3^b 5^c,
+    or the smallest with c <= 1 if that is at most 1/32 longer (1125 -> 1152, 2000 -> 2048).
 
     An N-point circular correlation of m samples aliases lag k onto k - N,
     and k - N stays below -(m-1) for every k <= max_lag once
@@ -112,7 +113,9 @@ def _fft_length(m: int, max_lag: int | None = None) -> int:
     target = m + (m - 1 if max_lag is None else max_lag)
     k = np.arange(int(target).bit_length() + 1)
     lengths = np.multiply.outer(np.multiply.outer(2.0**k, 3.0**k), 5.0**k)
-    return int(lengths[lengths >= target].min())
+    fits = np.where(lengths >= target, lengths, np.inf)
+    smooth, fast = fits.min(), fits[..., :2].min()  # fast: 5^0 or 5^1 only
+    return int(fast if 32 * fast <= 33 * smooth else smooth)
 
 
 def _fft_kernel(kind: str, n: int, norm: str | None = None) -> tuple[np.ufunc, np.ndarray]:

@@ -174,20 +174,22 @@ def _phase_vector(phi, L: int) -> np.ndarray:
     return phi
 
 
-def _harmonic_sum(spec: np.ndarray, m: int, out: np.ndarray | None = None, kernel=None) -> np.ndarray:
-    """Samples sum_l Re(c_l exp(j 2 pi l k / m)), k = 0..m-1, of the coefficients
-    c_1..c_L on bins 1..L of ``spec``, a half spectrum of m//2 + 1 bins that is
-    zero elsewhere.
+def _harmonic_sum(spec: np.ndarray, cfg: WaveformConfig, out: np.ndarray | None = None, kernel=None) -> np.ndarray:
+    """Samples 2*pi*h * sum_l Re(c_l exp(j 2 pi l k / M)), k = 0..M-1, of the
+    coefficients c_1..c_L on bins 1..L of ``spec``, a half spectrum of
+    M//2 + 1 bins that is zero elsewhere.
 
-    On the grid t = k / m harmonic l is DFT bin l, and m >= 2L + 1
-    keeps bin L below Nyquist, so the sum is one inverse real FFT, written to
-    ``out`` (m doubles) when it is given. ``kernel`` is that irfft as
-    ``_fft_kernel("irfft", m)`` returns it, for a caller that bound it once.
+    On the grid t = k / M harmonic l is DFT bin l, and M >= 2L + 1 keeps bin
+    L below Nyquist, so the sum is one unscaled irfft once the bins are
+    multiplied in place by pi*h: no pass over the M samples scales them, and
+    with no factor M in the bins no partial sum exceeds 2*pi*h*sum_l |c_l|.
+    They go to ``out`` (M doubles) when it is given. ``kernel`` is that irfft
+    as ``_fft_kernel("irfft", M, norm="forward")`` returns it, for a caller
+    that bound it once.
     """
-    irfft, inv_m = _fft_kernel("irfft", m) if kernel is None else kernel
-    y = irfft(spec, inv_m, out=np.empty(m) if out is None else out)
-    y *= m / 2
-    return y
+    spec[1 : cfg.L + 1] *= math.pi * cfg.h
+    irfft, one = _fft_kernel("irfft", cfg.M, norm="forward") if kernel is None else kernel
+    return irfft(spec, one, out=np.empty(cfg.M) if out is None else out)
 
 
 def _phase_samples(
@@ -201,17 +203,15 @@ def _phase_samples(
 
     exp(-j phi_l) is written straight into bins 1..L of ``spec``, an optional
     reused half spectrum that is zero elsewhere (only those bins are
-    written); the phase goes to ``out`` when it is given, and ``kernel`` is
-    passed on to ``_harmonic_sum``.
+    written), and stays there as pi*h exp(-j phi_l); the phase goes to
+    ``out`` when it is given, and ``kernel`` is passed on to ``_harmonic_sum``.
     """
     if spec is None:
         spec = np.zeros(cfg.M // 2 + 1, dtype=complex)
     bins = spec[1 : cfg.L + 1]
     np.multiply(phi, -1j, out=bins)
     np.exp(bins, out=bins)
-    theta = _harmonic_sum(spec, cfg.M, out, kernel)
-    theta *= TWO_PI * cfg.h
-    return theta
+    return _harmonic_sum(spec, cfg, out, kernel)
 
 
 def sample_phase(phi, cfg: WaveformConfig) -> np.ndarray:
@@ -233,7 +233,7 @@ def sample_frequency(phi, cfg: WaveformConfig) -> np.ndarray:
     phi = _phase_vector(phi, cfg.L)
     spec = np.zeros(cfg.M // 2 + 1, dtype=complex)
     spec[1 : cfg.L + 1] = 1j * np.arange(1, cfg.L + 1) * np.exp(-1j * phi)
-    return (TWO_PI * cfg.h) * _harmonic_sum(spec, cfg.M)
+    return _harmonic_sum(spec, cfg)
 
 
 def synthesize(phi, cfg: WaveformConfig) -> SampledWaveform:

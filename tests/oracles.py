@@ -182,6 +182,22 @@ def smallest_5_smooth(target: int) -> int:
         n += 1
 
 
+def fft_length_rule(target: int) -> int:
+    """The FFT length for ``target`` = M + K, by trial division: the smallest
+    n >= target with no prime factor above 5 and at most one factor 5, when
+    32 n <= 33 smallest_5_smooth(target), and smallest_5_smooth(target)
+    otherwise."""
+    smooth = smallest_5_smooth(target)
+    for n in range(target, 33 * smooth // 32 + 1):
+        k = n // 5 if n % 5 == 0 else n
+        for prime in (2, 3):
+            while k % prime == 0:
+                k //= prime
+        if k == 1:
+            return n
+    return smooth
+
+
 def per_row_af(samples: np.ndarray, t: np.ndarray, nu) -> np.ndarray:
     """|chi| one Doppler row at a time, each row its own 1-D FFT correlation.
 

@@ -19,10 +19,12 @@ from ceofdm import (
 )
 from ceofdm.metrics import _fft_length
 from oracles import (
+    brute_force_acf,
     build_dbar,
     central_difference_gradient,
     dense_dft_gisl_gradient,
     harmonic_basis,
+    smallest_5_smooth,
 )
 
 
@@ -114,10 +116,12 @@ class TestGradientAccuracy:
                 dense = dense_dft_gisl_gradient(phi, cfg, weights, 6)
                 assert np.max(np.abs(grad - dense)) < 1e-9 * np.abs(dense).max()
 
-    # 64 + 16 = 80 and 1000 + 125 = 1125 are 5-smooth, so N = M + K sits on
-    # the aliasing edge; at K = 17 and 126, M + K - 1 is 5-smooth instead
+    # 64 + 16 = 80 and 1000 + 152 = 1152 are the lengths picked, so N = M + K
+    # sits on the aliasing edge; at K = 17 and 153, M + K - 1 is 5-smooth
+    # instead, and 1000 + 125 = 1125 is 5-smooth but not picked
     @pytest.mark.parametrize("L,samples,max_lag", [
         (4, 64, 16), (4, 64, 17), (4, 64, 10), (8, 1000, 125), (8, 1000, 126),
+        (8, 1000, 152), (8, 1000, 153),
     ])
     def test_short_kernel_matches_acf_and_dense_dft_oracle(self, L, samples, max_lag):
         # a sub-region support ends at lag K, and the kernel correlates at the
@@ -166,6 +170,63 @@ class TestGradientAccuracy:
         fd = central_difference_gradient(isl_cost, phi)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-10 * np.abs(fd).max())
         assert rel.max() < 1e-5
+
+
+class TestPickedFftLengths:
+    """Edge cases at sizes where the FFT length rule picks another N than the
+    smallest 5-smooth length: at M = 1000 it gives 1152 for 1125 (K = 100)
+    and 2048 for 2000 (the full band), and at M = 2L + 1 = 61 it gives 128
+    for 125."""
+
+    @staticmethod
+    def problem(region, L=8, samples=1000, h=0.2, null=None):
+        cfg = WaveformConfig(L=L, h=h, samples=samples)
+        phi = random_psk(L, math.inf, seed=2)
+        if null is None:
+            null = detect_mainlobe_null(compute_acf(synthesize(phi, cfg)))
+        hi = {"full": None, "sub": 0.1, "lag": 0.1}[region]
+        lo = 0.1 if region == "lag" else None
+        return cfg, phi, build_weights(null, cfg.M, lo, hi)
+
+    @pytest.mark.parametrize("region,n", [("sub", 1152), ("full", 2048), ("lag", 1152)])
+    @pytest.mark.parametrize("p", [20, 1000])
+    def test_matches_compute_gisl_and_dense_dft_oracle(self, region, n, p):
+        # "lag" is the one-lag support at lag K = 100
+        cfg, phi, w = self.problem(region)
+        assert w.sl_last == (999 if region == "full" else 100)
+        assert region != "lag" or w.sl_first == 100
+        ws = GradientWorkspace(cfg, w, p)
+        assert ws._n == n
+        expected = compute_gisl(compute_acf(synthesize(phi, cfg)), w, p)
+        cost, grad = ws.cost_and_gradient(phi)
+        assert abs(cost - expected) <= 1e-12 * expected
+        dense = dense_dft_gisl_gradient(phi, cfg, w, p)
+        assert np.all(np.isfinite(grad))
+        assert np.max(np.abs(grad - dense)) < 1e-9 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("region", ["sub", "full", "lag"])
+    def test_zero_modulation_index_gives_zero_gradient(self, region):
+        # the rectangular pulse has no null of its own, so the mainlobe ends at lag 9
+        cfg, phi, w = self.problem(region, h=0.0, null=9)
+        cost, grad = GradientWorkspace(cfg, w, 20).cost_and_gradient(phi)
+        assert cost == pytest.approx(compute_gisl(compute_acf(synthesize(phi, cfg)), w, 20), rel=1e-12)
+        assert np.all(grad == 0.0)
+
+    @pytest.mark.parametrize("p", [20, 1000])
+    def test_nyquist_floor_matches_dense_dft_oracle(self, p):
+        # M = 2L + 1 puts harmonic L on the last bin below Nyquist
+        cfg, phi, w = self.problem("full", L=30, samples=61)
+        ws = GradientWorkspace(cfg, w, p)
+        assert (ws._n, smallest_5_smooth(2 * cfg.M - 1)) == (128, 125)
+        _, grad = ws.cost_and_gradient(phi)
+        dense = dense_dft_gisl_gradient(phi, cfg, w, p)
+        assert np.max(np.abs(grad - dense)) < 1e-9 * np.abs(dense).max()
+
+    def test_acf_matches_brute_force_oracle(self):
+        cfg, phi, _ = self.problem("full")
+        assert _fft_length(cfg.M) == 2048
+        s = synthesize(phi, cfg)
+        assert np.max(np.abs(compute_acf(s).r - brute_force_acf(s.samples))) < 1e-10
 
 
 class TestGradientStructure:
@@ -286,7 +347,7 @@ class TestWorkspaceBuffers:
             assert arrays < 0.01, f"{name}: peak {arrays:.2f} complex N-point arrays"
 
     def test_workspace_holds_five_n_point_arrays(self):
-        # M = 20000 on the full band correlates at N = 40000 = 2M. The buffers
+        # M = 20000 on the full band correlates at N = 40960. The buffers
         # are F and ifft(F * P), 1 each; the half spectrum, conj(v), the phasor
         # and |F|^2, 0.5 each; the two harmonic spectra, 0.25 each; and two
         # float arrays over the M support bins, |r|/peak and its (p-2)th
@@ -302,7 +363,7 @@ class TestWorkspaceBuffers:
         finally:
             tracemalloc.stop()
         arrays = size / (16 * ws._n)
-        assert ws._n == 2 * cfg.M
+        assert ws._n == _fft_length(cfg.M)
         assert size <= 5.0 * 16 * ws._n + 8192, f"{arrays:.4f} complex N-point arrays"
 
     def test_returned_gradient_is_not_a_workspace_buffer(self):

@@ -20,7 +20,7 @@ from ceofdm import (
     synthesize,
 )
 from ceofdm.metrics import _fft_kernel, _fft_length
-from oracles import brute_force_acf, direct_af, log_domain_gisl, plain_isl
+from oracles import brute_force_acf, direct_af, fft_length_rule, log_domain_gisl, plain_isl
 
 # frozen regression: first null of the reference waveform (seed 1, Mpsk=32);
 # null * tbp / M = 1.8, within a factor of two of the LFM null at 1/tbp
@@ -43,34 +43,28 @@ def synthetic_corr(values, zero_value=1.0):
     return CorrelationResult(r=r)
 
 
-def is_5_smooth(n):
-    for f in (2, 3, 5):
-        while n % f == 0:
-            n //= f
-    return n == 1
-
-
 class TestFftLength:
-    def test_smallest_5_smooth_at_or_above_2m_minus_1(self):
-        smooth = [n for n in range(1, 4100) if is_5_smooth(n)]
+    # the smallest 2^a 3^b 5^c at or above M + K, or the smallest one with
+    # c <= 1 when that is at most 1/32 longer: at M = 10^5, 207360 is more
+    # than 1/32 above 200000, and 2160 has one factor 5 already
+    def test_follows_the_length_rule_at_or_above_2m_minus_1(self):
         for m in range(2, 2001):
-            n = _fft_length(m)
-            assert n == min(k for k in smooth if k >= 2 * m - 1), m
+            assert _fft_length(m) == fft_length_rule(2 * m - 1), m
 
-    @pytest.mark.parametrize("m,n", [(1000, 2000), (1040, 2160), (70, 144)])
+    @pytest.mark.parametrize("m,n", [
+        (1000, 2048), (1040, 2160), (70, 144), (10**4, 20480), (10**5, 200000), (10**6, 2000000),
+    ])
     def test_spot_values(self, m, n):
         assert _fft_length(m) == n
 
-    def test_smallest_5_smooth_at_or_above_m_plus_max_lag(self):
-        smooth = [n for n in range(1, 4100) if is_5_smooth(n)]
+    def test_follows_the_length_rule_at_or_above_m_plus_max_lag(self):
         for m in (*range(2, 130), 999, 1000, 1001, 2000):
             for max_lag in {0, 1, m // 10, m // 2, m - 2, m - 1}:
-                n = _fft_length(m, max_lag)
-                assert n == min(k for k in smooth if k >= m + max_lag), (m, max_lag)
+                assert _fft_length(m, max_lag) == fft_length_rule(m + max_lag), (m, max_lag)
             assert _fft_length(m, m - 1) == _fft_length(m)
 
     @pytest.mark.parametrize(
-        "m,max_lag,n", [(1000, 100, 1125), (1000, 125, 1125), (1000, 126, 1152), (64, 16, 80)]
+        "m,max_lag,n", [(1000, 100, 1152), (1000, 125, 1152), (1000, 126, 1152), (64, 16, 80)]
     )
     def test_spot_values_with_max_lag(self, m, max_lag, n):
         assert _fft_length(m, max_lag) == n

@@ -154,6 +154,14 @@ class TestSamplePhase:
         theta = sample_phase(np.zeros(1), cfg)
         assert theta[0] == pytest.approx(TWO_PI * cfg.h, rel=1e-12)
 
+    def test_large_accepted_h_keeps_the_phase_finite(self):
+        # the harmonic bins carry pi*h and no factor M: pi*h*M would be
+        # 2.0e308 here, above the largest double, while the phase is not
+        cfg = WaveformConfig(L=1, h=1e306, samples=64)
+        theta = sample_phase(np.zeros(1), cfg)
+        expected = TWO_PI * cfg.h * np.cos(TWO_PI * cfg.t)
+        assert np.max(np.abs(theta - expected)) <= 1e-12 * TWO_PI * cfg.h
+
     def test_quarter_turn_symbols_cancel_at_origin(self, small_cfg):
         theta = sample_phase(np.full(small_cfg.L, np.pi / 2), small_cfg)
         assert abs(theta[0]) < 1e-12

@@ -20,13 +20,37 @@ Then ``--rss-pairs`` alternated pairs of ``synth --set waveform.L=<L> --set
 waveform.tbp=<tbp>`` (``--large``, default 256 and 20000) each run as a child
 of their own, whose peak RSS is read with ``os.wait4``.
 
+Then the GISL M-curve: for each M of ``--curve`` (default 10^3, 10^4, 10^5
+and 10^6), ``--curve-pairs`` alternated pairs of children, each of which
+builds a ``GradientWorkspace`` on the full band at tbp = M/5 and p = 20,
+with L = 24, 64, 256 and 1024 at M = 10^3 to 10^6, and records the N it
+picks and the median, over max(3, 3 * 10^6 // M) calls each, of:
+
+- µs per ``cost()`` and per ``cost_and_gradient()``, each call at a fresh
+  point, and each also in ns per N log2 N;
+- µs per bare kernel at the workspace's M and N, each the gufunc that
+  ``metrics._fft_kernel`` returns: the harmonic irfft (M), fft, rfft, irfft
+  and ifft (N) and the rfft of z (M), and the M-sample phasor
+  ``metrics._phasor``. The rest of an evaluation is then its ufunc share.
+
+Then ``--curve-pairs`` alternated pairs of children that each time
+``--reps`` ``design`` ops, in ms: ``optimize --set waveform.mpsk=inf --set
+region.mode=interval --set region.hi=0.1`` at the defaults (M = 1000), as
+``benchmarks/run.py`` runs it.
+
+Every child runs with PYTHONPATH set to its tree's ``src/`` and with a fresh
+empty PYTHONPYCACHEPREFIX directory of its own, so no tree's
+``__pycache__`` is read and both sides compile ceofdm from source in the
+same state.
+
 The file ``BENCH_<tag>.json`` in ``--out`` holds the machine line, each
-tree's commit, the settings, the ``survey`` section, the FFT probe's summary
-and every pair's raw wall times. The section sums up each metric: each
-side's first quartile, median and third quartile over the pairs, the ratio
-of the medians, and the number of pairs in which the change read lower (ties
-count for neither). A pair's value of a metric is the median of its child's
-samples. Nothing here gates on a time.
+tree's commit, the settings, the ``survey`` and ``gisl_curve`` sections, the
+FFT probe's summary and every pair's raw values. A section sums up each
+metric: each side's first quartile, median and third quartile over the
+pairs, the ratio of the medians, and the number of pairs in which the change
+read lower (ties count for neither). A pair's value of a metric is the
+median of its child's samples; the curve's N is given per side. Nothing here
+gates on a time.
 """
 
 from __future__ import annotations
@@ -45,6 +69,9 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 CLI = "import sys; from ceofdm.cli import main; sys.exit(main(sys.argv[1:]))"
+DESIGN = ["--set", "waveform.mpsk=inf", "--set", "region.mode=interval", "--set", "region.hi=0.1"]
+CURVE = {10**3: 24, 10**4: 64, 10**5: 256, 10**6: 1024}  # M and its L on the curve
+CURVE_KEYS = ("cost_us", "cost_and_gradient_us", "cost_ns_per_n_log2_n", "cost_and_gradient_ns_per_n_log2_n")
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -55,16 +82,29 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
+def median_us(call, reps: int) -> float:
+    """Median µs of ``reps`` timed calls of ``call(k)``, k = 0..reps-1."""
+    samples = []
+    for k in range(reps):
+        started = time.perf_counter_ns()
+        call(k)
+        samples.append(time.perf_counter_ns() - started)
+    return statistics.median(samples) / 1e3
+
+
 def fft_probe_us(reps: int = 200) -> float:
     import numpy as np
 
     x = np.random.default_rng(0).standard_normal(2048) + 0j
-    samples = []
-    for _ in range(reps):
-        started = time.perf_counter_ns()
-        np.fft.fft(x)
-        samples.append(time.perf_counter_ns() - started)
-    return statistics.median(samples) / 1e3
+    return median_us(lambda k: np.fft.fft(x), reps)
+
+
+def check_import(tree: Path) -> None:
+    """Exit unless ceofdm was imported from ``tree``'s ``src/``."""
+    import ceofdm
+
+    if not Path(ceofdm.__file__).resolve().is_relative_to((tree / "src").resolve()):
+        sys.exit(f"ceofdm was imported from {ceofdm.__file__}, not from {tree / 'src'}")
 
 
 def child(tree: Path, tbp: float, reps: int, work: Path) -> dict:
@@ -74,13 +114,11 @@ def child(tree: Path, tbp: float, reps: int, work: Path) -> dict:
 
     import numpy as np
 
-    import ceofdm
     from ceofdm import WaveformConfig, compute_af, random_psk, synthesize
     from ceofdm.cli import main
     from ceofdm.exports import write_af_csv
 
-    if not Path(ceofdm.__file__).resolve().is_relative_to((tree / "src").resolve()):
-        sys.exit(f"ceofdm was imported from {ceofdm.__file__}, not from {tree / 'src'}")
+    check_import(tree)
     probe = fft_probe_us()
     cfg = WaveformConfig(L=24, tbp=tbp)
     s = synthesize(random_psk(cfg.L, 32, seed=4), cfg)
@@ -120,12 +158,90 @@ def child(tree: Path, tbp: float, reps: int, work: Path) -> dict:
     }
 
 
-def run_child(tree: Path, args) -> dict:
+def curve_child(tree: Path, m: int) -> dict:
+    """One point of the GISL M-curve, measured in this process; ceofdm comes from ``tree``."""
+    import math
+
+    import numpy as np
+
+    from ceofdm import (GradientWorkspace, WaveformConfig, build_weights, compute_acf,
+                        detect_mainlobe_null, random_psk, synthesize)
+    from ceofdm.metrics import _fft_kernel, _phasor
+
+    check_import(tree)
+    L = CURVE[m]
+    cfg = WaveformConfig(L=L, tbp=m / 5, mpsk=math.inf)
+    phi = random_psk(L, math.inf, seed=5)
+    ws = GradientWorkspace(cfg, build_weights(detect_mainlobe_null(compute_acf(synthesize(phi, cfg))), m), 20)
+    n, reps = ws._n, max(3, 3 * 10**6 // m)
+    # a fresh point for every call, so no call hits the cache, after three
+    # warm-up calls
+    rng = np.random.default_rng(5)
+    points = phi + 0.01 * rng.standard_normal((2 * reps + 3, L))
+    for point in points[2 * reps :]:
+        ws.cost_and_gradient(point)
+    times = {
+        "cost_us": median_us(lambda k: ws.cost(points[k]), reps),
+        "cost_and_gradient_us": median_us(lambda k: ws.cost_and_gradient(points[reps + k]), reps),
+    }
+    n_log2_n = n * math.log2(n)
+    for key in ("cost", "cost_and_gradient"):
+        times[f"{key}_ns_per_n_log2_n"] = times[f"{key}_us"] * 1e3 / n_log2_n
+    # each kernel on its own buffers: (kind, length, input, output)
+    real_m, real_n = rng.standard_normal(m), rng.standard_normal(n)
+    half_m = np.fft.rfft(real_m)
+    cases = {
+        "harmonic_irfft": ("irfft", m, half_m, np.empty(m)),
+        "fft": ("fft", n, np.exp(1j * real_m), np.empty(n, dtype=complex)),
+        "rfft": ("rfft", n, real_n, np.empty(n // 2 + 1, dtype=complex)),
+        "irfft": ("irfft", n, np.fft.rfft(real_n), np.empty(n)),
+        "ifft": ("ifft", n, np.fft.fft(real_n), np.empty(n, dtype=complex)),
+        "z_rfft": ("rfft", m, real_m, np.empty_like(half_m)),
+    }
+    kernels = {}
+    for name, (kind, length, a, out) in cases.items():
+        kernel, scale = _fft_kernel(kind, length)
+        kernel(a, scale, out=out)  # warm-up
+        kernels[name] = median_us(lambda k: kernel(a, scale, out=out), reps)
+    phasor = np.empty(m, dtype=complex)
+    _phasor(real_m, phasor.real, phasor.imag)
+    kernels["phasor"] = median_us(lambda k: _phasor(real_m, phasor.real, phasor.imag), reps)
+    return {"M": m, "L": L, "N": n, "reps": reps, **{k: round(v, 3) for k, v in times.items()},
+            "kernels_us": {k: round(v, 3) for k, v in kernels.items()}}
+
+
+def design_child(tree: Path, reps: int, work: Path) -> dict:
+    """``reps`` design ops in ms, after one warm-up op, as ``benchmarks/run.py`` runs them."""
+    import contextlib
+    import io
+
+    from ceofdm.cli import main
+
+    check_import(tree)
+    op_ms = []
+    for k in range(reps + 1):
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["optimize", "--out", str(work / "design"), "--seed", str(k + 1), *DESIGN])
+        if code:
+            sys.exit(f"design op {k} exited {code}")
+        if k:
+            op_ms.append(round((time.perf_counter() - started) * 1e3, 3))
+    return {"design_op_ms": op_ms}
+
+
+def child_env(tree: Path, work: str) -> dict:
+    """The environment of a child: ceofdm from ``tree``, bytecode only in a
+    fresh directory under ``work``, so no ``__pycache__`` of a tree is read."""
+    return {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONPYCACHEPREFIX": str(Path(work) / "pycache")}
+
+
+def run_child(tree: Path, args, *mode: str) -> dict:
+    """A child of this script in ``mode`` (the survey child when empty), as parsed JSON."""
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as work:
         argv = [sys.executable, __file__, "--child", str(tree), "--tbp", repr(args.tbp),
-                "--reps", str(args.reps), "--work", work]
-        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+                "--reps", str(args.reps), "--work", work, *mode]
+        done = subprocess.run(argv, env=child_env(tree, work), capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"the child for {tree} exited {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout)
@@ -134,10 +250,9 @@ def run_child(tree: Path, args) -> dict:
 def peak_rss_mb(tree: Path, large: tuple[int, float]) -> float:
     """Peak RSS of one ``synth`` of the given L and tbp, with the AF, in a child of its own."""
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as work:
-        argv = [sys.executable, "-c", CLI, "synth", "--out", work, "--seed", "1",
+        argv = [sys.executable, "-c", CLI, "synth", "--out", str(Path(work) / "synth"), "--seed", "1",
                 "--set", f"waveform.L={large[0]}", "--set", f"waveform.tbp={large[1]!r}"]
-        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+        proc = subprocess.Popen(argv, env=child_env(tree, work), stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
@@ -170,10 +285,17 @@ def machine() -> str:
             f"Python {platform.python_version()}, numpy {np.__version__}")
 
 
-def summarize(pairs: list[dict], key: str) -> dict:
-    """Each side's quartiles over the pairs' values of ``key``, the ratio of
-    the medians and the number of pairs in which the change read lower."""
-    value = {side: [pair[side][key] for pair in pairs] for side in SIDES}
+def summarize(pairs: list[dict], *path: str) -> dict:
+    """Each side's quartiles over the pairs' values at ``path``, a key or a
+    chain of keys, the ratio of the medians and the number of pairs in which
+    the change read lower."""
+
+    def lookup(side: dict):
+        for key in path:
+            side = side[key]
+        return side
+
+    value = {side: [lookup(pair[side]) for pair in pairs] for side in SIDES}
     value = {side: [statistics.median(v) if isinstance(v, list) else v for v in vs] for side, vs in value.items()}
     parent, change = value["parent"], value["change"]
     return {
@@ -198,11 +320,22 @@ def main(argv=None) -> int:
     parser.add_argument("--rss-pairs", type=int, default=2, help="alternated pairs of large synth children")
     parser.add_argument("--large", type=float, nargs=2, default=(256, 20000.0), metavar=("L", "TBP"),
                         help="L and tbp of the large synth whose peak RSS is read")
+    parser.add_argument("--curve-pairs", type=int, default=2, help="alternated pairs of M-curve children")
+    parser.add_argument("--curve", type=int, nargs="+", default=sorted(CURVE), choices=sorted(CURVE),
+                        metavar="M", help="the M of the curve, each of 1000, 10000, 100000 and 1000000")
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--curve-point", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--design-ops", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(child(args.child, args.tbp, args.reps, args.work)))
+        if args.curve_point is not None:
+            result = curve_child(args.child, args.curve_point)
+        elif args.design_ops:
+            result = design_child(args.child, args.reps, args.work)
+        else:
+            result = child(args.child, args.tbp, args.reps, args.work)
+        print(json.dumps(result))
         return 0
     if args.parent is None or args.change is None:
         parser.error("give a parent tree and a change tree")
@@ -219,21 +352,39 @@ def main(argv=None) -> int:
 
     timing = alternated(args.pairs, lambda tree: run_child(tree, args))
     rss = alternated(args.rss_pairs, lambda tree: {"peak_rss_mb": round(peak_rss_mb(tree, large), 1)})
+    # the two sides of a pair run back to back, so the machine's speed drifts
+    # less between them than over a pass through every M
+    curve = {str(m): alternated(args.curve_pairs, lambda tree: run_child(tree, args, "--curve-point", str(m)))
+             for m in args.curve}
+    design = alternated(args.curve_pairs, lambda tree: run_child(tree, args, "--design-ops"))
+    points = {}
+    for m, pairs in curve.items():
+        first = pairs[0]
+        points[m] = {
+            "L": first["parent"]["L"],
+            "N": {side: first[side]["N"] for side in SIDES},
+            **{key: summarize(pairs, key) for key in CURVE_KEYS},
+            "kernels_us": {name: summarize(pairs, "kernels_us", name) for name in first["parent"]["kernels_us"]},
+        }
     report = {
         "tag": args.tag,
         "machine": machine(),
         "commits": {side: commit(tree) for side, tree in trees.items()},
         "settings": {"pairs": args.pairs, "reps": args.reps, "tbp": args.tbp,
-                     "rss_pairs": args.rss_pairs, "large_L": large[0], "large_tbp": large[1]},
+                     "rss_pairs": args.rss_pairs, "large_L": large[0], "large_tbp": large[1],
+                     "curve_pairs": args.curve_pairs, "curve": args.curve},
         "survey": {
             "compute_af_us": summarize(timing, "compute_af_us"),
             "write_af_csv_us": summarize(timing, "write_af_csv_us"),
             "survey_op_ms": summarize(timing, "survey_op_ms"),
             "synth_large_peak_rss_mb": summarize(rss, "peak_rss_mb"),
         },
+        "gisl_curve": {**points, "design_op_ms": summarize(design, "design_op_ms")},
         "fft_probe_us": summarize(timing, "fft_probe_us"),
         "timing_pairs": timing,
         "rss_pairs": rss,
+        "curve_pairs": curve,
+        "design_pairs": design,
     }
     path = args.out / f"BENCH_{args.tag}.json"
     # one line per list of numbers
