@@ -85,10 +85,9 @@ def cmd_synth(config: ExperimentConfig) -> None:
         write_spectrogram_csv(out / "spectrogram.csv", s0, cfg)
     write_acf_csv(out / "acf.csv", r0)
     if config.run.write_af:
-        # k L / 48 for k = -48..48: each -nu is exactly the negative of its
-        # +nu at any L, so compute_af and write_af_csv take every -nu row as
-        # its +nu row reversed in delay and correlate and encode only nu >= 0
-        nu = np.arange(-48.0, 49.0) * cfg.L / 48
+        # k L / 48 for k = 0..48; write_af_csv adds each -nu row, -(k L / 48),
+        # which is (-k) L / 48 exactly, as its +nu row reversed in delay
+        nu = np.arange(49.0) * cfg.L / 48
         write_af_csv(out / "af.csv", compute_af(s0, nu), nu)
     write_summary(out / "summary.txt", summary)
 

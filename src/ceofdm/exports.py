@@ -10,11 +10,11 @@ from the writer's own arrays: its plain columns, its magnitudes and the first
 value of its index column. Each block of rows is built, its magnitudes turned
 into dB, encoded and written before the next, so no table is held whole, as
 numbers or as text. ``write_af_csv`` encodes the same fields in the same
-slots, but only for the ambiguity surface's leading rows: each -nu row is its
-+nu row reversed in delay, so its fields are the +nu row's slots in reverse
-order, written at a byte offset planned before the first row. The short
-tables (phases, trace, quantization report and the sweep's ``seeds.csv``)
-are written by ``_write_rows``, every float cell %.17g.
+slots from the ambiguity surface's rows at nu >= 0, and writes each -nu row
+as its +nu row's slots in reverse order, since |chi(-tau, -nu)| =
+|chi(tau, nu)|. The short tables (phases, trace, quantization report and
+the sweep's ``seeds.csv``) are written by ``_write_rows``, every float cell
+%.17g.
 
 Every file the package writes, the manifest and ``seeds.csv`` included, is
 opened by ``_rewrite``: an existing file is overwritten in place and then cut
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import CorrelationResult, _doppler_pairs, _fft_kernel, db
+from .metrics import CorrelationResult, _fft_kernel, db
 from .optimizer import OptimizationTrace
 from .quantize import QuantizationRow
 from .waveform import SampledWaveform, WaveformConfig, sample_frequency
@@ -282,26 +282,26 @@ def _row_bytes(slots: np.ndarray) -> bytes:
     return slots[slots != 0].tobytes()
 
 
-def _write_table(path, header: str, columns, mag=None, peak=1.0, first_index=None, header_values=None) -> None:
-    """Write ``header`` and then a table's rows as %.12e fields, a block of
-    about _BLOCK_VALUES values at a time.
+def _numeric_header(label: str, values) -> bytes:
+    """A header line: ``label``, then each of ``values`` as a %.12e field."""
+    return label.encode("utf-8") + b"," + _encode_block(np.asarray(values, dtype=float)[None, :])
+
+
+def _write_table(path, header, columns, mag=None, peak=1.0, first_index=None) -> None:
+    """Write ``header``, a line of text or the bytes of _numeric_header, and
+    then a table's rows as %.12e fields, a block of about _BLOCK_VALUES
+    values at a time.
 
     Each row holds the row of each 1-D array in ``columns``, then with ``mag``
     (1-D or 2-D |x|) its row of |x|^2 / peak^2 in dB. Squaring is monotone,
     so peak = max |x| normalizes to the largest |x|^2. With ``first_index``,
     each row is led by its %d index, counting up from it. A block is built,
     encoded and written before the next, so no table is held whole, as
-    numbers or as text. With ``header_values``, the header row goes on with
-    them as %.12e fields.
+    numbers or as text.
     """
     step = max(1, _BLOCK_VALUES // (len(columns) + (0 if mag is None else np.size(mag[0]))))
     with _rewrite(path) as out:
-        out.write(header.encode("utf-8"))
-        if header_values is None:
-            out.write(b"\n")
-        else:
-            out.write(b",")
-            out.write(_encode_block(np.asarray(header_values, dtype=float)[None, :]))
+        out.write(header if isinstance(header, bytes) else f"{header}\n".encode("utf-8"))
         for start in range(0, len(columns[0]), step):
             rows = slice(start, start + step)
             block = [column[rows] for column in columns]
@@ -385,45 +385,13 @@ def write_spectrogram_csv(path, s: SampledWaveform, cfg: WaveformConfig) -> None
     hop = max(1, nperseg // 4)
     mag, centers = _stft(s.samples, nperseg, hop)
     freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / cfg.M))
-    _write_table(path, "freq_times_T", [freqs], mag, mag.max(), header_values=centers / cfg.M)
+    _write_table(path, _numeric_header("freq_times_T", centers / cfg.M), [freqs], mag, mag.max())
 
 
 def write_acf_csv(path, r: CorrelationResult) -> None:
     """Columns: delay_samples, delay_over_T, magnitude_db."""
     header = "delay_samples,delay_over_T,magnitude_db"
     _write_table(path, header, [r.delays], np.abs(r.r), first_index=-r.zero_index)
-
-
-def _af_plan(values: np.ndarray, dopplers: np.ndarray, lead, partner, step: int, first: np.ndarray) -> np.ndarray:
-    """Bytes of each af.csv row: ``first`` (its Doppler field and comma), then
-    19 per dB field and one more for each minus sign, which a dB field has
-    exactly where |chi|^2 < 1. Reads the leading rows of _doppler_pairs
-    ``step`` at a time. Raises ValueError, naming the row, at a non-finite
-    |chi|^2 or at a partner row that is not its leading row reversed in
-    delay, bit for bit.
-    """
-    sizes = first + (_SLOT - 1) * values.shape[1]
-    bits = values.view(np.uint64)
-    for start in range(0, lead.size, step):
-        rows, mates = lead[start : start + step], partner[start : start + step]
-        power = values.take(rows, axis=0)
-        np.square(power, out=power)
-        if not power.max() < math.inf:  # false at inf and at nan
-            row = rows[~np.isfinite(power).all(axis=1)][0]
-            raise ValueError(f"af row {row} (doppler {dopplers[row]:g}) holds a |chi|^2 that is not finite")
-        signs = np.add.reduce(power < 1.0, axis=1, dtype=np.int64)
-        sizes[rows] += signs
-        paired = mates >= 0
-        rows, mates = rows[paired], mates[paired]
-        unequal = (bits[rows, ::-1] != bits[mates]).any(axis=1)
-        if unequal.any():
-            row, lead_row = mates[unequal][0], rows[unequal][0]
-            raise ValueError(
-                f"af row {row} (doppler {dopplers[row]:g}) is not row {lead_row} "
-                f"(doppler {dopplers[lead_row]:g}) reversed in delay"
-            )
-        sizes[mates] += signs[paired]
-    return sizes
 
 
 def _pwrite(fd: int, data, offset: int) -> None:
@@ -436,73 +404,80 @@ def _pwrite(fd: int, data, offset: int) -> None:
 def write_af_csv(path, values: np.ndarray, dopplers) -> None:
     """First column Doppler (times T); remaining columns |chi|^2 in dB per delay.
 
-    ``values`` holds compute_af's rows, each over the 2M-1 centered delays
-    of the header. Rows pair as in metrics._doppler_pairs, and a partner row
-    must be its leading row reversed in delay, as compute_af makes it: its dB
-    fields are then the leading row's in reverse order. Each leading row is
-    turned into dB and encoded once, a block of rows at a time, and its
-    partner is written from the same 20-byte field slots in reverse order.
-    The bytes are those of %.12e fields formatted one value at a time, and
-    no table is held whole, as numbers or as text.
+    ``values`` holds compute_af's rows at the ``dopplers``, each nu >= 0, over
+    the 2M-1 centered delays of the header. The file holds the whole surface:
+    first, for each nu > 0 from the last to the first, its -nu row, then the
+    given rows. Since |chi(-tau, -nu)| = |chi(tau, nu)|, a -nu row is its +nu
+    row reversed in delay, so its dB fields are written from the +nu row's
+    20-byte field slots in reverse order. The bytes are those of %.12e fields
+    formatted one value at a time, and no table is held whole, as numbers or
+    as text.
 
-    A partner row may come before its leading row, so every row's byte
-    offset is planned first (_af_plan), and each block's rows are written at
-    their offsets. The file position stays at the header's end until the
-    last row is written, so a write that fails part-way leaves only the
-    header. Raises ValueError, before the file is opened, at a non-finite
-    value or a partner row that is not its leading row reversed.
+    Each block of given rows is turned into dB and encoded once. Its rows at
+    nu > 0 are one run of the -nu lines, so it takes two writes, each at a
+    byte offset planned from each row's count of minus signs, which a dB
+    field has exactly where |chi|^2 < 1. The file position stays at the
+    header's end until the last row is written, so a write that fails
+    part-way leaves only the header. Raises ValueError, before the file is
+    opened, at a negative or nan Doppler or a non-finite |chi|^2.
     """
     values = np.asarray(values, dtype=float)
     dopplers = np.asarray(dopplers, dtype=float).ravel()
     if values.ndim != 2 or len(values) != dopplers.size:
         raise ValueError(f"af values of shape {values.shape} do not match {dopplers.size} Doppler rows")
-    cols = values.shape[1]
-    m = (cols + 1) // 2
-    lead, partner = _doppler_pairs(dopplers)
+    if not (dopplers >= 0).all():  # false at nan
+        raise ValueError(f"af Doppler {dopplers[~(dopplers >= 0)][0]:g} is not >= 0: give the rows at nu >= 0")
+    rows, cols = values.shape
     step = max(1, _BLOCK_VALUES // cols)
+    signs = np.empty(rows, dtype=np.int64)
+    for start in range(0, rows, step):
+        power = np.square(values[start : start + step])
+        if not power.max() < math.inf:  # false at inf and at nan
+            row = start + np.flatnonzero(~np.isfinite(power).all(axis=1))[0]
+            raise ValueError(f"af row {row} (doppler {dopplers[row]:g}) holds a |chi|^2 that is not finite")
+        np.add.reduce(power < 1.0, axis=1, dtype=np.int64, out=signs[start : start + step])
+    # the file's lines: the -nu of each nu > 0, last first, then the given rows;
+    # ranks[i] rows at nu > 0 come before row i, and if row i is one of them,
+    # its -nu line is line lead - 1 - ranks[i]
+    positive = dopplers > 0
+    ranks = np.concatenate(([0], np.cumsum(positive)))
+    lead = ranks[-1]
+    mirrored = np.flatnonzero(positive)[::-1]
     # each Doppler field and its comma, right-aligned in whole slots ahead of the dB fields
-    texts = [text + b"," for text in _encode_block(dopplers[:, None]).split(b"\n")[:-1]]
-    sizes = _af_plan(values, dopplers, lead, partner, step, np.array([len(t) for t in texts], dtype=np.int64))
+    texts = _encode_block(np.concatenate((-dopplers[mirrored], dopplers))[:, None]).split(b"\n")[:-1]
+    texts = [text + b"," for text in texts]
     width = -(-max(map(len, texts), default=1) // _SLOT)
     doppler_slots = np.frombuffer(b"".join(t.rjust(width * _SLOT, b"\0") for t in texts), np.uint8)
     doppler_slots = doppler_slots.reshape(-1, width, _SLOT)
-    header = b"doppler_times_T," + _encode_block((np.arange(1 - m, m) / m)[None, :])
+    m = (cols + 1) // 2
+    header = _numeric_header("doppler_times_T", np.arange(1 - m, m) / m)
+    sizes = np.array([len(text) for text in texts]) + np.concatenate((signs[mirrored], signs)) + (_SLOT - 1) * cols
     offsets = np.cumsum([len(header), *sizes.tolist()]).tolist()
     buffer = np.empty((2 * step, width + cols, _SLOT), np.uint8)
 
-    def write_rows(fd: int, placed: np.ndarray, slots: np.ndarray) -> None:
-        # the rows ``placed``, ascending in the file, at their planned offsets:
-        # one write per run of consecutive rows
-        data = memoryview(_row_bytes(slots))
-        bounds = [0, *(np.flatnonzero(np.diff(placed) != 1) + 1).tolist(), placed.size]
-        placed = placed.tolist()
-        runs = [(offsets[placed[a]], offsets[placed[b - 1] + 1]) for a, b in zip(bounds, bounds[1:])]
-        if sum(end - begin for begin, end in runs) != len(data):
-            raise RuntimeError(f"af rows {placed} encode to {len(data)} bytes, not the planned length")
-        for begin, end in runs:
-            _pwrite(fd, data[: end - begin], begin)
-            data = data[end - begin :]
-
-    def write_block(fd: int, rows: np.ndarray, mates: np.ndarray) -> None:
-        mirrored = np.flatnonzero(mates >= 0)
-        mirrored = mirrored[np.argsort(mates[mirrored])]
-        slots = buffer[: rows.size + mirrored.size]
-        slots[:, :width] = doppler_slots[np.concatenate((rows, mates[mirrored]))]
-        power = values.take(rows, axis=0)
-        np.square(power, out=power)
-        if _e_fields(_power_db(power), slots[: rows.size], width):
-            raise RuntimeError(f"af rows {rows.tolist()} hold a dB field wider than its slot")
-        records = slots.view(f"V{_SLOT}")[:, width:, 0]
-        records[rows.size :] = records[mirrored, ::-1]
-        write_rows(fd, rows, slots[: rows.size])
-        if mirrored.size:
-            write_rows(fd, mates[mirrored], slots[rows.size :])
+    def write_lines(fd: int, first: int, slots: np.ndarray) -> None:
+        # the file's lines from ``first`` on, from the dB fields in ``slots``,
+        # each led by its Doppler field, at their planned offset
+        slots[:, :width] = doppler_slots[first : first + len(slots)]
+        data = _row_bytes(slots)
+        if len(data) != offsets[first + len(slots)] - offsets[first]:
+            raise RuntimeError(f"af lines from {first} encode to {len(data)} bytes, not the planned length")
+        _pwrite(fd, data, offsets[first])
 
     with _rewrite(path) as out:
         out.write(header)
         out.flush()
-        for start in range(0, lead.size, step):
-            write_block(out.fileno(), lead[start : start + step], partner[start : start + step])
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            slots = buffer[: stop - start + ranks[stop] - ranks[start]]
+            power = np.square(values[start:stop])
+            if _e_fields(_power_db(power), slots[: stop - start], width):
+                raise RuntimeError(f"af rows {start} to {stop - 1} hold a dB field wider than its slot")
+            records = slots.view(f"V{_SLOT}")[:, width:, 0]
+            # the -nu lines of the block's rows at nu > 0: last first, each reversed in delay
+            records[stop - start :] = records[: stop - start][positive[start:stop]][::-1, ::-1]
+            write_lines(out.fileno(), lead - ranks[stop], slots[stop - start :])
+            write_lines(out.fileno(), lead + start, slots[: stop - start])
         out.seek(offsets[-1])
 
 

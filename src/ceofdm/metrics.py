@@ -21,6 +21,8 @@ numpy.fft's wrapper would pass, so no Python wrapper runs per transform;
 in numpy.fft._pocketfft_umath, a module private to numpy (there from numpy
 2.0 on), and take the transform length from ``out``, which every call passes.
 Every M-sample phasor e^{j theta} in the package is written by ``_phasor``.
+``compute_af`` correlates every Doppler row it is given; the mirror
+|chi(-tau, -nu)| = |chi(tau, nu)| is a rule of ``exports.write_af_csv`` alone.
 """
 
 from __future__ import annotations
@@ -172,24 +174,6 @@ def compute_acf(s: SampledWaveform) -> CorrelationResult:
 _AF_BLOCK_POINTS = 1 << 15
 
 
-def _doppler_pairs(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leading rows in grid order, and each one's partner at exactly -nu or -1.
-
-    Only a row at nu > 0 takes a partner, one no other row has taken; every
-    other row (nu = 0, -0.0, nan, a -nu without its +nu) leads alone.
-    """
-    free: dict[float, list] = {}
-    for j in np.flatnonzero(nu < 0)[::-1]:
-        free.setdefault(-nu[j], []).append(j)
-    partner, leads = np.full(nu.size, -1), np.ones(nu.size, dtype=bool)
-    for i in np.flatnonzero(nu > 0):
-        if free.get(nu[i]):
-            partner[i] = free[nu[i]].pop()
-            leads[partner[i]] = False
-    lead = np.flatnonzero(leads)
-    return lead, partner[lead]
-
-
 def compute_af(s: SampledWaveform, doppler_grid) -> np.ndarray:
     """|chi| over a grid of Doppler shifts (cycles per T): one row per shift,
     each over the 2M-1 centered delays of compute_acf.
@@ -197,31 +181,26 @@ def compute_af(s: SampledWaveform, doppler_grid) -> np.ndarray:
     Row nu is |sum_m s[m+k] s*[m] e^{j 2 pi nu t_m}|, the whole Doppler shift
     on the conjugated copy, so the zero-delay cut is the Dirichlet-kernel sum
     |sum_m |s[m]|^2 e^{j 2 pi nu t_m}|. S = fft(s) is taken once per call,
-    and a leading row of _doppler_pairs is |ifft(S conj(G))| with
-    G = fft(s e^{-j 2 pi nu t}): one phasor, one forward and one inverse
-    N-point FFT, bit for bit what correlating it alone gives. At nu = +-0 the
-    phasor is exactly 1 -+ 0j, so G is S and, with the product formed as
-    S * conj(G) in compute_acf's operand order, the zero-Doppler row is |r|
-    of compute_acf bit for bit. Since |chi(-tau, -nu)| = |chi(tau, nu)|, the
-    partner at -nu is taken as the leading row reversed in delay, which
-    correlating it alone, through G at -nu, matches to rounding (the tests
-    bound the difference). Leading rows go in blocks of
-    max(1, _AF_BLOCK_POINTS // N // 2), one batch of N-point FFTs per block;
-    a row's values do not depend on its block.
+    and each row is |ifft(S conj(G))| with G = fft(s e^{-j 2 pi nu t}): one
+    phasor, one forward and one inverse N-point FFT, bit for bit what
+    correlating it alone gives. At nu = +-0 the phasor is exactly 1 -+ 0j, so
+    G is S and, with the product formed as S * conj(G) in compute_acf's
+    operand order, the zero-Doppler row is |r| of compute_acf bit for bit.
+    Rows go in blocks of max(1, _AF_BLOCK_POINTS // N // 2), one batch of
+    N-point FFTs per block; a row's values do not depend on its block.
     """
     nu = np.asarray(doppler_grid, dtype=float).ravel()
     m = s.samples.size
     t = np.arange(m) / m
     n = _fft_length(m)
-    lead, partner = _doppler_pairs(nu)
     step = max(1, _AF_BLOCK_POINTS // n // 2)
     (fft, one), (ifft, inv_n) = _fft_kernel("fft", n), _fft_kernel("ifft", n)
     spec = fft(s.samples, one, out=np.empty(n, dtype=complex))
     values = np.empty((nu.size, 2 * m - 1))
-    for start in range(0, lead.size, step):
-        rows, mates = lead[start : start + step], partner[start : start + step]
+    for start in range(0, nu.size, step):
+        rows = nu[start : start + step]
         shift = np.empty((rows.size, m), dtype=complex)
-        _phasor(np.multiply.outer(-2.0 * np.pi * nu[rows], t), shift.real, shift.imag)
+        _phasor(np.multiply.outer(-2.0 * np.pi * rows, t), shift.real, shift.imag)
         g = np.empty((rows.size, n), dtype=complex)
         fft(np.multiply(s.samples, shift, out=shift), one, out=g)
         del shift
@@ -230,10 +209,8 @@ def compute_af(s: SampledWaveform, doppler_grid) -> np.ndarray:
         ifft(g, inv_n, out=g)
         mag = np.abs(g)  # not into g's own memory, which can round differently
         # negative lags sit at the top of the circular correlation, as in compute_acf
-        values[rows, : m - 1] = mag[:, n - m + 1 :]
-        values[rows, m - 1 :] = mag[:, :m]
-        paired = mates >= 0
-        values[mates[paired]] = values[rows[paired], ::-1]
+        values[start : start + step, : m - 1] = mag[:, n - m + 1 :]
+        values[start : start + step, m - 1 :] = mag[:, :m]
     return values
 
 

@@ -203,10 +203,9 @@ def per_row_af(samples: np.ndarray, t: np.ndarray, nu) -> np.ndarray:
 
     The Doppler split, fft(s) conj(fft(s e^{-j 2 pi nu t})), the phasor
     written as a cosine and a sine, and the FFT length (the smallest
-    5-smooth n >= 2M-1) are those of the library, so the batched surface's
-    leading rows must match this loop bit for bit; its -nu rows, the +nu
-    rows reversed in delay, match it to rounding. direct_af checks the split
-    itself without an FFT.
+    5-smooth n >= 2M-1) are those of the library, so every row of the
+    batched surface must match this loop bit for bit, at any grid. direct_af
+    checks the split itself without an FFT.
     """
     m = len(samples)
     n = smallest_5_smooth(2 * m - 1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ceofdm
-from ceofdm import cli, metrics
+from ceofdm import cli
 from ceofdm.cli import main
 from ceofdm.expconfig import ConfigError, ExperimentConfig, QuantizationSpec
 from ceofdm.exports import DB_NEG_INF, write_phi_csv
@@ -185,8 +185,11 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("L", [1, 7, 24, 64])
     def test_doppler_grid_pairs_every_row(self, tmp_path, monkeypatch, L):
-        # a linspace grid over [-L, L] is antisymmetric only where 2L/96 is
-        # exact in binary: it paired 16 of the 48 pairs at L = 1 and 64
+        # synth correlates the rows at k L / 48 for k = 0..48, and write_af_csv
+        # adds the row at -(k L / 48) for each k > 0. That is (-k) L / 48
+        # exactly, so af.csv's Doppler column is the grid k L / 48 for
+        # k = -48..48; a linspace grid over [-L, L] is antisymmetric only
+        # where 2L/96 is exact in binary (16 of 48 pairs at L = 1 and 64)
         grids = []
 
         def compute_af(s, nu):
@@ -195,12 +198,15 @@ class TestSynthCommand:
 
         original = cli.compute_af
         monkeypatch.setattr(cli, "compute_af", compute_af)
+        out = tmp_path / "af"
         overrides = ["--set", f"waveform.L={L}", "--set", "waveform.samples=200"]
-        assert main(["synth", "--out", str(tmp_path / "af"), "--seed", "1", *overrides]) == 0
+        assert main(["synth", "--out", str(out), "--seed", "1", *overrides]) == 0
         (nu,) = grids
-        assert nu.size == 97 and nu[0] == -L and nu[-1] == L
-        assert np.array_equal(nu, -nu[::-1])
-        assert metrics._doppler_pairs(nu)[0].size == 49
+        assert np.array_equal(nu, np.arange(49.0) * L / 48)
+        grid = np.arange(-48.0, 49.0) * L / 48
+        assert np.array_equal(np.concatenate((-nu[:0:-1], nu)), grid)
+        column = [line.split(",", 1)[0] for line in (out / "af.csv").read_text().splitlines()[1:]]
+        assert column == [f"{v:.12e}" for v in grid]
 
     def test_af_rows_at_minus_nu_are_plus_nu_reversed(self, tmp_path):
         # |chi(-tau, -nu)| = |chi(tau, nu)|: the -nu line's dB fields are the

@@ -146,6 +146,12 @@ def expected_acf(r: CorrelationResult) -> bytes:
 
 
 def expected_af(values: np.ndarray, dopplers) -> bytes:
+    """af.csv of the rows at the Dopplers >= 0, the slow way: the mirrored
+    full surface, the -nu of each nu > 0, last first, with its row reversed
+    in delay, then the given rows, each value formatted on its own."""
+    mirrored = [i for i in range(len(dopplers)) if dopplers[i] > 0][::-1]
+    dopplers = [-dopplers[i] for i in mirrored] + list(dopplers)
+    values = np.concatenate((values[mirrored, ::-1], values))
     with np.errstate(divide="ignore"):
         values_db = 10.0 * np.log10(values**2)
     m = (values.shape[1] + 1) // 2
@@ -166,7 +172,7 @@ def test_acf_csv(tmp_path, pulse):
 
 def test_af_csv(tmp_path, pulse):
     cfg, _, s = pulse
-    nu = np.linspace(-cfg.L, cfg.L, 9)
+    nu = np.linspace(0.0, cfg.L, 5)
     af = compute_af(s, nu)
     write_af_csv(tmp_path / "af.csv", af, nu)
     assert (tmp_path / "af.csv").read_bytes() == expected_af(af, nu)
@@ -195,21 +201,20 @@ def test_interrupted_rewrite_keeps_header_and_first_block(tmp_path, monkeypatch)
 
 
 def test_af_csv_with_doppler_fields_longer_than_a_slot(tmp_path):
-    # a Doppler of -1e-100 prints 21 bytes with its comma, so every row's
-    # Doppler takes two slots; nan and -0.0 lead alone, and the rows at
-    # +-1e300 and +-1e-100 are mirrors
-    nu = np.array([-1e-100, np.nan, 1e300, -0.0, 1e-100, 0.0, -1e300])
+    # 1e-100 mirrors to -1e-100, which prints 21 bytes with its comma, so
+    # every row's Doppler takes two slots; -0.0 and 0.0 are written once, and
+    # 1e300 and +inf mirror to -1e300 and -inf
+    nu = np.array([1e-100, 1e300, -0.0, np.inf, 0.0])
     rng = np.random.default_rng(8)
-    values = rng.random((nu.size, 5)) * [[1e-3], [1.0], [2.0], [1e3], [0.5], [0.0], [1.0]]
-    values[0], values[6] = values[4, ::-1], values[2, ::-1]
+    values = rng.random((nu.size, 5)) * [[1e-3], [1.0], [2.0], [1e3], [0.0]]
     write_af_csv(tmp_path / "af.csv", values, nu)
     assert (tmp_path / "af.csv").read_bytes() == expected_af(values, nu)
 
 
 def test_interrupted_af_rewrite_keeps_only_its_header(tmp_path, monkeypatch, survey_af):
-    # each block writes its leading rows and their partners, which sit before
-    # them in the file, at planned offsets: the first write lands past the
-    # header, the second fails, and the file is cut back to the header
+    # each block writes the -nu lines of its rows, which sit before them in
+    # the file, and then its rows, at planned offsets: the first write lands
+    # past the header, the second fails, and the file is cut back to the header
     cfg, s, nu = survey_af
     af = compute_af(s, nu)
     write_af_csv(tmp_path / "whole.csv", af, nu)
@@ -233,20 +238,21 @@ def test_interrupted_af_rewrite_keeps_only_its_header(tmp_path, monkeypatch, sur
 
 
 def test_af_csv_rejects_unmirrored_rows_and_non_finite_values(tmp_path, survey_af):
+    # the writer adds every -nu row itself: a row at a negative or nan
+    # Doppler is refused, as is a |chi|^2 that is not finite
     cfg, s, nu = survey_af
     af = compute_af(s, nu)
-    lead, partner = metrics._doppler_pairs(nu)
-    i, j = lead[partner >= 0][5], partner[partner >= 0][5]
     path = tmp_path / "af.csv"
-    bad = af.copy()
-    bad[j, 7] = np.nextafter(bad[j, 7], 1.0)  # one ulp off the mirror
-    with pytest.raises(ValueError, match=rf"af row {j} \(doppler {nu[j]:g}\) is not row {i} "):
-        write_af_csv(path, bad, nu)
-    for row in (i, j):
+    for doppler in (-nu[5], np.nan):
+        bad = nu.copy()
+        bad[5] = doppler
+        with pytest.raises(ValueError, match=f"af Doppler {doppler:g} is not >= 0"):
+            write_af_csv(path, af, bad)
+    for row in (0, 30):
         for value in (np.inf, np.nan):
             bad = af.copy()
             bad[row, 3] = value
-            with pytest.raises(ValueError, match=f"af row {row} "):
+            with pytest.raises(ValueError, match=rf"af row {row} \(doppler {nu[row]:g}\) "):
                 write_af_csv(path, bad, nu)
     assert not path.exists()  # every check runs before the file is opened
 
@@ -254,7 +260,7 @@ def test_af_csv_rejects_unmirrored_rows_and_non_finite_values(tmp_path, survey_a
 def test_rectangular_af_reaches_floor(tmp_path):
     cfg = CONFIGS["rect"]
     s = synthesize(np.zeros(1), cfg)
-    nu = np.linspace(-3.0, 3.0, 13)
+    nu = np.linspace(0.0, 3.0, 7)
     af = compute_af(s, nu)
     write_af_csv(tmp_path / "af.csv", af, nu)
     text = (tmp_path / "af.csv").read_text()
@@ -271,31 +277,27 @@ def test_exact_zeros_and_tiny_values(tmp_path):
     assert text.count("-2.000000000000e+02") == 2
     assert (tmp_path / "a.csv").read_bytes() == expected_acf(r)
 
+    # the row at nu = 1 is written twice, the second time at -1 reversed
     values = np.array([[0.0, 1e-120, 1.0], [0.25, 0.0, 1e-150]])
-    nu = np.array([-1.0, 0.0])
+    nu = np.array([0.0, 1.0])
     write_af_csv(tmp_path / "af.csv", values, nu)
     text = (tmp_path / "af.csv").read_text()
-    assert text.count("-9.990000000000e+02") == 2
-    assert text.count("-2.000000000000e+02") == 2
+    assert text.count("-9.990000000000e+02") == 3
+    assert text.count("-2.000000000000e+02") == 3
     assert (tmp_path / "af.csv").read_bytes() == expected_af(values, nu)
 
 
 def assert_af_matches_per_row_loop(cfg, s, nu):
-    """compute_af against per_row_af: each leading row of _doppler_pairs bit
-    for bit; each partner row bit for bit its leading row reversed in delay,
-    and within 2.0e-15 of correlating it alone; every row exactly once."""
+    """compute_af against per_row_af, every row bit for bit; and the premise
+    of write_af_csv, each row reversed in delay against the row at -nu."""
     nu = np.asarray(nu, dtype=float)
-    af, expected = compute_af(s, nu), per_row_af(s.samples, cfg.t, nu)
-    lead, partner = metrics._doppler_pairs(nu)
-    paired = partner >= 0
-    mates = partner[paired]
-    assert np.array_equal(np.sort(np.concatenate((lead, mates))), np.arange(nu.size))
-    assert np.array_equal(af[lead], expected[lead])
-    assert np.array_equal(af[mates], af[lead[paired], ::-1])
-    # correlated alone, a -nu row rounds through its own spectrum G at -nu, not
-    # through the +nu row's: over the grids below they differ by at most
-    # 1.01e-15 (M = 1040, seed 2), and the bound is about twice that
-    assert np.abs(af[mates] - expected[mates]).max(initial=0.0) <= 2.0e-15
+    af = compute_af(s, nu)
+    assert np.array_equal(af, per_row_af(s.samples, cfg.t, nu))
+    # |chi(-tau, -nu)| = |chi(tau, nu)| to rounding: the row at -nu rounds
+    # through its own spectrum G at -nu, not through the +nu row's; over the
+    # grids below they differ by at most 1.01e-15 (M = 1040, seed 2), and the
+    # bound is about twice that
+    assert np.abs(af[:, ::-1] - compute_af(s, -nu)).max() <= 2.0e-15
 
 
 @pytest.mark.parametrize("cfg", [WaveformConfig(L=8, h=0.15, samples=70), WaveformConfig(L=24, tbp=208.0)])
@@ -305,11 +307,11 @@ def test_batched_af_matches_per_row_loop(cfg):
     assert_af_matches_per_row_loop(cfg, s, np.linspace(-cfg.L, cfg.L, 97))
 
 
-# Doppler grids in units of 1/T; a row at -nu is its +nu row reversed in compute_af
+# Doppler grids in units of 1/T, each row correlated on its own
 AF_EDGE_GRIDS = {
     "symmetric-even": [-3.0, -1.5, -0.5, 0.5, 1.5, 3.0],  # every row paired, no zero
-    "unpaired": [-3.0, 0.5, -0.5, 2.0, -7.0, 4.0],  # -3, 2, -7 and 4 lead alone
-    "duplicate-negative": [-1.0, -1.0, 1.0],  # one -1 pairs, the other must still be written
+    "unpaired": [-3.0, 0.5, -0.5, 2.0, -7.0, 4.0],  # -3, 2, -7 and 4 without a mirror
+    "duplicate-negative": [-1.0, -1.0, 1.0],  # both -1 rows are correlated
     "negative-zero": [-0.0, -2.0, 0.0, 2.0],
     "zero-only": [0.0],
 }
@@ -324,30 +326,31 @@ def test_paired_af_matches_per_row_loop_on_edge_grids(grid):
 
 def test_paired_af_blocks_match_per_row_loop():
     # 17 pairs, zero and an unpaired row in shuffled order at tbp = 208
-    # (N = 2160, 7 pairs per block): blocks of 7, 7 and a partial one of 5
+    # (N = 2160, 7 rows per block): 36 rows, in five blocks of 7 and one of 1
     cfg = WaveformConfig(L=24, tbp=208.0)
     s = synthesize(random_psk(cfg.L, 32, seed=3), cfg)
     half = 0.75 * np.arange(1, 18)
     nu = np.random.default_rng(6).permutation(np.concatenate([-half, [0.0], half, [-20.0]]))
-    pairs_per_block = metrics._AF_BLOCK_POINTS // metrics._fft_length(cfg.M) // 2
-    leading = metrics._doppler_pairs(nu)[0].size
-    assert leading > 2 * pairs_per_block and leading % pairs_per_block
+    rows_per_block = metrics._AF_BLOCK_POINTS // metrics._fft_length(cfg.M) // 2
+    assert nu.size > 2 * rows_per_block and nu.size % rows_per_block
     assert_af_matches_per_row_loop(cfg, s, nu)
 
 
 @pytest.fixture(scope="module")
 def survey_af():
-    """The survey surface: 97 Doppler rows at tbp = 208 (M = 1040, N = 2160)."""
+    """The survey surface's 49 rows at nu >= 0, as synth computes them, at
+    tbp = 208 (M = 1040, N = 2160); its af.csv holds 97 rows."""
     cfg = WaveformConfig(L=24, tbp=208.0)
     s = synthesize(random_psk(cfg.L, 32, seed=4), cfg)
-    nu = np.linspace(-cfg.L, cfg.L, 97)
+    nu = np.arange(49.0) * cfg.L / 48
     return cfg, s, nu
 
 
 def test_blocked_af_csv_matches_per_value_format(tmp_path, survey_af):
     cfg, s, nu = survey_af
     # several encoder blocks, the last one partial: 3 rows (6240 values) per
-    # block. The AF's own blocks are pinned by test_paired_af_blocks_match_per_row_loop
+    # block, each with its -nu lines. The AF's own blocks are pinned by
+    # test_paired_af_blocks_match_per_row_loop
     encoder_rows = exports._BLOCK_VALUES // (2 * cfg.M)
     assert 1 < encoder_rows < len(nu) // 2 and len(nu) % encoder_rows
     af = compute_af(s, nu)
@@ -368,17 +371,18 @@ def test_af_transient_memory_is_block_sized(tmp_path, survey_af):
         csv_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    surface = af.nbytes  # 1.5 MiB
-    # compute_af: the surface it returns, fft(s), and the scratch of one Doppler
-    # block: its shifted copy, one spectrum, inverted in place, and its
-    # magnitudes, each at most _AF_BLOCK_POINTS complex values (0.5 MiB). Six
-    # of them leave headroom (2.3 MiB is measured); one FFT batch over all 97
-    # rows needs several (97, 2160) complex arrays, 3.2 MiB each, and read 12.6 MiB.
+    surface = 97 * af.shape[1] * af.itemsize  # the 97-row surface of af.csv, 1.5 MiB
+    # compute_af: the 49 rows it returns (0.8 MiB), fft(s), and the scratch of
+    # one Doppler block: its shifted copy, one spectrum, inverted in place, and
+    # its magnitudes, each at most _AF_BLOCK_POINTS complex values (0.5 MiB).
+    # The bound is the 97-row surface and six of them (1.5 MiB is measured);
+    # one FFT batch over all 97 rows needs several (97, 2160) complex arrays,
+    # 3.2 MiB each, and read 12.6 MiB.
     assert af_peak < surface + 6 * metrics._AF_BLOCK_POINTS * 16
     # write_af_csv: one encoder block in flight, about 80 bytes per value of
-    # _BLOCK_VALUES, so 1 MiB: a block of leading rows and the slots of their
-    # mirrored partners (0.7 MiB measured; 0.6 through _write_table). It is
-    # under one surface-sized array: dB tables of the whole surface read 4.8 MiB.
+    # _BLOCK_VALUES, so 1 MiB: a block of rows and the slots of their -nu
+    # lines (0.7 MiB measured; 0.6 through _write_table). It is under one
+    # surface-sized array: dB tables of the whole surface read 4.8 MiB.
     assert csv_peak < exports._BLOCK_VALUES * 128 < surface
 
 
@@ -475,7 +479,8 @@ def test_block_encoder_matches_per_value_format(tmp_path):
     index = np.arange(len(table)) - len(table) // 2  # negative, zero and positive
     header_values = values[-50:]
     path = tmp_path / "t.csv"
-    exports._write_table(path, "i,a,b,c,d,e,f,g", list(table.T), first_index=index[0], header_values=header_values)
+    header = exports._numeric_header("i,a,b,c,d,e,f,g", header_values)
+    exports._write_table(path, header, list(table.T), first_index=index[0])
     expected = expected_table("i,a,b,c,d,e,f,g", header_values, table, index)
     assert path.read_bytes() == expected
 

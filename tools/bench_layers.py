@@ -9,12 +9,13 @@ they may be the same tree. Each pair runs one child per tree, with the side
 that runs first alternating from pair to pair. A child imports ceofdm from
 its tree's ``src/``, takes an FFT probe (the median µs of a 2048-point
 complex FFT, recorded as a diagnostic of the machine's speed and used for
-nothing else), and then times ``--reps`` rounds, after one warm-up round, of:
-
-- ``compute_af`` and ``write_af_csv`` in µs at the survey size: L = 24 at
-  ``--tbp`` (208 gives M = 1040), on the 97-row Doppler grid of ``synth``;
-- one survey op in ms: ``synth --set waveform.tbp=<tbp>`` and then
-  ``quantize`` of a stored design, as ``benchmarks/run.py`` runs it.
+nothing else), and then times ``--reps`` rounds, after one warm-up round, of
+one survey op in ms: ``synth --set waveform.tbp=<tbp>`` (L = 24; 208 gives
+M = 1040) and then ``quantize`` of a stored design, as ``benchmarks/run.py``
+runs it. Within it, the ``compute_af`` and ``write_af_csv`` calls that the
+tree's own ``synth`` makes are timed in µs, through timers wrapped around
+``ceofdm.cli.compute_af`` and ``ceofdm.cli.write_af_csv``, so each tree is
+timed on exactly the Doppler grid it uses.
 
 Then ``--rss-pairs`` alternated pairs of ``synth --set waveform.L=<L> --set
 waveform.tbp=<tbp>`` (``--large``, default 256 and 20000) each run as a child
@@ -114,15 +115,26 @@ def child(tree: Path, tbp: float, reps: int, work: Path) -> dict:
 
     import numpy as np
 
-    from ceofdm import WaveformConfig, compute_af, random_psk, synthesize
-    from ceofdm.cli import main
-    from ceofdm.exports import write_af_csv
+    from ceofdm import cli
 
     check_import(tree)
     probe = fft_probe_us()
-    cfg = WaveformConfig(L=24, tbp=tbp)
-    s = synthesize(random_psk(cfg.L, 32, seed=4), cfg)
-    nu = np.arange(-48.0, 49.0) * cfg.L / 48  # the grid cmd_synth uses
+    # µs of each call of the two AF stages that synth makes
+    stage_us = {"compute_af": [], "write_af_csv": []}
+
+    def timed(name: str):
+        call = getattr(cli, name)
+
+        def timed_call(*args):
+            started = time.perf_counter()
+            result = call(*args)
+            stage_us[name].append((time.perf_counter() - started) * 1e6)
+            return result
+
+        return timed_call
+
+    for name in stage_us:
+        setattr(cli, name, timed(name))
     # a stored design for quantize: a manifest and two phase vectors
     design = work / "design"
     design.mkdir()
@@ -132,28 +144,25 @@ def child(tree: Path, tbp: float, reps: int, work: Path) -> dict:
         rows = [f"{ell},{phi!r}" for ell, phi in enumerate((2 * np.pi * rng.random(24)).tolist(), 1)]
         (design / name).write_text("ell,phi_rad\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
-    af_us, csv_us, op_ms = [], [], []
-    for k in range(reps + 1):  # each of the three in turn; round 0 is a warm-up
+    op_ms = []
+    for k in range(reps + 1):  # round 0 is a warm-up
         started = time.perf_counter()
-        af = compute_af(s, nu)
-        middle = time.perf_counter()
-        write_af_csv(work / "af.csv", af, nu)
-        ended = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             codes = (
-                main(["synth", "--out", str(work / "synth"), "--seed", str(k + 1), "--set", f"waveform.tbp={tbp!r}"]),
-                main(["quantize", "--out", str(work / "quant"), "--input", str(design)]),
+                cli.main(["synth", "--out", str(work / "synth"), "--seed", str(k + 1),
+                          "--set", f"waveform.tbp={tbp!r}"]),
+                cli.main(["quantize", "--out", str(work / "quant"), "--input", str(design)]),
             )
         if codes != (0, 0):
             sys.exit(f"survey op {k} exited {codes}")
         if k:
-            af_us.append((middle - started) * 1e6)
-            csv_us.append((ended - middle) * 1e6)
-            op_ms.append((time.perf_counter() - ended) * 1e3)
+            op_ms.append((time.perf_counter() - started) * 1e3)
+    if any(len(times) != reps + 1 for times in stage_us.values()):
+        sys.exit(f"synth made {[len(v) for v in stage_us.values()]} AF calls in {reps + 1} survey ops, not one each")
     return {
         "fft_probe_us": round(probe, 3),
-        "compute_af_us": [round(v, 1) for v in af_us],
-        "write_af_csv_us": [round(v, 1) for v in csv_us],
+        "compute_af_us": [round(v, 1) for v in stage_us["compute_af"][1:]],
+        "write_af_csv_us": [round(v, 1) for v in stage_us["write_af_csv"][1:]],
         "survey_op_ms": [round(v, 3) for v in op_ms],
     }
 
@@ -315,7 +324,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("."), help="directory of the JSON file")
     parser.add_argument("--pairs", type=int, default=20, help="alternated pairs of timing children")
     parser.add_argument("--reps", type=int, default=10,
-                        help="timed rounds per child, each one compute_af, one write_af_csv and one survey op")
+                        help="timed survey ops per child, each with synth's compute_af and write_af_csv")
     parser.add_argument("--tbp", type=float, default=208.0, help="time-bandwidth product of the survey size")
     parser.add_argument("--rss-pairs", type=int, default=2, help="alternated pairs of large synth children")
     parser.add_argument("--large", type=float, nargs=2, default=(256, 20000.0), metavar=("L", "TBP"),
