@@ -33,15 +33,7 @@ from .exports import (
     write_trace_csv,
     write_waveform_csv,
 )
-from .metrics import (
-    build_weights,
-    compute_acf,
-    compute_af,
-    compute_gisl,
-    compute_pslr,
-    db,
-    detect_mainlobe_null,
-)
+from .metrics import _levels, build_weights, compute_acf, compute_af, detect_mainlobe_null
 from .optimizer import run_gd_gisl
 from .quantize import degradation_sweep
 from .waveform import random_psk, synthesize
@@ -50,7 +42,8 @@ __all__ = ["main", "entry", "cmd_synth", "cmd_optimize", "cmd_quantize", "cmd_sw
 
 
 def _prepare(config: ExperimentConfig, phi0=None):
-    """Initial waveform (seeded PSK unless given), its ACF, and the weights at its first null."""
+    """(phi0, s0, r0, weights): the initial phases (seeded PSK unless given),
+    their pulse, its ACF, and the weights at the ACF's first null."""
     cfg = config.waveform
     if phi0 is None:
         phi0 = random_psk(cfg.L, cfg.mpsk, config.run.seed)
@@ -58,17 +51,17 @@ def _prepare(config: ExperimentConfig, phi0=None):
     r0 = compute_acf(s0)
     null = detect_mainlobe_null(r0)
     weights = build_weights(null, cfg.M, config.region.lo, config.region.hi)
-    return cfg, phi0, s0, r0, weights
+    return phi0, s0, r0, weights
 
 
 def cmd_synth(config: ExperimentConfig) -> None:
     """Write the waveform, its spectrum/spectrogram, and its ACF/AF surfaces."""
     out = Path(config.run.out)
-    cfg, phi0, s0, r0, weights = _prepare(config)
+    cfg = config.waveform
+    phi0, s0, r0, weights = _prepare(config)
     summary = {"null_index": weights.null_index}
     if weights.sl_last >= weights.sl_first:
-        summary["gisl_db"] = db(compute_gisl(r0, weights, config.optimizer.p))
-        summary["pslr_db"] = compute_pslr(r0, weights)
+        summary["gisl_db"], summary["pslr_db"] = _levels(r0, weights, config.optimizer.p)
     else:
         print(
             "synth: no lag lies in the sidelobe region (first null at lag "
@@ -92,35 +85,33 @@ def cmd_synth(config: ExperimentConfig) -> None:
     write_summary(out / "summary.txt", summary)
 
 
-def _descend(config: ExperimentConfig, phi0, r0, weights):
-    """Descend from the prepared pulse, then synthesize the final pulse and take its ACF.
+def _descend(config: ExperimentConfig, phi0, weights, initial):
+    """Descend from ``phi0``, then synthesize the final pulse and take its ACF.
 
-    Returns the final phases, pulse and ACF, the trace, the summary (GISL and
-    PSLR before and after, null indexes, iterations, status and p) and the
-    seconds that the descent and the final ACF took.
+    ``initial`` is the initial pulse's ``metrics._levels``. Returns the final
+    phases, pulse and ACF, the trace and the summary (GISL and PSLR before
+    and after, null indexes, iterations, status and p).
     """
     cfg = config.waveform
-    started = time.perf_counter()
     phi_final, trace = run_gd_gisl(phi0, cfg, weights, config.optimizer)
     s_final = synthesize(phi_final, cfg)
     r_final = compute_acf(s_final)
-    seconds = time.perf_counter() - started
     p = config.optimizer.p
-    gisl_initial = db(compute_gisl(r0, weights, p))
-    gisl_final = db(compute_gisl(r_final, weights, p))
+    gisl_initial, pslr_initial = initial
+    gisl_final, pslr_final = _levels(r_final, weights, p)
     summary = {
         "gisl_initial_db": gisl_initial,
         "gisl_final_db": gisl_final,
         "gisl_improvement_db": gisl_initial - gisl_final,
-        "pslr_initial_db": compute_pslr(r0, weights),
-        "pslr_final_db": compute_pslr(r_final, weights),
+        "pslr_initial_db": pslr_initial,
+        "pslr_final_db": pslr_final,
         "null_index_initial": weights.null_index,
         "null_index_final": detect_mainlobe_null(r_final),
         "iterations": len(trace.rows),
         "status": trace.status,
         "p": p,
     }
-    return phi_final, s_final, r_final, trace, summary, seconds
+    return phi_final, s_final, r_final, trace, summary
 
 
 _COUNT_NAMES = ("forward_passes", "gradient_passes", "cache_hits", "backtracks", "momentum_resets")
@@ -134,31 +125,33 @@ def _counts_text(counts: dict) -> str:
 def cmd_optimize(config: ExperimentConfig) -> None:
     """Run the descent loop and export initial/final waveform data plus the trace.
 
-    The initial products are written before the descent, which then starts
-    without the initial pulse; its ACF goes once the summary holds its
-    numbers. So only the final pulse and ACF are held while the final
-    products are written.
+    Each array goes right after its last reader: the initial ACF once its
+    levels are taken and acf_initial.csv is written, the initial pulse after
+    spectrum_initial.csv, both before the descent starts, and the final ACF
+    after acf_final.csv, before the final spectrum is written.
     """
     out = Path(config.run.out)
-    started = time.perf_counter()
-    cfg, phi0, s0, r0, weights = _prepare(config)
-    runtime = time.perf_counter() - started
+    cfg = config.waveform
+    begun = time.perf_counter()
+    phi0, s0, r0, weights = _prepare(config)
+    initial = _levels(r0, weights, config.optimizer.p)
+    runtime = time.perf_counter() - begun  # prepare, levels, descent and final ACF; not the writes
     config.write_manifest(out / "manifest.ini")
     write_phi_csv(out / "phi_initial.csv", phi0)
     write_acf_csv(out / "acf_initial.csv", r0)
+    del r0
     write_spectrum_csv(out / "spectrum_initial.csv", s0, cfg)
     del s0
-    writing = time.perf_counter() - started - runtime
-    phi_final, s_final, r_final, trace, summary, seconds = _descend(config, phi0, r0, weights)
-    del r0
-    runtime += seconds  # prepare, descent and final ACF; not the writes or the summary
     started = time.perf_counter()
+    phi_final, s_final, r_final, trace, summary = _descend(config, phi0, weights, initial)
+    runtime += time.perf_counter() - started
     write_phi_csv(out / "phi_final.csv", phi_final)
     write_acf_csv(out / "acf_final.csv", r_final)
+    del r_final
     write_spectrum_csv(out / "spectrum_final.csv", s_final, cfg)
     write_trace_csv(out / "trace.csv", trace)
     write_summary(out / "summary.txt", summary)
-    writing += time.perf_counter() - started
+    writing = time.perf_counter() - begun - runtime
     # times and evaluation counts stay off the data files so reruns are byte-identical
     print(
         f"optimize: GISL {summary['gisl_initial_db']:.2f} dB -> "
@@ -186,13 +179,14 @@ def cmd_quantize(config: ExperimentConfig, input_dir: str | None = None) -> None
     manifest); otherwise optimize in place first.
     """
     out = Path(config.run.out)
+    cfg = config.waveform
     if input_dir is not None:
-        phi0 = _read_phases(Path(input_dir) / "phi_initial.csv", config.waveform.L)
-        cfg, _, _, _, weights = _prepare(config, phi0)
-        phi_final = _read_phases(Path(input_dir) / "phi_final.csv", config.waveform.L)
+        weights = _prepare(config, _read_phases(Path(input_dir) / "phi_initial.csv", cfg.L))[3]
+        phi_final = _read_phases(Path(input_dir) / "phi_final.csv", cfg.L)
     else:
-        cfg, phi0, _, r0, weights = _prepare(config)
-        phi_final = _descend(config, phi0, r0, weights)[0]
+        phi0, s0, r0, weights = _prepare(config)
+        del s0, r0
+        phi_final = run_gd_gisl(phi0, cfg, weights, config.optimizer)[0]
     p = config.optimizer.p
     rows = degradation_sweep(phi_final, cfg, weights, p, config.quantization.alphabets)
     config.write_manifest(out / "manifest.ini")
@@ -221,8 +215,10 @@ def _sweep_worker(payload) -> tuple[int, dict | None, str, dict]:
     config, seed = payload
     try:
         config = config.with_seed(seed)
-        _, phi0, _, r0, weights = _prepare(config)
-        *_, trace, summary, _ = _descend(config, phi0, r0, weights)
+        phi0, s0, r0, weights = _prepare(config)
+        initial = _levels(r0, weights, config.optimizer.p)
+        del s0, r0
+        trace, summary = _descend(config, phi0, weights, initial)[3:]
     except MemoryError:
         # too large for this machine at every seed: main names M and exits 3
         raise

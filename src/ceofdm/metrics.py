@@ -355,3 +355,8 @@ def compute_pslr(r: CorrelationResult, w: GislWeights) -> float:
     sl, _ = _support_buffers(w, len(r.r), buffers=False)
     peak = float(np.abs(r.r[r.zero_index :][sl]).max(initial=0.0))
     return db(peak * peak)
+
+
+def _levels(r: CorrelationResult, w: GislWeights, p) -> tuple[float, float]:
+    """A pulse's report numbers: its GISL in dB and its PSLR in dB."""
+    return db(compute_gisl(r, w, p)), compute_pslr(r, w)

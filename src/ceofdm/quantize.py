@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import CorrelationResult, GislWeights, compute_acf, compute_gisl, compute_pslr, db
+from .metrics import CorrelationResult, GislWeights, _levels, compute_acf
 from .waveform import TWO_PI, WaveformConfig, _psk_order, synthesize
 
 __all__ = [
@@ -76,22 +76,21 @@ def degradation_sweep(
     Metrics are evaluated over the same frozen weights as the optimization so
     the dB deltas are directly comparable across alphabet sizes.
     """
-    base = compute_acf(synthesize(phi_opt, cfg))
-    gisl0 = db(compute_gisl(base, w, p))
-    pslr0 = compute_pslr(base, w)
+    gisl0, pslr0 = _levels(compute_acf(synthesize(phi_opt, cfg)), w, p)
     rows = []
     for mpsk in alphabet_sizes:
         phi_q = quantize_psk(phi_opt, mpsk)
         perturbation = float(np.max(np.abs(wrap_to_pi(phi_q - np.asarray(phi_opt, float)))))
         r_q = compute_acf(synthesize(phi_q, cfg))
+        gisl_q, pslr_q = _levels(r_q, w, p)
         rows.append(
             QuantizationRow(
                 mpsk=float(mpsk),
                 max_perturbation=perturbation,
                 gisl_before_db=gisl0,
-                gisl_after_db=db(compute_gisl(r_q, w, p)),
+                gisl_after_db=gisl_q,
                 pslr_before_db=pslr0,
-                pslr_after_db=compute_pslr(r_q, w),
+                pslr_after_db=pslr_q,
                 acf=r_q,
             )
         )

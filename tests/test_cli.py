@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ceofdm
-from ceofdm import cli
+from ceofdm import cli, quantize
 from ceofdm.cli import main
 from ceofdm.expconfig import ConfigError, ExperimentConfig, QuantizationSpec
 from ceofdm.exports import DB_NEG_INF, write_phi_csv
@@ -641,6 +642,58 @@ def test_rerun_into_a_populated_directory_matches_a_fresh_one(tmp_path, monkeypa
     tables = {name: data for name, data in expected.items() if not name.endswith(".txt")}
     assert all(len(before[name]) > len(data) for name, data in tables.items())
     assert {name: after[name] for name in expected} == expected
+
+
+def test_each_acf_is_dropped_after_its_last_reader(tmp_path, monkeypatch):
+    # at M = 10^6 an ACF is 32 MB, so no command may hold one past its last
+    # reader: none is alive when a descent starts or a spectrum is written,
+    # and a quantization sweep holds the earlier alphabets' ACFs (its rows),
+    # not its base
+    refs = []
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    def recorded(compute_acf, seen=None):
+        def wrapped(s):
+            if seen is not None:
+                seen.append(alive())
+            r = compute_acf(s)
+            refs.append(weakref.ref(r))
+            return r
+
+        return wrapped
+
+    def counted(name, call):
+        def wrapped(*args, **kwargs):
+            seen[name].append(alive())
+            return call(*args, **kwargs)
+
+        return wrapped
+
+    seen = {"run_gd_gisl": [], "write_spectrum_csv": [], "quantize.compute_acf": []}
+    monkeypatch.setattr(cli, "compute_acf", recorded(cli.compute_acf))
+    monkeypatch.setattr(quantize, "compute_acf", recorded(quantize.compute_acf, seen["quantize.compute_acf"]))
+    for name in ("run_gd_gisl", "write_spectrum_csv"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    quick = ["--seed", "1", "--set", "optimizer.max_iters=2"]
+    runs = {
+        "optimize": ["optimize", *quick],
+        "sweep": ["sweep", *quick, "--set", "run.seed_count=2", "--threads", "1"],
+        "quantize": ["quantize", *quick],
+        "quantize_input": ["quantize", "--input", str(tmp_path / "optimize")],
+    }
+    expected = {
+        "optimize": {"run_gd_gisl": [0], "write_spectrum_csv": [0, 0]},
+        "sweep": {"run_gd_gisl": [0, 0]},
+        "quantize": {"run_gd_gisl": [0], "quantize.compute_acf": [0, 0, 1, 2, 3]},
+        "quantize_input": {"quantize.compute_acf": [0, 0, 1, 2, 3]},
+    }
+    for name, argv in runs.items():
+        for values in seen.values():
+            values.clear()
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        assert {key: values for key, values in seen.items() if values} == expected[name], name
 
 
 class TestExitCodes:

@@ -34,7 +34,11 @@ picks and the median, over max(3, 3 * 10^6 // M) calls each, of:
   and ifft (N) and the rfft of z (M), and the M-sample phasor
   ``metrics._phasor``. The rest of an evaluation is then its ufunc share.
 
-Then ``--curve-pairs`` alternated pairs of children that each time
+Each side of a curve pair then runs ``optimize --set waveform.L=<L> --set
+waveform.tbp=<M/5> --set optimizer.max_iters=3`` at seed 1 as a child of
+its own and records its peak RSS, read with ``os.wait4``.
+
+Then ``--pairs`` alternated pairs of children that each time
 ``--reps`` ``design`` ops, in ms: ``optimize --set waveform.mpsk=inf --set
 region.mode=interval --set region.hi=0.1`` at the defaults (M = 1000), as
 ``benchmarks/run.py`` runs it.
@@ -256,17 +260,16 @@ def run_child(tree: Path, args, *mode: str) -> dict:
     return json.loads(done.stdout)
 
 
-def peak_rss_mb(tree: Path, large: tuple[int, float]) -> float:
-    """Peak RSS of one ``synth`` of the given L and tbp, with the AF, in a child of its own."""
+def peak_rss_mb(tree: Path, command: list[str]) -> float:
+    """Peak RSS in MB of one ceofdm ``command`` (argv without --out) at seed 1, in a child of its own."""
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as work:
-        argv = [sys.executable, "-c", CLI, "synth", "--out", str(Path(work) / "synth"), "--seed", "1",
-                "--set", f"waveform.L={large[0]}", "--set", f"waveform.tbp={large[1]!r}"]
+        argv = [sys.executable, "-c", CLI, *command, "--out", str(Path(work) / "out"), "--seed", "1"]
         proc = subprocess.Popen(argv, env=child_env(tree, work), stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
-        sys.exit(f"synth at L = {large[0]}, tbp = {large[1]} in {tree} exited {proc.returncode}")
-    return usage.ru_maxrss / 1024
+        sys.exit(f"{' '.join(command)} in {tree} exited {proc.returncode}")
+    return round(usage.ru_maxrss / 1024, 1)
 
 
 def commit(tree: Path) -> str:
@@ -360,19 +363,25 @@ def main(argv=None) -> int:
         return pairs
 
     timing = alternated(args.pairs, lambda tree: run_child(tree, args))
-    rss = alternated(args.rss_pairs, lambda tree: {"peak_rss_mb": round(peak_rss_mb(tree, large), 1)})
+    synth = ["synth", "--set", f"waveform.L={large[0]}", "--set", f"waveform.tbp={large[1]!r}"]
+    rss = alternated(args.rss_pairs, lambda tree: {"peak_rss_mb": peak_rss_mb(tree, synth)})
     # the two sides of a pair run back to back, so the machine's speed drifts
     # less between them than over a pass through every M
-    curve = {str(m): alternated(args.curve_pairs, lambda tree: run_child(tree, args, "--curve-point", str(m)))
-             for m in args.curve}
-    design = alternated(args.curve_pairs, lambda tree: run_child(tree, args, "--design-ops"))
+    curve = {}
+    for m in args.curve:
+        optimize = ["optimize", "--set", f"waveform.L={CURVE[m]}", "--set", f"waveform.tbp={m / 5!r}",
+                    "--set", "optimizer.max_iters=3"]
+        curve[str(m)] = alternated(args.curve_pairs, lambda tree: {
+            **run_child(tree, args, "--curve-point", str(m)),
+            "optimize_peak_rss_mb": peak_rss_mb(tree, optimize)})
+    design = alternated(args.pairs, lambda tree: run_child(tree, args, "--design-ops"))
     points = {}
     for m, pairs in curve.items():
         first = pairs[0]
         points[m] = {
             "L": first["parent"]["L"],
             "N": {side: first[side]["N"] for side in SIDES},
-            **{key: summarize(pairs, key) for key in CURVE_KEYS},
+            **{key: summarize(pairs, key) for key in (*CURVE_KEYS, "optimize_peak_rss_mb")},
             "kernels_us": {name: summarize(pairs, "kernels_us", name) for name in first["parent"]["kernels_us"]},
         }
     report = {

@@ -53,9 +53,16 @@ RUNS = [
                      "--set", "waveform.samples=7"]),
     ("synth_interval", ["synth", "--seed", "1", *SUB_REGION]),
     # inst_freq.csv holds negative fields with three-digit exponents, wider
-    # than the encoder's 20-byte slots
+    # than the encoder's 20-byte slots; one ulp of its phase, about 1e200 rad,
+    # is about 1e184 rad, so this case checks the -O and rerun identity of
+    # those fields, not their values
     ("synth_huge_h", ["synth", "--seed", "1", "--set", "waveform.h=1e200",
                       "--set", "waveform.samples=64"]),
+    # a resolvable phase, about 1e-301 rad, whose fields are still wider than
+    # a slot: 33 in inst_freq.csv, 128 in spectrum.csv (freq/df near +-3e301)
+    # and 30 in waveform.csv
+    ("synth_tiny_tbp", ["synth", "--seed", "1", "--set", "waveform.tbp=1e-300",
+                        "--set", "waveform.samples=64"]),
     ("design", ["optimize", "--seed", "1", "--set", "waveform.mpsk=inf", *SUB_REGION]),
     ("design_lo", ["optimize", "--seed", "1", "--set", "waveform.mpsk=inf", *SUB_REGION,
                    "--set", "region.lo=0.04"]),
