@@ -71,12 +71,13 @@ def cmd_synth(config: ExperimentConfig) -> None:
     summary.update(M=cfg.M, fs=cfg.M)  # samples per pulse duration
     config.write_manifest(out / "manifest.ini")
     write_phi_csv(out / "phi.csv", phi0)
+    write_acf_csv(out / "acf.csv", r0)
+    del r0  # before the waveform, spectrum and AF writers: 32 MB at M = 10**6
     write_waveform_csv(out / "waveform.csv", s0)
     write_inst_freq_csv(out / "inst_freq.csv", phi0, cfg)
     write_spectrum_csv(out / "spectrum.csv", s0, cfg)
     if config.run.write_spectrogram:
         write_spectrogram_csv(out / "spectrogram.csv", s0, cfg)
-    write_acf_csv(out / "acf.csv", r0)
     if config.run.write_af:
         # k L / 48 for k = 0..48; write_af_csv adds each -nu row, -(k L / 48),
         # which is (-k) L / 48 exactly, as its +nu row reversed in delay

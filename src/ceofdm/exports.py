@@ -161,13 +161,12 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``take(mode="clip")``, so a k outside 0..22 stands for 10**0 or 10**22,
     both in m and in the exponent. The exact product lies within half an ulp
     of m, and ulp(m) <= 2**-9 for m < 10**13, so each n + 0.5 is a whole
-    number of ulps away: rint(m) rounds the way the exact product does, except
-    where m is n + 0.5 itself. There q is the digits that "%.12e" % |x|
-    prints: m < _M_CARRY keeps them 13 digits with the exponent 12 - k. So q
-    is exact where 10**12 <= m < _M_CARRY. Zeros are exact as q = 0, k = 12.
-    Every other value (a log10 miss next to a power of ten, a mantissa that
-    rounds up to 10**13, |x| >= 1e13 or below 1e-10, inf, nan) is returned,
-    with q = 0.
+    number of ulps away: rint(m) rounds the way the exact product does unless
+    m is n + 0.5. So q is exact where 10**12 <= m < _M_CARRY and m is not
+    n + 0.5. Zeros are exact as q = 0, k = 12. Every other value (m on
+    n + 0.5, a log10 miss next to a power of ten, a mantissa that rounds up to
+    10**13, |x| >= 1e13 or below 1e-10, inf, nan) is returned, with q = 0,
+    for % to format.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -181,30 +180,22 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         q = np.rint(m)
         half = m - q
         half *= half
-    in_range = (m >= 1e12).ravel()
-    in_range &= (m < _M_CARRY).ravel()  # false for nan
-    again = np.nonzero((half == 0.25).ravel() | ~in_range)[0]
-    if not again.size:
-        return q, k, again
-    a, q_flat, k_flat = a.ravel(), q.ravel(), k.ravel()
-    ties, slow = again[in_range[again]], again[~in_range[again]]
-    # a few per block: one at a time is cheaper than a dozen array calls
-    for i, a_i in zip(ties.tolist(), a[ties].tolist()):
-        text = "%.12e" % a_i
-        q_flat[i] = int(text[0] + text[2:14])
-    if slow.size:
-        q_flat[slow] = 0.0
-        zero = a[slow] == 0
-        k_flat[slow[zero]] = 12
-        slow = slow[~zero]
-    return q, k, slow
+    exact = (m >= 1e12).ravel()
+    exact &= (m < _M_CARRY).ravel()  # false for nan
+    exact &= (half != 0.25).ravel()
+    slow = np.flatnonzero(~exact)
+    q.ravel()[slow] = 0.0
+    zero = a.ravel()[slow] == 0
+    k.ravel()[slow[zero]] = 12
+    return q, k, slow[~zero]
 
 
 def _e_fields(x: np.ndarray, slots: np.ndarray, first: int) -> bool:
     """Write each value's %.12e text and a comma into the slots from column
-    ``first`` on. A value without an exact mantissa from _decimal is
-    formatted on its own. Returns True, with the slots left unfinished, at
-    the first text longer than its slot."""
+    ``first`` on. A value without an exact mantissa from _decimal, a
+    product on n + 0.5 among them, is formatted on its own with %. Returns
+    True, with the slots left unfinished, at the first text longer than its
+    slot."""
     x = np.ascontiguousarray(x)
     q, k, slow = _decimal(x)
     np.add(q, 1e13, out=q, where=np.signbit(x))

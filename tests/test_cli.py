@@ -646,9 +646,9 @@ def test_rerun_into_a_populated_directory_matches_a_fresh_one(tmp_path, monkeypa
 
 def test_each_acf_is_dropped_after_its_last_reader(tmp_path, monkeypatch):
     # at M = 10^6 an ACF is 32 MB, so no command may hold one past its last
-    # reader: none is alive when a descent starts or a spectrum is written,
-    # and a quantization sweep holds the earlier alphabets' ACFs (its rows),
-    # not its base
+    # reader: none is alive when a descent starts, a spectrum or spectrogram
+    # is written or an ambiguity surface is computed, and a quantization
+    # sweep holds the earlier alphabets' ACFs (its rows), not its base
     refs = []
 
     def alive():
@@ -671,19 +671,22 @@ def test_each_acf_is_dropped_after_its_last_reader(tmp_path, monkeypatch):
 
         return wrapped
 
-    seen = {"run_gd_gisl": [], "write_spectrum_csv": [], "quantize.compute_acf": []}
+    counted_names = ("run_gd_gisl", "write_spectrum_csv", "write_spectrogram_csv", "compute_af")
+    seen = {name: [] for name in counted_names} | {"quantize.compute_acf": []}
     monkeypatch.setattr(cli, "compute_acf", recorded(cli.compute_acf))
     monkeypatch.setattr(quantize, "compute_acf", recorded(quantize.compute_acf, seen["quantize.compute_acf"]))
-    for name in ("run_gd_gisl", "write_spectrum_csv"):
+    for name in counted_names:
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     quick = ["--seed", "1", "--set", "optimizer.max_iters=2"]
     runs = {
+        "synth": ["synth", "--seed", "1"],
         "optimize": ["optimize", *quick],
         "sweep": ["sweep", *quick, "--set", "run.seed_count=2", "--threads", "1"],
         "quantize": ["quantize", *quick],
         "quantize_input": ["quantize", "--input", str(tmp_path / "optimize")],
     }
     expected = {
+        "synth": {"write_spectrum_csv": [0], "write_spectrogram_csv": [0], "compute_af": [0]},
         "optimize": {"run_gd_gisl": [0], "write_spectrum_csv": [0, 0]},
         "sweep": {"run_gd_gisl": [0, 0]},
         "quantize": {"run_gd_gisl": [0], "quantize.compute_acf": [0, 0, 1, 2, 3]},

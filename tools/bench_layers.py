@@ -8,12 +8,12 @@ PARENT and CHANGE are checkouts of the repository (each holding ``src/``);
 they may be the same tree. Each pair runs one child per tree, with the side
 that runs first alternating from pair to pair. A child imports ceofdm from
 its tree's ``src/``, takes an FFT probe (the median µs of a 2048-point
-complex FFT, recorded as a diagnostic of the machine's speed and used for
-nothing else), and then times ``--reps`` rounds, after one warm-up round, of
-one survey op in ms: ``synth --set waveform.tbp=<tbp>`` (L = 24; 208 gives
-M = 1040) and then ``quantize`` of a stored design, as ``benchmarks/run.py``
-runs it. Within it, the ``compute_af`` and ``write_af_csv`` calls that the
-tree's own ``synth`` makes are timed in µs, through timers wrapped around
+complex FFT, a reading of the machine's speed at that moment), and then
+times ``--reps`` rounds, after one warm-up round, of one survey op in ms:
+``synth --set waveform.tbp=<tbp>`` (L = 24; 208 gives M = 1040) and then
+``quantize`` of a stored design, as ``benchmarks/run.py`` runs it. Within
+it, the ``compute_af`` and ``write_af_csv`` calls that the tree's own
+``synth`` makes are timed in µs, through timers wrapped around
 ``ceofdm.cli.compute_af`` and ``ceofdm.cli.write_af_csv``, so each tree is
 timed on exactly the Doppler grid it uses.
 
@@ -23,9 +23,10 @@ of their own, whose peak RSS is read with ``os.wait4``.
 
 Then the GISL M-curve: for each M of ``--curve`` (default 10^3, 10^4, 10^5
 and 10^6), ``--curve-pairs`` alternated pairs of children, each of which
-builds a ``GradientWorkspace`` on the full band at tbp = M/5 and p = 20,
-with L = 24, 64, 256 and 1024 at M = 10^3 to 10^6, and records the N it
-picks and the median, over max(3, 3 * 10^6 // M) calls each, of:
+takes the FFT probe, builds a ``GradientWorkspace`` on the full band at
+tbp = M/5 and p = 20, with L = 24, 64, 256 and 1024 at M = 10^3 to 10^6,
+and records the N it picks and the median, over max(3, 3 * 10^6 // M)
+calls each, of:
 
 - µs per ``cost()`` and per ``cost_and_gradient()``, each call at a fresh
   point, and each also in ns per N log2 N;
@@ -38,10 +39,10 @@ Each side of a curve pair then runs ``optimize --set waveform.L=<L> --set
 waveform.tbp=<M/5> --set optimizer.max_iters=3`` at seed 1 as a child of
 its own and records its peak RSS, read with ``os.wait4``.
 
-Then ``--pairs`` alternated pairs of children that each time
-``--reps`` ``design`` ops, in ms: ``optimize --set waveform.mpsk=inf --set
-region.mode=interval --set region.hi=0.1`` at the defaults (M = 1000), as
-``benchmarks/run.py`` runs it.
+Then ``--pairs`` alternated pairs of children that each take the FFT probe
+and time ``--reps`` ``design`` ops, in ms: ``optimize --set
+waveform.mpsk=inf --set region.mode=interval --set region.hi=0.1`` at the
+defaults (M = 1000), as ``benchmarks/run.py`` runs it.
 
 Every child runs with PYTHONPATH set to its tree's ``src/`` and with a fresh
 empty PYTHONPYCACHEPREFIX directory of its own, so no tree's
@@ -53,9 +54,14 @@ tree's commit, the settings, the ``survey`` and ``gisl_curve`` sections, the
 FFT probe's summary and every pair's raw values. A section sums up each
 metric: each side's first quartile, median and third quartile over the
 pairs, the ratio of the medians, and the number of pairs in which the change
-read lower (ties count for neither). A pair's value of a metric is the
-median of its child's samples; the curve's N is given per side. Nothing here
-gates on a time.
+read lower (ties count for neither). It adds the number of pairs whose two
+probes agree, the change's within 10% of the parent's, and the ratio of the
+medians over those pairs alone: null where no pair agrees, and where the
+pairs carry no probe, as the survey's RSS pairs do. The raw ratio stays the
+headline; the probe-agreeing one shows whether it holds on pairs that ran
+at the same machine speed. A pair's value of a metric is the median of its
+child's samples; the curve's N is given per side. Nothing here gates on a
+time.
 """
 
 from __future__ import annotations
@@ -182,6 +188,7 @@ def curve_child(tree: Path, m: int) -> dict:
     from ceofdm.metrics import _fft_kernel, _phasor
 
     check_import(tree)
+    probe = fft_probe_us()
     L = CURVE[m]
     cfg = WaveformConfig(L=L, tbp=m / 5, mpsk=math.inf)
     phi = random_psk(L, math.inf, seed=5)
@@ -219,7 +226,8 @@ def curve_child(tree: Path, m: int) -> dict:
     phasor = np.empty(m, dtype=complex)
     _phasor(real_m, phasor.real, phasor.imag)
     kernels["phasor"] = median_us(lambda k: _phasor(real_m, phasor.real, phasor.imag), reps)
-    return {"M": m, "L": L, "N": n, "reps": reps, **{k: round(v, 3) for k, v in times.items()},
+    return {"fft_probe_us": round(probe, 3), "M": m, "L": L, "N": n, "reps": reps,
+            **{k: round(v, 3) for k, v in times.items()},
             "kernels_us": {k: round(v, 3) for k, v in kernels.items()}}
 
 
@@ -231,6 +239,7 @@ def design_child(tree: Path, reps: int, work: Path) -> dict:
     from ceofdm.cli import main
 
     check_import(tree)
+    probe = fft_probe_us()
     op_ms = []
     for k in range(reps + 1):
         started = time.perf_counter()
@@ -240,7 +249,7 @@ def design_child(tree: Path, reps: int, work: Path) -> dict:
             sys.exit(f"design op {k} exited {code}")
         if k:
             op_ms.append(round((time.perf_counter() - started) * 1e3, 3))
-    return {"design_op_ms": op_ms}
+    return {"fft_probe_us": round(probe, 3), "design_op_ms": op_ms}
 
 
 def child_env(tree: Path, work: str) -> dict:
@@ -297,10 +306,17 @@ def machine() -> str:
             f"Python {platform.python_version()}, numpy {np.__version__}")
 
 
+def ratio(parent: list[float], change: list[float]) -> float:
+    """The change's median over the parent's."""
+    return round(statistics.median(change) / statistics.median(parent), 4)
+
+
 def summarize(pairs: list[dict], *path: str) -> dict:
     """Each side's quartiles over the pairs' values at ``path``, a key or a
     chain of keys, the ratio of the medians and the number of pairs in which
-    the change read lower."""
+    the change read lower; then the number of pairs whose FFT probes agree
+    and the ratio of the medians over those pairs alone, None where no pair
+    agrees or the pairs carry no probe."""
 
     def lookup(side: dict):
         for key in path:
@@ -310,12 +326,17 @@ def summarize(pairs: list[dict], *path: str) -> dict:
     value = {side: [lookup(pair[side]) for pair in pairs] for side in SIDES}
     value = {side: [statistics.median(v) if isinstance(v, list) else v for v in vs] for side, vs in value.items()}
     parent, change = value["parent"], value["change"]
+    # the pairs whose change probe is within 10% of their parent probe
+    agree = [k for k, pair in enumerate(pairs) if "fft_probe_us" in pair["parent"]
+             and abs(pair["change"]["fft_probe_us"] / pair["parent"]["fft_probe_us"] - 1) <= 0.1]
     return {
         "parent_quartiles": [round(v, 3) for v in quartiles(parent)],
         "change_quartiles": [round(v, 3) for v in quartiles(change)],
-        "change_over_parent": round(statistics.median(change) / statistics.median(parent), 4),
+        "change_over_parent": ratio(parent, change),
         "change_lower_in": sum(c < p for p, c in zip(parent, change)),
         "pairs": len(pairs),
+        "probe_agreeing_pairs": len(agree),
+        "change_over_parent_probe_agreeing": ratio([parent[k] for k in agree], [change[k] for k in agree]) if agree else None,
     }
 
 
