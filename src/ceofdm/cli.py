@@ -33,7 +33,7 @@ from .exports import (
     write_trace_csv,
     write_waveform_csv,
 )
-from .metrics import _levels, build_weights, compute_acf, compute_af, detect_mainlobe_null
+from .metrics import _levels, _NoSidelobeLag, build_weights, compute_acf, compute_af, detect_mainlobe_null
 from .optimizer import run_gd_gisl
 from .quantize import degradation_sweep
 from .waveform import random_psk, synthesize
@@ -41,33 +41,34 @@ from .waveform import random_psk, synthesize
 __all__ = ["main", "entry", "cmd_synth", "cmd_optimize", "cmd_quantize", "cmd_sweep"]
 
 
-def _prepare(config: ExperimentConfig, phi0=None):
-    """(phi0, s0, r0, weights): the initial phases (seeded PSK unless given),
-    their pulse, its ACF, and the weights at the ACF's first null."""
+def _pulse(config: ExperimentConfig, phi0=None):
+    """(phi0, s0, r0, null): the initial phases (seeded PSK unless given),
+    their pulse, its ACF and the ACF's first null."""
     cfg = config.waveform
     if phi0 is None:
         phi0 = random_psk(cfg.L, cfg.mpsk, config.run.seed)
     s0 = synthesize(phi0, cfg)
     r0 = compute_acf(s0)
-    null = detect_mainlobe_null(r0)
-    weights = build_weights(null, cfg.M, config.region.lo, config.region.hi)
-    return phi0, s0, r0, weights
+    return phi0, s0, r0, detect_mainlobe_null(r0)
+
+
+def _prepare(config: ExperimentConfig, phi0=None):
+    """``_pulse`` with the region's weights at the null in place of the null."""
+    phi0, s0, r0, null = _pulse(config, phi0)
+    return phi0, s0, r0, build_weights(null, config.waveform.M, config.region.lo, config.region.hi)
 
 
 def cmd_synth(config: ExperimentConfig) -> None:
     """Write the waveform, its spectrum/spectrogram, and its ACF/AF surfaces."""
     out = Path(config.run.out)
     cfg = config.waveform
-    phi0, s0, r0, weights = _prepare(config)
-    summary = {"null_index": weights.null_index}
-    if weights.sl_last >= weights.sl_first:
+    phi0, s0, r0, null = _pulse(config)
+    summary = {"null_index": null}
+    try:
+        weights = build_weights(null, cfg.M, config.region.lo, config.region.hi)
         summary["gisl_db"], summary["pslr_db"] = _levels(r0, weights, config.optimizer.p)
-    else:
-        print(
-            "synth: no lag lies in the sidelobe region (first null at lag "
-            f"{weights.null_index}, last lag {cfg.M - 1}), so gisl_db and pslr_db are "
-            "undefined and left out of summary.txt"
-        )
+    except _NoSidelobeLag as exc:
+        print(f"synth: {exc}, so gisl_db and pslr_db are undefined and left out of summary.txt")
     summary.update(M=cfg.M, fs=cfg.M)  # samples per pulse duration
     config.write_manifest(out / "manifest.ini")
     write_phi_csv(out / "phi.csv", phi0)

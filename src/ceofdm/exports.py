@@ -3,7 +3,7 @@
 Every writer formats numbers explicitly so that identical inputs produce
 byte-identical files. Time and delay are in units of the pulse duration T,
 frequency and Doppler in cycles per T. Magnitudes are exported in dB floored
-at -200; an exact -inf (zero magnitude or empty region) is encoded as -999.
+at -200; an exact -inf (a zero magnitude) is encoded as -999.
 
 Every sampled table but af.csv is written as %.12e fields by ``_write_table``
 from the writer's own arrays: its plain columns, its magnitudes and the first

@@ -5,8 +5,8 @@ The cost J_p is a smooth function of the phase symbols through the chain
     phi -> phase samples -> s -> F = fft(s) -> r = ifft(|F|^2) -> J_p
 
 and every linear stage is a DFT: M points from the symbols to the phase
-samples, N >= M+K points after that, with K the largest lag of the weight
-supports (the FFT length and lag layout of ``metrics``).
+samples, N >= M+K points after that, with K = sl_last the largest lag of the
+weight supports (the FFT length and lag layout of ``metrics``).
 
 Forward pass. The phase samples are the harmonic synthesis of ``waveform``,
 one unscaled M-point irfft of b_l = pi*h*exp(-j phi_l) on bins 1..L. J_p
@@ -87,7 +87,7 @@ class GradientWorkspace:
     One instance serves a fixed (config, weights, p) triple; the optimizer
     reuses it across every cost and gradient call of a run. Reuse never
     changes results. Instances are not safe for concurrent use; give each
-    thread its own. A non-finite gradient raises FloatingPointError.
+    thread its own. A gradient with a non-finite squared norm raises FloatingPointError.
 
     ``counts`` tallies the forward passes, the gradient passes and the calls
     served from the cache of the last forward pass.
@@ -97,8 +97,6 @@ class GradientWorkspace:
         self.p = _validated_p(p)
         # lag k >= 0 sits at bin k of the half spectrum and also stands for lag -k
         bins, self._x, self._pow = _support_buffers(weights, 2 * cfg.M - 1)
-        if weights.sl_last < weights.sl_first:
-            raise ValueError("sidelobe weight support is empty; gradient undefined")
         self.cfg = cfg
         # lags beyond sl_last, the largest, are never read, so N >= M + K is
         # exact and N > 2K keeps every support bin below the Nyquist bin N/2
@@ -205,6 +203,9 @@ class GradientWorkspace:
         # -Im{exp(j phi) Z} = Im{conj(b) Z} / -(pi h), b = pi h exp(-j phi)
         (b_re, b_im), (z_re, z_im) = self._bins, self._zbins
         grad = (self._grad_scale * cost) * (b_im * z_re - b_re * z_im)
-        if not np.isfinite(grad).all():
-            raise FloatingPointError(f"GISL gradient is not finite at p={self.p}")
+        # not finite at an inf or nan component, nor where finite ones overflow it (h = 1e200)
+        with np.errstate(over="ignore"):
+            square = grad @ grad
+        if not np.isfinite(square):
+            raise FloatingPointError(f"GISL gradient norm is not finite at h={self.cfg.h!r}, p={self.p}")
         return cost, grad

@@ -80,8 +80,8 @@ class GislWeights:
 
     Each support is a range of lags k >= 0, each selecting delays -k and +k:
     the mainlobe lags 0..null_index (the null belongs to it), the sidelobe
-    lags sl_first..sl_last, with 0 <= null_index < sl_first <= sl_last + 1
-    <= M. An empty sidelobe support is sl_last = sl_first - 1.
+    lags sl_first..sl_last, with 0 <= null_index < sl_first <= sl_last < M:
+    the sidelobe support is never empty (``build_weights`` refuses such a region).
     """
 
     null_index: int
@@ -95,8 +95,8 @@ class GislWeights:
                 operator.index(getattr(self, f.name))
             except TypeError:
                 raise ValueError(f"GislWeights needs an integer {f.name}, got {self}") from None
-        chain = (0, self.null_index, self.sl_first - 1, self.sl_last, self.M - 1)
-        rules = ("0 <= null_index", "null_index < sl_first", "sl_first <= sl_last + 1", "sl_last + 1 <= M")
+        chain = (0, self.null_index, self.sl_first - 1, self.sl_last - 1, self.M - 2)
+        rules = ("0 <= null_index", "null_index < sl_first", "sl_first <= sl_last", "sl_last + 1 <= M")
         for rule, low, high in zip(rules, chain, chain[1:]):
             if low > high:
                 raise ValueError(f"GislWeights needs {rule}, got {self}")
@@ -233,6 +233,10 @@ def detect_mainlobe_null(r: CorrelationResult) -> int:
     raise ValueError("no null found: |r| has no local minimum at positive delays")
 
 
+class _NoSidelobeLag(ValueError):
+    """A sidelobe region that holds no lag, so it has no GISL or PSLR."""
+
+
 def build_weights(null_index: int, M: int, lo=None, hi=None) -> GislWeights:
     """Sidelobe lag range of a delay region, beyond the mainlobe that ends at null_index.
 
@@ -240,7 +244,8 @@ def build_weights(null_index: int, M: int, lo=None, hi=None) -> GislWeights:
     it is the delay magnitudes lo <= |tau|/T <= hi, with ``lo`` defaulting to
     the null; lag k maps to |tau|/T = k / M, and the region takes the lags
     within 1e-9 M samples of it. It may touch the mainlobe edge but must not
-    reach inside it; the null itself counts as mainlobe.
+    reach inside it; the null itself counts as mainlobe. A region that holds
+    no lag raises _NoSidelobeLag.
     """
     if null_index < 1 or null_index > M - 1:
         raise ValueError(f"null_index must be in [1, {M - 1}], got {null_index}")
@@ -257,7 +262,11 @@ def build_weights(null_index: int, M: int, lo=None, hi=None) -> GislWeights:
         raise ValueError(f"region interval ({lo}, {hi}) overlaps the mainlobe ({null_text})")
     # lo_s - tol <= k <= hi_s + tol, clamped to null_index + 1 .. M - 1
     first = max(int(np.ceil(min(lo_s - tol, M))), null_index + 1)
-    last = max(int(np.floor(min(hi_s + tol, M - 1))), first - 1)
+    last = int(np.floor(min(hi_s + tol, M - 1)))
+    if last < first:
+        raise _NoSidelobeLag(
+            f"no lag lies in the sidelobe region (first null at lag {null_index}, last lag {M - 1})"
+        )
     return GislWeights(null_index, first, last, M)
 
 
@@ -307,13 +316,11 @@ def _gisl_ratio(mags, powers, p: int):
 
     One pass over both supports: each part of ``mags`` is divided in place
     by its peak, (|r|/peak)^(p-2) goes to ``powers`` and ``mags`` is then
-    squared in place. Returns the ratio, (a, S) and (b, B); an empty or
-    all-zero sidelobe support gives a = S = 0 and a ratio of 0.
+    squared in place. Returns the ratio, (a, S) and (b, B); an all-zero
+    sidelobe support gives a = S = 0 and a ratio of 0.
     """
     x, sl, ml = mags
-    split = sl.size
-    # both peaks from one call, which would read x[0] for an empty sl
-    a, b = np.maximum.reduceat(x, (0, split)).tolist() if split else (0.0, float(ml.max()))
+    a, b = np.maximum.reduceat(x, (0, sl.size)).tolist()  # both peaks from one call
     if a > 0.0:
         sl /= a
     if b > 0.0:
@@ -350,10 +357,10 @@ def compute_pslr(r: CorrelationResult, w: GislWeights) -> float:
     """Peak sidelobe level in dB relative to the unit mainlobe peak.
 
     The peak is taken over the sidelobe lags of ``w``, read at k >= 0. Returns
-    -inf when the support is empty or identically zero.
+    -inf when the support is identically zero.
     """
     sl, _ = _support_buffers(w, len(r.r), buffers=False)
-    peak = float(np.abs(r.r[r.zero_index :][sl]).max(initial=0.0))
+    peak = float(np.abs(r.r[r.zero_index :][sl]).max())
     return db(peak * peak)
 
 

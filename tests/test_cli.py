@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -20,6 +21,9 @@ from oracles import full_csv
 
 # the counts that optimize and sweep print on stdout
 COUNTS_PATTERN = r"(\d+) (forward passes|gradient passes|cache hits|backtracks|momentum resets)"
+# an interval of |tau| between lags 500 and 501 at the default M = 1000: it holds no lag
+NO_LAG_INTERVAL = ["region.mode=interval", "region.lo=0.5005", "region.hi=0.5008"]
+NO_LAG_REFUSAL = r"no lag lies in the sidelobe region \(first null at lag \d+, last lag \d+\)"
 
 
 def read_summary(path):
@@ -52,6 +56,18 @@ def tree_bytes(root):
         for p in sorted(Path(root).rglob("*"))
         if p.is_file()
     }
+
+
+@pytest.fixture(scope="module")
+def finished_no_lag_run(tmp_path_factory):
+    """A finished optimize run whose manifest's region is NO_LAG_INTERVAL."""
+    run = tmp_path_factory.mktemp("finished")
+    assert main(["optimize", "--out", str(run), "--seed", "1", "--set", "optimizer.max_iters=2"]) == 0
+    manifest = run / "manifest.ini"
+    manifest.write_text(
+        manifest.read_text().replace("mode = full\n", "mode = interval\nlo = 0.5005\nhi = 0.5008\n")
+    )
+    return run
 
 
 class TestExperimentConfig:
@@ -254,7 +270,10 @@ class TestSynthCommand:
         summary = read_summary(out / "summary.txt")
         assert "gisl_db" not in summary and "pslr_db" not in summary
         assert all(math.isfinite(summary[key]) for key in ("null_index", "M", "fs"))
-        assert "gisl_db and pslr_db are undefined" in capsys.readouterr().out
+        assert re.match(
+            NO_LAG_REFUSAL + ", so gisl_db and pslr_db are undefined and left out of summary.txt\n",
+            capsys.readouterr().out.removeprefix("synth: "),
+        )
 
     def test_export_toggles(self, tmp_path):
         out = tmp_path / "min"
@@ -361,8 +380,32 @@ class TestOptimizeCommand:
         assert "p = 20" in manifests[1]
         assert "max_iters = 0" not in manifests[1]
 
+    def test_no_lag_region_into_a_finished_run_writes_nothing(self, tmp_path, capsys):
+        # the refusal comes before the manifest and the *_initial files, which
+        # would otherwise be rewritten for a region that has no GISL
+        out = tmp_path / "run"
+        assert main(["optimize", "--out", str(out), "--seed", "1", "--set", "optimizer.max_iters=2"]) == 0
+        before = tree_bytes(out)
+        capsys.readouterr()
+        code = main([
+            "optimize", "--out", str(out), "--seed", "1",
+            *(arg for setting in NO_LAG_INTERVAL for arg in ("--set", setting)),
+        ])
+        assert code == 3
+        assert re.fullmatch("numerical failure: " + NO_LAG_REFUSAL + "\n", capsys.readouterr().err)
+        assert tree_bytes(out) == before
+
 
 class TestQuantizeCommand:
+    def test_input_whose_region_holds_no_lag(self, tmp_path, capsys, finished_no_lag_run):
+        # the input run's manifest region holds no lag: the refusal on one
+        # line, where -999 and nan were written with exit 0
+        out = tmp_path / "q"
+        assert main(["quantize", "--out", str(out), "--input", str(finished_no_lag_run)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch("numerical failure: " + NO_LAG_REFUSAL + "\n", err), err
+        assert not (out / "report.csv").exists()
+
     def test_infinite_alphabet_zero_delta(self, tmp_path):
         out = tmp_path / "quant_inf"
         code = main([
@@ -485,7 +528,8 @@ class TestSweepCommand:
         assert "passes" not in (tmp_path / "s" / "seeds.csv").read_text()
 
     def test_partial_failure_rows_and_all_fail_exit(self, tmp_path, capsys):
-        # empty sidelobe support fails every seed: rows recorded, exit code 3
+        # a region that holds no lag fails every seed before its descent:
+        # rows recorded, exit code 3
         out = tmp_path / "fail"
         code = main([
             "sweep", "--out", str(out), "--seed", "0",
@@ -500,7 +544,8 @@ class TestSweepCommand:
         assert not (out / "aggregate.txt").exists()
         # stderr names the first failed seed and why, on one line
         detail = rows[0].split(",")[-1]
-        assert detail == "sidelobe weight support is empty; gradient undefined"
+        # build_weights' refusal, its comma written as a semicolon
+        assert re.fullmatch(r"no lag lies in the sidelobe region \(first null at lag \d+; last lag 999\)", detail)
         assert capsys.readouterr().err == (
             f"numerical failure: all sweep runs failed (see seeds.csv); seed 0: {detail}\n"
         )
@@ -729,7 +774,7 @@ class TestExitCodes:
         assert not (out / "summary.txt").exists()
 
     def test_numerical_failure(self, tmp_path):
-        # interval selects no whole sample: empty sidelobe support
+        # the interval selects no whole sample: no lag in the sidelobe region
         code = main([
             "optimize", "--out", str(tmp_path / "x"), "--seed", "1",
             "--set", "region.mode=interval",
@@ -943,3 +988,66 @@ def test_edge_config_sweep(tmp_path, capsys):
             assert code in (2, 3), case
             assert re.fullmatch(r"(config error|numerical failure): \S.*\n", err), case
     assert codes.count(0) and codes.count(2) and codes.count(3)
+
+
+# a fixed table of edge configs, each run with a descent of at most 2
+# iterations: (case, command, settings); {finished} names the directory of
+# a finished optimize run whose manifest region holds no lag
+SHORT = ["optimizer.max_iters=2", "run.seed_count=2"]
+CONTRACT_TABLE = [
+    ("synth_p2", "synth", ["optimizer.p=2"]),
+    ("optimize_p2", "optimize", ["optimizer.p=2"]),
+    ("optimize_p5000", "optimize", ["optimizer.p=5000"]),
+    ("quantize_in_place_inf", "quantize", ["quantization.alphabets=inf"]),
+    ("optimize_hi_1", "optimize", ["region.mode=interval", "region.hi=1.0"]),
+    ("synth_h0", "synth", ["waveform.h=0", "waveform.samples=200"]),
+    ("optimize_h0", "optimize", ["waveform.h=0", "waveform.samples=200"]),
+    ("synth_tiny_tbp", "synth", ["waveform.tbp=1e-300", "waveform.samples=64"]),
+    ("optimize_tiny_tbp", "optimize", ["waveform.tbp=1e-300", "waveform.samples=64"]),
+    ("synth_L2_M5", "synth", ["waveform.L=2", "waveform.samples=5"]),
+    ("optimize_L2_M5", "optimize", ["waveform.L=2", "waveform.samples=5"]),
+    ("sweep_L2_M5", "sweep", ["waveform.L=2", "waveform.samples=5"]),
+    ("optimize_mpsk2", "optimize", ["waveform.mpsk=2"]),
+    ("optimize_beta0", "optimize", ["optimizer.beta=0"]),
+    ("optimize_g_min_huge", "optimize", ["optimizer.g_min=1e300"]),
+    ("optimize_mu0_tiny", "optimize", ["optimizer.mu0=1e-300"]),
+    ("optimize_mu_cap_tiny", "optimize", ["optimizer.mu_cap=1e-300"]),
+    ("optimize_huge_h", "optimize", ["waveform.h=1e200", "waveform.samples=64"]),
+    ("sweep_huge_h", "sweep", ["waveform.h=1e200", "waveform.samples=64"]),
+    ("quantize_input_no_lag", "quantize", ["--input", "{finished}"]),
+]
+
+
+@pytest.mark.parametrize("command, settings", [row[1:] for row in CONTRACT_TABLE],
+                         ids=[row[0] for row in CONTRACT_TABLE])
+def test_contract_table(tmp_path, capsys, finished_no_lag_run, command, settings):
+    """Each case exits 0 with every numeric cell finite, or 3 with one stderr line."""
+    out = tmp_path / "x"
+    if settings[0] == "--input":
+        args = [settings[0], settings[1].format(finished=finished_no_lag_run)]
+    else:
+        args = [x for kv in SHORT + settings for x in ("--set", kv)]
+    with warnings.catch_warnings():
+        # an overflow warning, as at h = 1e200, would stand for a silent exit 0
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--out", str(out), "--seed", "1", *args])
+    err = capsys.readouterr().err
+    if code == 3:
+        assert re.fullmatch(r"[^\n]+\n", err), err
+        return
+    assert code == 0, err
+    for name in ("summary.txt", "report.csv", "aggregate.txt", "seeds.csv"):
+        if not (out / name).exists():
+            continue
+        text = (out / name).read_text()
+        if name.endswith(".txt"):
+            cells = [line.partition(" = ")[2] for line in text.splitlines()]
+        else:  # past the header, and past report.csv's alphabet label, which may read inf
+            skip = name == "report.csv"
+            cells = [c for line in text.splitlines()[1:] for c in line.split(",")[skip:]]
+        for cell in cells:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value) and value != DB_NEG_INF, f"{name}: {cell}\n{text}"

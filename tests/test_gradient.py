@@ -378,10 +378,11 @@ class TestWorkspaceBuffers:
 
 class TestGradientValidation:
     def test_empty_sidelobe_support_rejected(self):
+        # GislWeights itself refuses an empty sidelobe range, so no workspace
+        # is ever built without a sidelobe lag
         cfg, phi, w, _ = make_problem(8, 64, 6, seed=0)
-        empty = GislWeights(w.null_index, w.null_index + 1, w.null_index, w.M)
-        with pytest.raises(ValueError, match="sidelobe"):
-            GradientWorkspace(cfg, empty, 6)
+        with pytest.raises(ValueError, match="needs sl_first <= sl_last"):
+            GislWeights(w.null_index, w.null_index + 1, w.null_index, w.M)
 
     def test_length_mismatch_rejected(self):
         cfg, phi, w, _ = make_problem(8, 64, 6, seed=0)

@@ -19,7 +19,7 @@ from ceofdm import (
     random_psk,
     synthesize,
 )
-from ceofdm.metrics import _fft_kernel, _fft_length
+from ceofdm.metrics import _fft_kernel, _fft_length, _NoSidelobeLag
 from oracles import brute_force_acf, direct_af, fft_length_rule, log_domain_gisl, plain_isl
 
 # frozen regression: first null of the reference waveform (seed 1, Mpsk=32);
@@ -281,13 +281,19 @@ class TestBuildWeights:
         (3, (10.2 / 50, 10.8 / 50), 50),  # between two samples
     ])
     def test_matches_dense_mask_reference(self, null, region, m):
-        w = build_weights(null, m, *((None, None) if region == "full" else region))
+        bounds = (None, None) if region == "full" else region
         w_sl, w_ml = dense_mask_reference(null, region, m)
+        if not w_sl.any():
+            # a region that holds no lag has no weights: build_weights refuses it
+            message = rf"no lag lies in the sidelobe region \(first null at lag {null}, last lag {m - 1}\)"
+            with pytest.raises(_NoSidelobeLag, match=message):
+                build_weights(null, m, *bounds)
+            return
+        w = build_weights(null, m, *bounds)
         offsets = np.abs(np.arange(2 * m - 1) - (m - 1))
         sl_lags = np.arange(w.sl_first, w.sl_last + 1)
         assert np.array_equal(np.isin(offsets, sl_lags), w_sl)
         assert np.array_equal(offsets <= w.null_index, w_ml)
-        # so an empty support is the one canonical range sl_last = sl_first - 1
         assert sl_lags.size == w_sl.sum() // 2
         assert w.null_index == null and w.M == m
 
@@ -312,7 +318,8 @@ class TestBuildWeights:
         with pytest.raises(ValueError, match=r"ends inside the mainlobe \(first null at 9 samples"):
             build_weights(9, 1000, 0.009, 0.005)
         # an interval that ends on the null touches the mainlobe and selects no lag
-        assert build_weights(9, 1000, 0.009, 0.009) == GislWeights(9, 10, 9, 1000)
+        with pytest.raises(_NoSidelobeLag, match=r"\(first null at lag 9, last lag 999\)"):
+            build_weights(9, 1000, 0.009, 0.009)
 
     @pytest.mark.parametrize("fields,rule", [
         ((-1, 1, 2, 5), "0 <= null_index"),
@@ -397,11 +404,16 @@ class TestComputeGisl:
             compute_gisl(r, w, p)
 
     def test_empty_sidelobe_support_gives_zero(self):
-        r = synthetic_corr([0.1, 0.2])
-        silent = GislWeights(null_index=1, sl_first=2, sl_last=1, M=3)
+        # an empty sidelobe range cannot be built; an all-zero sidelobe
+        # support, the nearest that can, gives a GISL of exactly 0
+        with pytest.raises(ValueError, match="sl_first <= sl_last"):
+            GislWeights(null_index=1, sl_first=2, sl_last=1, M=3)
+        r = synthetic_corr([0.1, 0.0])
+        silent = GislWeights(null_index=1, sl_first=2, sl_last=2, M=3)
         assert compute_gisl(r, silent, 2) == 0.0
         assert compute_gisl(r, silent, 10000) == 0.0
         assert db(compute_gisl(r, silent, 2)) == float("-inf")
+        assert compute_pslr(r, silent) == float("-inf")
 
 
 def fold_case(case, cfg):
@@ -473,9 +485,13 @@ def test_negative_lags_are_never_read(reference_cfg, hi):
 
 class TestComputePslr:
     def test_triangle_has_no_sidelobes(self):
+        # the triangle's first null is its last lag, so no lag is left for a
+        # sidelobe and no PSLR is defined: build_weights refuses the region
         cfg, s = rect_waveform(32)
         r = compute_acf(s)
-        assert compute_pslr(r, build_weights(detect_mainlobe_null(r), 32)) == float("-inf")
+        assert detect_mainlobe_null(r) == 31
+        with pytest.raises(_NoSidelobeLag, match=r"\(first null at lag 31, last lag 31\)"):
+            build_weights(detect_mainlobe_null(r), 32)
 
     def test_synthetic_peak(self):
         r = synthetic_corr([0.0, 0.05, 0.1, 0.02])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,25 @@ class TestRunGdGisl:
         assert counts["backtracks"] == sum(row.backtracks for row in rows) + opt.max_backtracks
         resets = sum(row.reset for row in rows)
         assert resets <= counts["momentum_resets"] <= resets + 1
+
+    @pytest.mark.parametrize("h", [1e150, 1e200])
+    def test_squared_gradient_norm_overflow_names_h(self, h):
+        # at h = 1e200 every gradient component is finite but the squared norm
+        # is not: the workspace raises one FloatingPointError naming h, where
+        # three overflow warnings came before a line-search stall. At h = 1e150
+        # the descent runs as before
+        cfg = WaveformConfig(L=24, h=h, samples=64)
+        phi0 = random_psk(24, 32, seed=1)
+        w = build_weights(detect_mainlobe_null(compute_acf(synthesize(phi0, cfg))), cfg.M)
+        opt = OptimizerConfig(max_iters=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if h == 1e200:
+                with pytest.raises(FloatingPointError, match=r"norm is not finite at h=1e\+200"):
+                    run_gd_gisl(phi0, cfg, w, opt)
+            else:
+                _, trace = run_gd_gisl(phi0, cfg, w, opt)
+                assert all(math.isfinite(row.grad_norm) for row in trace.rows)
 
 
 @pytest.mark.parametrize("hi", [0.1, None], ids=["design", "full_band"])
