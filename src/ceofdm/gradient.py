@@ -11,7 +11,8 @@ weight supports (the FFT length and lag layout of ``metrics``).
 Forward pass. The phase samples are the harmonic synthesis of ``waveform``,
 one unscaled M-point irfft of b_l = pi*h*exp(-j phi_l) on bins 1..L. J_p
 does not change when the pulse is scaled, so the samples are
-s = exp(j theta) without the 1/sqrt(M), and the ACF is never divided by N.
+s = exp(j theta) without the 1/sqrt(M), written by ``metrics._phasor``
+from tan(theta/2), and the ACF is never divided by N.
 |F|^2 is real, so r is conjugate symmetric and its half spectrum
 rfft(|F|^2) = N M conj(r[0..N/2]) holds all of it: bin k stands for the
 lags +k and -k (it counts once at lag 0). The peak-normalised p-sums of
@@ -52,7 +53,8 @@ constructor binds each to its pocketfft gufunc and scale through
 numpy.fft wrapper in between. The gufuncs come from
 numpy.fft._pocketfft_umath, a module private to numpy.
 
-The |F|^2 buffer holds the phase samples first, then P, then z in its head
+The |F|^2 buffer holds the phase samples first, in its head, which the
+phasor overwrites with tan(theta/2), then |F|^2, then P, then z in its head
 (the z spectrum's buffer is scratch until Z); the N/2+1 bins of the
 half-spectrum buffer hold the im^2 scratch, then rfft(|F|^2), which the next
 gradient of a cached pass reads again. F * P and its ifft share one buffer.
@@ -105,7 +107,7 @@ class GradientWorkspace:
         self._spec = np.zeros(m // 2 + 1, dtype=complex)  # pi h exp(-j phi) on bins 1..L
         self._s = np.empty(m, dtype=complex)  # phasor exp(j theta)
         self._f = np.empty(n, dtype=complex)  # F of the last forward pass
-        self._power = np.empty(n)  # theta, then |F|^2, then P, then z in its head
+        self._power = np.empty(n)  # theta, then tan(theta/2), |F|^2, P, then z in its head
         self._half = np.empty(n // 2 + 1, dtype=complex)  # im^2 of F, then rfft(|F|^2)
         self._g = np.empty(n, dtype=complex)  # F * P, then its ifft
         self._zspec = np.empty(m // 2 + 1, dtype=complex)  # scratch for z, then rfft(z)

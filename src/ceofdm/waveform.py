@@ -240,7 +240,9 @@ def synthesize(phi, cfg: WaveformConfig) -> SampledWaveform:
     """Sample the pulse e^{j phi(t)} / sqrt(M) on the config grid.
 
     The 1/sqrt(M) normalization makes the sample energy and the zero-delay
-    autocorrelation value 1 to rounding, not exactly (see compute_acf).
+    autocorrelation value 1 to rounding, not exactly (see compute_acf). The
+    phasor is metrics._phasor's half-angle rule, which takes the fresh phase
+    array as its scratch.
     """
     samples = np.empty(cfg.M, dtype=complex)
     _phasor(sample_phase(phi, cfg), samples.real, samples.imag)

@@ -202,10 +202,12 @@ def per_row_af(samples: np.ndarray, t: np.ndarray, nu) -> np.ndarray:
     """|chi| one Doppler row at a time, each row its own 1-D FFT correlation.
 
     The Doppler split, fft(s) conj(fft(s e^{-j 2 pi nu t})), the phasor
-    written as a cosine and a sine, and the FFT length (the smallest
+    written by the half-angle rule (t = tan(theta/2), w = 2/(1 + t^2),
+    cos theta = w - 1, sin theta = t w), and the FFT length (the smallest
     5-smooth n >= 2M-1) are those of the library, so every row of the
     batched surface must match this loop bit for bit, at any grid. direct_af
-    checks the split itself without an FFT.
+    checks the split itself without an FFT, and tests/test_metrics.py the
+    half-angle phasor against exp(j theta).
     """
     m = len(samples)
     n = smallest_5_smooth(2 * m - 1)
@@ -215,9 +217,10 @@ def per_row_af(samples: np.ndarray, t: np.ndarray, nu) -> np.ndarray:
     spec = np.fft.fft(samples, n)
     shift = np.empty(m, dtype=complex)
     for i, v in enumerate(nu):
-        phase = -2.0 * np.pi * v * t
-        np.cos(phase, out=shift.real)
-        np.sin(phase, out=shift.imag)
+        half_tan = np.tan(-2.0 * np.pi * v * t * 0.5)
+        w = 2.0 / (1.0 + half_tan * half_tan)
+        shift.real = w - 1.0
+        shift.imag = half_tan * w
         out[i] = np.abs(np.fft.ifft(spec * np.conj(np.fft.fft(samples * shift, n)))[lags])
     return out
 

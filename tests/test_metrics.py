@@ -19,7 +19,7 @@ from ceofdm import (
     random_psk,
     synthesize,
 )
-from ceofdm.metrics import _fft_kernel, _fft_length, _NoSidelobeLag
+from ceofdm.metrics import _fft_kernel, _fft_length, _NoSidelobeLag, _phasor
 from oracles import brute_force_acf, direct_af, fft_length_rule, log_domain_gisl, plain_isl
 
 # frozen regression: first null of the reference waveform (seed 1, Mpsk=32);
@@ -136,6 +136,59 @@ class TestFftKernel:
         fft, one = _fft_kernel("fft", 128)
         fft(frames, one, out=frames)
         assert np.array_equal(frames, expected)
+
+
+class TestPhasor:
+    """_phasor writes exp(j theta) by the half-angle rule, tan(theta/2) in
+    theta's own buffer; every M-sample phasor in the package is this one."""
+
+    @staticmethod
+    def phased(theta):
+        s = np.empty(theta.shape, dtype=complex)
+        _phasor(theta.copy(), s.real, s.imag)
+        return s
+
+    @pytest.mark.parametrize("magnitude", [1e-300, 1.0, 1e3, 1e8, 1e16, 1e152, 1e300])
+    def test_matches_complex_exp(self, magnitude):
+        theta = magnitude * np.random.default_rng(3).uniform(-1.0, 1.0, 4096)
+        s = self.phased(theta)
+        assert np.abs(s - np.exp(1j * theta)).max() <= 1e-15
+        assert np.abs(np.abs(s) - 1.0).max() <= 1e-15
+
+    def test_overwrites_theta_with_the_half_tangent(self):
+        theta = np.linspace(-11.5, 11.5, 1000)
+        work = theta.copy()
+        s = np.empty(theta.size, dtype=complex)
+        _phasor(work, s.real, s.imag)
+        assert np.array_equal(work, np.tan(theta * 0.5))
+
+    def test_near_odd_multiples_of_pi(self):
+        # tan(theta/2) near +-pi/2 is about 1e16 at most, so t^2 stays finite
+        centre = np.pi * np.array([1.0, -1.0, 3.0, -3.0, 201.0])
+        theta = np.concatenate([np.nextafter(centre, np.inf), centre, np.nextafter(centre, -np.inf)])
+        s = self.phased(theta)
+        assert np.isfinite(s).all()
+        assert np.abs(s - np.exp(1j * theta)).max() <= 1e-15
+
+    def test_signed_zeros(self):
+        # the zero-Doppler AF row (nu = +-0) and synthesize's += 0.0 rely on these signs
+        s = self.phased(np.array([0.0, -0.0]))
+        assert s.real.tolist() == [1.0, 1.0]
+        assert s.imag.tolist() == [0.0, 0.0]
+        assert np.signbit(s.imag).tolist() == [False, True]
+        assert not np.signbit(s.real).any()
+
+    def test_strided_block_equals_each_row_alone(self):
+        # compute_af phases a 2-D block into the strided parts of one complex
+        # array; each row phased alone into contiguous arrays gives the same bits
+        theta = np.multiply.outer(-2.0 * np.pi * np.linspace(-24.0, 24.0, 7), np.arange(1040) / 1040)
+        block = np.empty(theta.shape, dtype=complex)
+        _phasor(theta.copy(), block.real, block.imag)
+        for row, got in zip(theta, block):
+            real, imag = np.empty(row.size), np.empty(row.size)
+            _phasor(row.copy(), real, imag)
+            assert np.array_equal(got.real, real)
+            assert np.array_equal(got.imag, imag)
 
 
 class TestComputeAcf:

@@ -33,7 +33,9 @@ calls each, of:
 - µs per bare kernel at the workspace's M and N, each the gufunc that
   ``metrics._fft_kernel`` returns: the harmonic irfft (M), fft, rfft, irfft
   and ifft (N) and the rfft of z (M), and the M-sample phasor
-  ``metrics._phasor``. The rest of an evaluation is then its ufunc share.
+  ``metrics._phasor`` on the pulse's own ``sample_phase``, copied fresh
+  before every call, outside the timing. The rest of an evaluation is then
+  its ufunc share.
 
 Each side of a curve pair then runs ``optimize --set waveform.L=<L> --set
 waveform.tbp=<M/5> --set optimizer.max_iters=3`` at seed 1 as a child of
@@ -93,10 +95,13 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
-def median_us(call, reps: int) -> float:
-    """Median µs of ``reps`` timed calls of ``call(k)``, k = 0..reps-1."""
+def median_us(call, reps: int, setup=None) -> float:
+    """Median µs of ``reps`` timed calls of ``call(k)``, k = 0..reps-1, each
+    after an untimed ``setup(k)`` when one is given."""
     samples = []
     for k in range(reps):
+        if setup is not None:
+            setup(k)
         started = time.perf_counter_ns()
         call(k)
         samples.append(time.perf_counter_ns() - started)
@@ -184,7 +189,7 @@ def curve_child(tree: Path, m: int) -> dict:
     import numpy as np
 
     from ceofdm import (GradientWorkspace, WaveformConfig, build_weights, compute_acf,
-                        detect_mainlobe_null, random_psk, synthesize)
+                        detect_mainlobe_null, random_psk, sample_phase, synthesize)
     from ceofdm.metrics import _fft_kernel, _phasor
 
     check_import(tree)
@@ -223,9 +228,17 @@ def curve_child(tree: Path, m: int) -> dict:
         kernel, scale = _fft_kernel(kind, length)
         kernel(a, scale, out=out)  # warm-up
         kernels[name] = median_us(lambda k: kernel(a, scale, out=out), reps)
-    phasor = np.empty(m, dtype=complex)
-    _phasor(real_m, phasor.real, phasor.imag)
-    kernels["phasor"] = median_us(lambda k: _phasor(real_m, phasor.real, phasor.imag), reps)
+    # the phasor on the pulse's own phases, whose magnitude sets what a
+    # libm cosine and sine cost, copied fresh before every call: _phasor may
+    # use its input as scratch
+    phase, theta, phasor = sample_phase(phi, cfg), np.empty(m), np.empty(m, dtype=complex)
+
+    def fresh(k):
+        np.copyto(theta, phase)
+
+    fresh(0)
+    _phasor(theta, phasor.real, phasor.imag)  # warm-up
+    kernels["phasor"] = median_us(lambda k: _phasor(theta, phasor.real, phasor.imag), reps, fresh)
     return {"fft_probe_us": round(probe, 3), "M": m, "L": L, "N": n, "reps": reps,
             **{k: round(v, 3) for k, v in times.items()},
             "kernels_us": {k: round(v, 3) for k, v in kernels.items()}}
