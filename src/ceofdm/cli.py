@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import pickle
 import sys
 import time
 from dataclasses import replace
@@ -229,63 +231,66 @@ def _sweep_worker(payload) -> tuple[int, dict | None, str, dict]:
     return seed, summary, summary["status"], trace.counts
 
 
-def _sweep_share(writer, payloads) -> None:
-    """Child process body: send the rows of one share of a sweep's payloads,
-    or the MemoryError that stopped it, through the write end of a pipe."""
-    try:
-        rows = [_sweep_worker(p) for p in payloads]
-    except MemoryError as exc:
-        rows = exc
-    writer.send(rows)
-    writer.close()
-
-
 def _sweep_rows(payloads: list, w: int) -> list:
-    """The rows of every payload, in order. This process runs payloads[0::w];
-    each of w - 1 forked children runs payloads[k::w] and sends its rows back."""
-    children = []
-    try:
-        if w > 1:
-            # imported here, so the commands that never fork do not load the
-            # multiprocessing stack (logging, pickle, socket) at start-up
-            import multiprocessing
+    """The rows of every payload, in order.
 
-            # fork where the platform has it: spawn and forkserver (Linux's
-            # default from Python 3.14) would import ceofdm again per child
-            fork = "fork" in multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context("fork" if fork else None)
-            for k in range(1, w):
-                reader, writer = context.Pipe(duplex=False)
-                child = context.Process(target=_sweep_share, args=(writer, payloads[k::w]))
-                child.start()
-                # only the child holds the write end now, so its death reads as EOF
-                writer.close()
-                children.append((child, reader))
-        rows = [None] * len(payloads)
-        rows[0::w] = [_sweep_worker(p) for p in payloads[0::w]]
-        # read every pipe before joining: a child blocks until its rows are read
-        for k, (child, reader) in enumerate(children, 1):
+    This process runs payloads[0::w]. Each of w - 1 children, forked with
+    os.fork, runs payloads[k::w] and pickles its rows, or the MemoryError
+    that stopped it, into a pipe; it leaves only through os._exit. This
+    process reads each pipe to EOF, then reaps its child. A child that sent
+    nothing or exited non-zero raises ChildProcessError, and on any error
+    every child not yet reaped gets SIGTERM and is reaped.
+    """
+    rows = [None] * len(payloads)
+    children = {}  # pid: (k, read end of its pipe) of each child not yet reaped
+    try:
+        for k in range(1, w):
+            reader, writer = os.pipe()
             try:
-                share = reader.recv()
-            except EOFError:
-                child.join()
-                code = child.exitcode
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:  # the child
+                code = 1
+                try:
+                    try:
+                        share = [_sweep_worker(p) for p in payloads[k::w]]
+                    except MemoryError as exc:
+                        share = exc
+                    with open(writer, "wb") as pipe:
+                        pickle.dump(share, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)  # never into the caller's frames, and no atexit or flush
+            # only the child holds the write end now, so its death reads as EOF
+            os.close(writer)
+            children[pid] = (k, open(reader, "rb"))
+        rows[0::w] = [_sweep_worker(p) for p in payloads[0::w]]
+        for pid, (k, pipe) in list(children.items()):
+            # read to EOF before reaping: a child blocks until its rows are read
+            with pipe:
+                sent = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code or not sent:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
                 seeds = ", ".join(str(seed) for _, seed in payloads[k::w])
-                raise ChildProcessError(
-                    f"the process running seeds {seeds} {how} before it sent their rows"
-                ) from None
-            reader.close()
+                raise ChildProcessError(f"the process running seeds {seeds} {how} before it sent their rows")
+            share = pickle.loads(sent)
             if isinstance(share, MemoryError):
                 raise share
             rows[k::w] = share
         return rows
     finally:
-        for child, reader in children:
-            if not reader.closed:
-                child.terminate()
-                reader.close()
-            child.join()
+        if children:
+            import signal  # only on this error path: its enums cost start-up
+
+            for pid, (_, pipe) in children.items():
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
+                pipe.close()
 
 
 def cmd_sweep(config: ExperimentConfig) -> None:

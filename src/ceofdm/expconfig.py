@@ -10,8 +10,8 @@ manifest that parses to the identical configuration.
 
 from __future__ import annotations
 
-import configparser
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -148,6 +148,9 @@ class RunSpec:
             raise ValueError("seed_count must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if re.search(r"(^|\s);", self.out):
+            # the manifest's reader would take the rest as a comment
+            raise ValueError(f"out may not hold a ';' at its start or after whitespace, got {self.out!r}")
 
 
 def _keys(spec) -> list:
@@ -194,11 +197,16 @@ class ExperimentConfig:
         """Build a config from an optional INI file plus override strings.
 
         ``overrides`` entries look like ``section.key=value`` and take
-        precedence over the file; the keyword shortcuts win over both.
+        precedence over the file; the keyword shortcuts win over both. In
+        the file, a ``;`` after whitespace starts a comment, on a line of its
+        own or after a value. ``configparser`` is imported only to read a
+        file, so a run from overrides alone never loads it.
         """
         raw: dict[str, dict[str, str]] = {}
         if path is not None:
-            parser = configparser.ConfigParser(interpolation=None)
+            import configparser
+
+            parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
             parser.optionxform = str  # keys are case-sensitive (waveform.L)
             with open(path, "r", encoding="utf-8") as fh:
                 try:

@@ -6,6 +6,7 @@ module fixture and shared by criteria 4 through 10.
 """
 
 import math
+import os
 import time
 from pathlib import Path
 
@@ -281,6 +282,9 @@ def test_criterion_11_cli_determinism(tmp_path, monkeypatch):
         tree_a, tree_b = trees
         if set(tree_a) != set(tree_b) or any(tree_a[k] != tree_b[k] for k in tree_a):
             mismatches.append(name)
+    # the --threads 2 sweep reaped its child: this process has none left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     report(
         11, "CLI determinism",
         not mismatches,

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -48,6 +49,12 @@ def manifest_section(path, name):
     text = Path(path).read_text()
     start = text.index(f"[{name}]\n")
     return text[start : text.index("\n\n", start)]
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped: waitpid finds none."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def tree_bytes(root):
@@ -134,6 +141,15 @@ class TestExperimentConfig:
         ini.write_text(body)
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_sources(path=ini)
+
+    def test_out_that_a_manifest_would_cut_is_rejected(self, tmp_path):
+        # the manifest's reader takes a ';' at a value's start or after whitespace as a comment
+        for out in ("a ;b", ";b", "a\t;b"):
+            with pytest.raises(ConfigError, match="out may not hold a ';'"):
+                ExperimentConfig.from_sources(out=out)
+        config = ExperimentConfig.from_sources(out="a;b")
+        config.write_manifest(tmp_path / "manifest.ini")
+        assert ExperimentConfig.from_sources(tmp_path / "manifest.ini") == config
 
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError, match="section.key=value"):
@@ -505,6 +521,7 @@ class TestSweepCommand:
         aggregate = read_summary(out / "aggregate.txt")
         assert aggregate["succeeded"] == 50
         assert aggregate["median_gisl_final_db"] <= -20.0
+        assert_no_child_left()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_evaluation_counts_sum_over_seeds(self, tmp_path, capsys, threads):
@@ -526,6 +543,7 @@ class TestSweepCommand:
         assert {name: int(n) for n, name in re.findall(COUNTS_PATTERN, stdout)} == expected
         assert expected["gradient passes"] > 0
         assert "passes" not in (tmp_path / "s" / "seeds.csv").read_text()
+        assert_no_child_left()
 
     def test_partial_failure_rows_and_all_fail_exit(self, tmp_path, capsys):
         # a region that holds no lag fails every seed before its descent:
@@ -566,6 +584,7 @@ class TestSweepCommand:
         # manifests differ only in the out/threads lines; data files must match
         assert a["seeds.csv"] == b["seeds.csv"]
         assert a["aggregate.txt"] == b["aggregate.txt"]
+        assert_no_child_left()
 
     def test_seeds_csv_bytes(self, tmp_path):
         # seeds 1 and 3 place the region's end inside their mainlobe and fail; seed 2 runs
@@ -590,34 +609,34 @@ class TestSweepCommand:
         assert (tmp_path / "seeds.csv").read_bytes() == expected
 
     def test_threads_above_seed_count_start_one_child(self, tmp_path, monkeypatch):
-        from multiprocessing.process import BaseProcess
+        forks = []
+        fork = os.fork
 
-        started = []
-        start = BaseProcess.start
+        def recorded():
+            pid = fork()
+            if pid:  # only this process records; the child's list dies with it
+                forks.append(pid)
+            return pid
 
-        def recorded(self):
-            started.append(self)
-            start(self)
-
-        # cmd_sweep forks through a multiprocessing context, whose Process
-        # class starts through BaseProcess.start
-        monkeypatch.setattr(BaseProcess, "start", recorded)
+        monkeypatch.setattr(os, "fork", recorded)
         code = main([
             "sweep", "--out", str(tmp_path / "s"), "--seed", "0", "--threads", "64",
             "--set", "run.seed_count=2", "--set", "optimizer.max_iters=2",
         ])
+        # a child that exited non-zero would have made the sweep exit 3
         assert code == 0
-        assert len(started) == 1
-        assert [child.exitcode for child in started] == [0]
+        assert len(forks) == 1
+        assert_no_child_left()
 
     @pytest.mark.parametrize("start_method", [None, "spawn"], ids=["default", "spawn"])
     def test_dead_child_exits_3_naming_its_seeds(self, tmp_path, capsys, monkeypatch, request,
                                                  start_method):
-        import multiprocessing
-
         if start_method:
-            # sweep asks for fork itself: a spawned child would import cli afresh,
-            # run the unpatched worker and send its rows, and the sweep would exit 0
+            # sweep forks with os.fork, so multiprocessing's start method is
+            # irrelevant: a spawned child would import cli afresh, run the
+            # unpatched worker and send its rows, and the sweep would exit 0
+            import multiprocessing
+
             default = multiprocessing.get_start_method(allow_none=True)
             multiprocessing.set_start_method(start_method, force=True)
             request.addfinalizer(lambda: multiprocessing.set_start_method(default, force=True))
@@ -640,7 +659,29 @@ class TestSweepCommand:
             "sweep failed: the process running seeds 2 exited with code 7 before it sent their rows\n"
         )
         assert not (out / "seeds.csv").exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_child_killed_by_a_signal_exits_3_naming_the_signal(self, tmp_path, capsys, monkeypatch):
+        worker = cli._sweep_worker
+
+        def killed_at_seed_2(payload):
+            if payload[1] == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return worker(payload)
+
+        # with 3 seeds on 2 processes, the child runs seed 2
+        monkeypatch.setattr(cli, "_sweep_worker", killed_at_seed_2)
+        out = tmp_path / "s"
+        code = main([
+            "sweep", "--out", str(out), "--seed", "1", "--threads", "2",
+            "--set", "run.seed_count=3", "--set", "optimizer.max_iters=2",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "sweep failed: the process running seeds 2 was killed by signal 9 before it sent their rows\n"
+        )
+        assert not (out / "seeds.csv").exists()
+        assert_no_child_left()
 
 
 # (larger, smaller) config of each command, as argv without --out. The larger
@@ -817,6 +858,7 @@ class TestExitCodes:
         assert code == 3
         assert "out of memory at M = 5000000000000: Unable to allocate" in capsys.readouterr().err
         assert not (out / "seeds.csv").exists()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("tbp", ["1e18", "1e300"])
     def test_too_many_samples_is_config_error(self, tmp_path, capsys, tbp):
@@ -917,14 +959,26 @@ from ceofdm.cli import main
 
 out = sys.argv[2]
 quick = ["--seed", "1", "--set", "optimizer.max_iters=1"]
+
+
+def run(argv):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+
+
 for argv in (
     ["synth", "--out", out + "/synth"] + quick,
     ["optimize", "--out", out + "/opt"] + quick,
     ["quantize", "--out", out + "/quant"] + quick,
-    ["quantize", "--out", out + "/fed", "--input", out + "/opt"],
+    ["sweep", "--out", out + "/sweep", "--threads", "2", "--set", "run.seed_count=2"] + quick,
 ):
-    if main(argv) != 0:
-        sys.exit(f"{argv[0]} failed")
+    run(argv)
+# no command has read an INI file yet
+if "configparser" in sys.modules:
+    sys.exit("configparser was loaded before any INI file was read")
+run(["quantize", "--out", out + "/fed", "--input", out + "/opt"])  # reads opt/manifest.ini
+if "configparser" not in sys.modules:
+    sys.exit("quantize --input read a manifest without configparser")
 loaded = [name for name in ("multiprocessing", "concurrent.futures", "logging") if name in sys.modules]
 if loaded:
     sys.exit(f"loaded {loaded}")

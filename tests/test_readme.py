@@ -13,9 +13,10 @@ def fenced(lang: str) -> list[str]:
 
 
 def test_config_block_is_the_defaults(tmp_path):
+    # verbatim, its inline "; ..." comments included
     (block,) = fenced("ini")
     ini = tmp_path / "readme.ini"
-    ini.write_text("\n".join(line.split(";", 1)[0] for line in block.splitlines()))
+    ini.write_text(block, encoding="utf-8")
     assert ExperimentConfig.from_sources(ini) == ExperimentConfig.from_sources()
 
 

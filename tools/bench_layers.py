@@ -46,20 +46,28 @@ and time ``--reps`` ``design`` ops, in ms: ``optimize --set
 waveform.mpsk=inf --set region.mode=interval --set region.hi=0.1`` at the
 defaults (M = 1000), as ``benchmarks/run.py`` runs it.
 
+Then ``--cold-pairs`` alternated pairs of cold starts, each a fresh child
+that, as ``benchmarks/run.py``'s set-up does, imports numpy and takes the
+FFT probe first, and then times in ms ``import ceofdm.cli`` and the first
+op, ``sweep --threads 2 --set waveform.mpsk=inf --set run.seed_count=4`` at
+seed 1, which forks one child. Its peak RSS, read with ``os.wait4``, is
+that of the whole cold start.
+
 Every child runs with PYTHONPATH set to its tree's ``src/`` and with a fresh
 empty PYTHONPYCACHEPREFIX directory of its own, so no tree's
 ``__pycache__`` is read and both sides compile ceofdm from source in the
 same state.
 
 The file ``BENCH_<tag>.json`` in ``--out`` holds the machine line, each
-tree's commit, the settings, the ``survey`` and ``gisl_curve`` sections, the
-FFT probe's summary and every pair's raw values. A section sums up each
-metric: each side's first quartile, median and third quartile over the
-pairs, the ratio of the medians, and the number of pairs in which the change
-read lower (ties count for neither). It adds the number of pairs whose two
-probes agree, the change's within 10% of the parent's, and the ratio of the
-medians over those pairs alone: null where no pair agrees, and where the
-pairs carry no probe, as the survey's RSS pairs do. The raw ratio stays the
+tree's commit, the settings, the ``survey``, ``gisl_curve`` and
+``cold_start`` sections, the FFT probe's summary and every pair's raw
+values. A section sums up each metric: each side's first quartile, median
+and third quartile over the pairs, the ratio of the medians, and the
+number of pairs in which the change read lower (ties count for neither). It
+adds the number of pairs whose two probes agree, the change's within 10% of
+the parent's, and the ratio of the medians over those pairs alone: null
+where no pair agrees, and where the pairs carry no probe, as the survey's
+RSS pairs do. The raw ratio stays the
 headline; the probe-agreeing one shows whether it holds on pairs that ran
 at the same machine speed. A pair's value of a metric is the median of its
 child's samples; the curve's N is given per side. Nothing here gates on a
@@ -84,6 +92,7 @@ SIDES = ("parent", "change")
 CLI = "import sys; from ceofdm.cli import main; sys.exit(main(sys.argv[1:]))"
 DESIGN = ["--set", "waveform.mpsk=inf", "--set", "region.mode=interval", "--set", "region.hi=0.1"]
 CURVE = {10**3: 24, 10**4: 64, 10**5: 256, 10**6: 1024}  # M and its L on the curve
+COLD_SWEEP = ["sweep", "--seed", "1", "--threads", "2", "--set", "waveform.mpsk=inf", "--set", "run.seed_count=4"]
 CURVE_KEYS = ("cost_us", "cost_and_gradient_us", "cost_ns_per_n_log2_n", "cost_and_gradient_ns_per_n_log2_n")
 
 
@@ -265,6 +274,27 @@ def design_child(tree: Path, reps: int, work: Path) -> dict:
     return {"fft_probe_us": round(probe, 3), "design_op_ms": op_ms}
 
 
+def cold_child(tree: Path, work: Path) -> dict:
+    """One cold start, measured in this process, which has not imported
+    ceofdm yet: ms to import ``ceofdm.cli`` and ms of the first sweep op."""
+    import contextlib
+    import io
+
+    probe = fft_probe_us()  # imports numpy first, as benchmarks/run.py's set-up does
+    started = time.perf_counter()
+    import ceofdm.cli
+
+    imported = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ceofdm.cli.main([*COLD_SWEEP, "--out", str(work / "sweep")])
+    swept = time.perf_counter()
+    if code:
+        sys.exit(f"the cold sweep exited {code}")
+    check_import(tree)
+    return {"fft_probe_us": round(probe, 3), "import_cli_ms": round((imported - started) * 1e3, 3),
+            "first_sweep_ms": round((swept - imported) * 1e3, 3)}
+
+
 def child_env(tree: Path, work: str) -> dict:
     """The environment of a child: ceofdm from ``tree``, bytecode only in a
     fresh directory under ``work``, so no ``__pycache__`` of a tree is read."""
@@ -282,16 +312,30 @@ def run_child(tree: Path, args, *mode: str) -> dict:
     return json.loads(done.stdout)
 
 
+def waited(tree: Path, argv: list[str], work: str) -> tuple[str, float]:
+    """The stdout of ``argv``, run as a child in ``tree``'s environment, and
+    its peak RSS in MB, read with ``os.wait4``; exit if the child fails."""
+    with subprocess.Popen(argv, env=child_env(tree, work), stdout=subprocess.PIPE, text=True) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        sys.exit(f"a child for {tree} exited {proc.returncode}: {' '.join(argv[1:])}")
+    return out, round(usage.ru_maxrss / 1024, 1)
+
+
 def peak_rss_mb(tree: Path, command: list[str]) -> float:
     """Peak RSS in MB of one ceofdm ``command`` (argv without --out) at seed 1, in a child of its own."""
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as work:
         argv = [sys.executable, "-c", CLI, *command, "--out", str(Path(work) / "out"), "--seed", "1"]
-        proc = subprocess.Popen(argv, env=child_env(tree, work), stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode:
-        sys.exit(f"{' '.join(command)} in {tree} exited {proc.returncode}")
-    return round(usage.ru_maxrss / 1024, 1)
+        return waited(tree, argv, work)[1]
+
+
+def cold_start(tree: Path) -> dict:
+    """One cold start in a child of its own, with the child's peak RSS in MB."""
+    with tempfile.TemporaryDirectory(prefix="bench-layers-") as work:
+        out, rss = waited(tree, [sys.executable, __file__, "--child", str(tree), "--work", work, "--cold-start"], work)
+    return {**json.loads(out), "peak_rss_mb": rss}
 
 
 def commit(tree: Path) -> str:
@@ -369,13 +413,17 @@ def main(argv=None) -> int:
     parser.add_argument("--curve-pairs", type=int, default=2, help="alternated pairs of M-curve children")
     parser.add_argument("--curve", type=int, nargs="+", default=sorted(CURVE), choices=sorted(CURVE),
                         metavar="M", help="the M of the curve, each of 1000, 10000, 100000 and 1000000")
+    parser.add_argument("--cold-pairs", type=int, default=10, help="alternated pairs of cold-start children")
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--curve-point", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--design-ops", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--cold-start", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        if args.curve_point is not None:
+        if args.cold_start:
+            result = cold_child(args.child, args.work)
+        elif args.curve_point is not None:
             result = curve_child(args.child, args.curve_point)
         elif args.design_ops:
             result = design_child(args.child, args.reps, args.work)
@@ -409,6 +457,7 @@ def main(argv=None) -> int:
             **run_child(tree, args, "--curve-point", str(m)),
             "optimize_peak_rss_mb": peak_rss_mb(tree, optimize)})
     design = alternated(args.pairs, lambda tree: run_child(tree, args, "--design-ops"))
+    cold = alternated(args.cold_pairs, cold_start)
     points = {}
     for m, pairs in curve.items():
         first = pairs[0]
@@ -424,7 +473,7 @@ def main(argv=None) -> int:
         "commits": {side: commit(tree) for side, tree in trees.items()},
         "settings": {"pairs": args.pairs, "reps": args.reps, "tbp": args.tbp,
                      "rss_pairs": args.rss_pairs, "large_L": large[0], "large_tbp": large[1],
-                     "curve_pairs": args.curve_pairs, "curve": args.curve},
+                     "curve_pairs": args.curve_pairs, "curve": args.curve, "cold_pairs": args.cold_pairs},
         "survey": {
             "compute_af_us": summarize(timing, "compute_af_us"),
             "write_af_csv_us": summarize(timing, "write_af_csv_us"),
@@ -432,11 +481,13 @@ def main(argv=None) -> int:
             "synth_large_peak_rss_mb": summarize(rss, "peak_rss_mb"),
         },
         "gisl_curve": {**points, "design_op_ms": summarize(design, "design_op_ms")},
+        "cold_start": {key: summarize(cold, key) for key in ("import_cli_ms", "first_sweep_ms", "peak_rss_mb")},
         "fft_probe_us": summarize(timing, "fft_probe_us"),
         "timing_pairs": timing,
         "rss_pairs": rss,
         "curve_pairs": curve,
         "design_pairs": design,
+        "cold_pairs": cold,
     }
     path = args.out / f"BENCH_{args.tag}.json"
     # one line per list of numbers
